@@ -55,16 +55,23 @@ class Allocation:
 
 
 class Cluster:
-    """A named collection of nodes with first-fit CPU allocation."""
+    """A named collection of nodes with first-fit CPU allocation.
+
+    The free-CPU count and the name→node map are kept as the nodes
+    change, so capacity questions are O(1).  Nodes must therefore only
+    change through :meth:`allocate` and :meth:`release`.
+    """
 
     def __init__(self, name: str, nodes: Iterable[Node]) -> None:
         self.name = name
-        self.nodes: List[Node] = list(nodes)
+        self.nodes: Tuple[Node, ...] = tuple(nodes)
         if not self.nodes:
             raise ValueError(f"cluster {name!r} needs at least one node")
-        names = [n.name for n in self.nodes]
-        if len(set(names)) != len(names):
+        self._by_name: Dict[str, Node] = {node.name: node for node in self.nodes}
+        if len(self._by_name) != len(self.nodes):
             raise ValueError(f"duplicate node names in cluster {name!r}")
+        self._total = sum(node.cpus for node in self.nodes)
+        self._free = sum(node.free for node in self.nodes)
 
     @classmethod
     def homogeneous(cls, name: str, node_count: int, cpus_per_node: int) -> "Cluster":
@@ -75,34 +82,34 @@ class Cluster:
 
     @property
     def total_cpus(self) -> int:
-        return sum(node.cpus for node in self.nodes)
+        return self._total
 
     @property
     def free_cpus(self) -> int:
-        return sum(node.free for node in self.nodes)
+        return self._free
 
     @property
     def used_cpus(self) -> int:
-        return sum(node.used for node in self.nodes)
+        return self._total - self._free
 
     @property
     def utilization(self) -> float:
         return self.used_cpus / self.total_cpus if self.total_cpus else 0.0
 
     def can_allocate(self, cpus: int) -> bool:
-        return 0 < cpus <= self.free_cpus
+        return 0 < cpus <= self._free
 
     def fits(self, cpus: int) -> bool:
         """Whether *cpus* could ever be allocated on this cluster."""
-        return 0 < cpus <= self.total_cpus
+        return 0 < cpus <= self._total
 
     def allocate(self, cpus: int) -> Allocation:
         """First-fit allocation over nodes; may span several nodes."""
         if cpus <= 0:
             raise AllocationError(f"cannot allocate {cpus} CPUs")
-        if cpus > self.free_cpus:
+        if cpus > self._free:
             raise AllocationError(
-                f"cluster {self.name!r} has {self.free_cpus} free CPUs, "
+                f"cluster {self.name!r} has {self._free} free CPUs, "
                 f"asked for {cpus}"
             )
         remaining = cpus
@@ -116,15 +123,16 @@ class Cluster:
                 parts.append((node.name, grab))
                 remaining -= grab
         assert remaining == 0, "free_cpus accounting is inconsistent"
+        self._free -= cpus
         return Allocation(parts=tuple(parts))
 
     def release(self, allocation: Allocation) -> None:
-        by_name: Dict[str, Node] = {node.name: node for node in self.nodes}
         for name, count in allocation.parts:
-            node = by_name.get(name)
+            node = self._by_name.get(name)
             if node is None:
                 raise AllocationError(f"allocation references unknown node {name!r}")
             node.give_back(count)
+            self._free += count
 
     def __str__(self) -> str:
         return (

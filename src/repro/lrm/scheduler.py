@@ -8,11 +8,14 @@ change) — plus walltime enforcement and per-account accounting.
 
 Scheduling is event-driven: submissions, completions and cancellations
 all trigger a scheduling pass on the shared :class:`~repro.sim.Clock`.
+A pass returns at once while fewer CPUs are free than a lower bound on
+every waiting job's request, and it never recurses: an event raised
+inside it restarts its ordered scan instead.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -67,7 +70,15 @@ class BatchScheduler:
             q.name: q for q in (queues or [JobQueue(name="default")])
         }
         self._jobs: Dict[str, BatchJob] = {}
+        #: Exactly the QUEUED jobs.  Unless ``_unsorted``, in start order;
+        #: a stable sort restores that order after any change.
         self._waiting: List[BatchJob] = []
+        self._unsorted = False
+        #: A lower bound on the CPUs of every waiting job (inf when none
+        #: waits): while fewer CPUs are free, no waiting job can start.
+        self._min_waiting_cpus: float = math.inf
+        self._in_pass = False
+        self._rescan = False
         self._usage: Dict[str, AccountUsage] = {}
         self._walltime_events: Dict[str, ScheduledEvent] = {}
         #: Hooks fired for *every* job reaching a terminal state.
@@ -96,7 +107,7 @@ class BatchScheduler:
         job.submitted_at = self.clock.now
         job.state = JobState.QUEUED
         self._jobs[job.job_id] = job
-        self._waiting.append(job)
+        self._enqueue(job)
         self._account(job.account).jobs_submitted += 1
         self._schedule_pass()
         return job.job_id
@@ -149,7 +160,7 @@ class BatchScheduler:
             self._start(job, resuming=True)
         else:
             job.state = JobState.QUEUED
-            self._waiting.insert(0, job)
+            self._enqueue(job, at_head=True)
         self._schedule_pass()
 
     def signal_priority(self, job_id: str, priority: int) -> None:
@@ -157,6 +168,10 @@ class BatchScheduler:
         job = self.job(job_id)
         if job.is_terminal:
             raise UnknownJobError(f"job {job_id} already finished")
+        if job.state is JobState.QUEUED:
+            # Ties under the new key keep the order the old key gave them.
+            self._sort_waiting()
+            self._unsorted = True
         job.priority = priority
         self._schedule_pass()
 
@@ -164,25 +179,6 @@ class BatchScheduler:
         return self.job(job_id).state
 
     # -- terminal notification ---------------------------------------------
-
-    def add_terminal_hook(self, hook: Callable[[BatchJob], None]) -> None:
-        """Register a hook fired for *every* terminal job.
-
-        .. deprecated::
-            Global hooks pay O(hooks) on every terminal event and leak
-            registrations that outlive their jobs; use the per-job
-            :meth:`on_job_terminal` instead.  Genuinely global
-            observers (federation-wide monitors) may still append to
-            :attr:`on_terminal` directly.
-        """
-        warnings.warn(
-            "add_terminal_hook is deprecated: register per-job callbacks "
-            "with on_job_terminal (global observers may append to "
-            "scheduler.on_terminal directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.on_terminal.append(hook)
 
     def on_job_terminal(
         self, job_id: str, callback: Callable[[BatchJob], None]
@@ -267,26 +263,77 @@ class BatchScheduler:
             self._usage[account] = usage
         return usage
 
-    def _schedule_pass(self) -> None:
-        """Start every waiting job that fits, best priority first."""
-        # Sort: higher queue priority, then higher job priority, then
-        # submission order (stable sort preserves FIFO).
-        self._waiting.sort(
-            key=lambda j: (
-                -(self.queues[j.queue].priority),
-                -j.priority,
-                j.submitted_at,
+    def _enqueue(self, job: BatchJob, at_head: bool = False) -> None:
+        if at_head:
+            self._waiting.insert(0, job)
+        else:
+            self._waiting.append(job)
+        self._unsorted = True
+        if job.cpus < self._min_waiting_cpus:
+            self._min_waiting_cpus = job.cpus
+
+    def _dequeue(self, job: BatchJob) -> None:
+        waiting = self._waiting
+        for index, queued in enumerate(waiting):
+            if queued is job:
+                del waiting[index]
+                return
+
+    def _sort_waiting(self) -> None:
+        if self._unsorted:
+            # Higher queue priority, then higher job priority, then
+            # submission order (stable sort preserves FIFO).
+            self._waiting.sort(
+                key=lambda j: (
+                    -(self.queues[j.queue].priority),
+                    -j.priority,
+                    j.submitted_at,
+                )
             )
-        )
-        still_waiting: List[BatchJob] = []
-        for job in self._waiting:
-            if job.is_terminal:
-                continue
-            if self.cluster.can_allocate(job.cpus):
+            self._unsorted = False
+
+    def _schedule_pass(self) -> None:
+        """Start every waiting job that fits, best priority first.
+
+        Invariant: when no pass is running, no waiting job fits.  An
+        event inside a pass (a job failing as it starts, a terminal
+        hook that submits or cancels) does not run a nested pass; it
+        makes this one scan again from the head.
+        """
+        if self._in_pass:
+            self._rescan = True
+            return
+        self._in_pass = True
+        try:
+            while self.cluster.free_cpus >= self._min_waiting_cpus:
+                self._rescan = False
+                self._sort_waiting()
+                self._scan()
+                if not self._rescan:
+                    break
+        finally:
+            self._in_pass = False
+
+    def _scan(self) -> None:
+        waiting = self._waiting
+        floor = self._min_waiting_cpus
+        free = self.cluster.free_cpus
+        smallest: float = math.inf
+        index = 0
+        while index < len(waiting):
+            job = waiting[index]
+            if job.cpus <= free:
+                del waiting[index]
                 self._start(job)
+                if self._rescan:
+                    return
+                free = self.cluster.free_cpus
+                if free < floor:
+                    return  # nothing further down can fit either
             else:
-                still_waiting.append(job)
-        self._waiting = still_waiting
+                smallest = min(smallest, job.cpus)
+                index += 1
+        self._min_waiting_cpus = smallest
 
     def _start(self, job: BatchJob, resuming: bool = False) -> None:
         job.allocation = self.cluster.allocate(job.cpus)
@@ -343,8 +390,8 @@ class BatchScheduler:
         if job.allocation is not None:
             self.cluster.release(job.allocation)
             job.allocation = None
-        if job in self._waiting:
-            self._waiting.remove(job)
+        if job.state is JobState.QUEUED:
+            self._dequeue(job)
         job.state = state
         job.finished_at = self.clock.now
         job.exit_reason = reason

@@ -10,6 +10,8 @@ from repro.gram.protocol import GramErrorCode, GramJobState
 from repro.gram.service import GramService, ServiceConfig
 from repro.gsi.credentials import CertificateAuthority
 from repro.lrm.errors import UnknownJobError
+from repro.lrm.jobs import JobState
+from repro.workloads.scenarios import build_fusion_scenario
 
 OWNER = "/O=Grid/OU=lifecycle/CN=Owner"
 OTHER = "/O=Grid/OU=lifecycle/CN=Other"
@@ -96,6 +98,49 @@ class TestReaping:
         assert service.gatekeeper.completed.get(contacts[-1].job_id) is not None
         evicted = client.status(contacts[0])
         assert evicted.code is GramErrorCode.NO_SUCH_JOB
+
+
+class TestZeroWalltimeJobStartedByACancel:
+    """An admin-style preemption frees CPUs for a queue whose head has a
+    zero walltime budget: that job fails as it starts, and the rest of
+    the queue must start once, with no CPU left allocated."""
+
+    @pytest.fixture
+    def preempted(self):
+        scenario = build_fusion_scenario(node_count=1, cpus_per_node=8)
+        client = next(iter(scenario.analysts.values()))
+        transp = "&(executable=TRANSP)(directory=/opt/nfc/bin)(jobtag=NFC)"
+        responses = [
+            client.submit(transp + limits)
+            for limits in (
+                "(count=8)(runtime=100)",
+                "(count=4)(maxwalltime=0)(runtime=10)",
+                "(count=4)(runtime=10)",
+                "(count=4)(runtime=500)",
+            )
+        ]
+        assert all(response.ok for response in responses)
+        assert client.cancel(responses[0].contact).ok
+        return scenario.service, client, responses[1:]
+
+    def test_queue_starts_once(self, preempted):
+        service, client, (doomed, short, long_job) = preempted
+        scheduler = service.scheduler
+        assert scheduler.queue_depth == len(scheduler.jobs(JobState.QUEUED)) == 0
+        assert client.status(doomed.contact).state is GramJobState.FAILED
+        assert client.status(short.contact).state is GramJobState.ACTIVE
+        assert client.status(long_job.contact).state is GramJobState.ACTIVE
+
+    def test_no_restart_and_no_leaked_cpus(self, preempted):
+        service, client, (_, _, long_job) = preempted
+        service.run(10.0)
+        assert service.scheduler.job(long_job.contact.job_id).started_at == 0.0
+        service.run(1010.0)
+        assert client.status(long_job.contact).state is GramJobState.DONE
+        assert not service.scheduler.jobs(JobState.RUNNING)
+        assert service.cluster.used_cpus == 0
+        account = service.gatekeeper.completed.get(long_job.contact.job_id).account
+        assert service.scheduler.usage(account).cpu_seconds == pytest.approx(2040.0)
 
 
 class TestPostReapManagement:

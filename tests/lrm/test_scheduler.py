@@ -227,6 +227,62 @@ class TestWalltime:
         assert j.state is JobState.SUSPENDED
 
 
+class TestEventsInsideAPass:
+    """A pass that starts a zero-walltime job sees it fail inside ``_start``.
+
+    The failure must not disturb the pass: the queue holds exactly the
+    QUEUED jobs, no job starts twice and no CPU is left allocated.
+    """
+
+    @pytest.fixture
+    def flooded(self, clock):
+        scheduler = BatchScheduler(Cluster.homogeneous("c", 1, 8), clock)
+        blocker = job(cpus=8, runtime=100.0)
+        doomed = job(cpus=4, runtime=10.0, max_walltime=0.0)
+        short = job(cpus=4, runtime=10.0)
+        long_job = job(cpus=4, runtime=500.0, account="dave")
+        for each in (blocker, doomed, short, long_job):
+            scheduler.submit(each)
+        scheduler.cancel(blocker.job_id)
+        return scheduler, doomed, short, long_job
+
+    def test_queue_holds_exactly_the_queued_jobs(self, flooded):
+        scheduler, doomed, short, long_job = flooded
+        assert doomed.state is JobState.FAILED
+        assert doomed.exit_reason == "walltime exceeded"
+        assert short.state is JobState.RUNNING
+        assert long_job.state is JobState.RUNNING
+        assert scheduler.queue_depth == len(scheduler.jobs(JobState.QUEUED)) == 0
+        assert scheduler.cluster.free_cpus == 0
+
+    def test_no_job_starts_twice_and_no_cpu_leaks(self, flooded, clock):
+        scheduler, _, short, long_job = flooded
+        clock.advance(10.0)
+        assert short.state is JobState.COMPLETED
+        assert long_job.started_at == 0.0
+        clock.advance(1000.0)
+        assert long_job.finished_at == 500.0
+        assert scheduler.usage("dave").cpu_seconds == pytest.approx(2000.0)
+        assert scheduler.cluster.free_cpus == scheduler.cluster.total_cpus
+
+    def test_hook_that_submits_inside_a_pass_is_scheduled_once(self, clock):
+        scheduler = BatchScheduler(Cluster.homogeneous("c", 1, 8), clock)
+        blocker = job(cpus=8, runtime=100.0)
+        doomed = job(cpus=4, runtime=10.0, max_walltime=0.0)
+        waiting = job(cpus=4, runtime=10.0)
+        late = job(cpus=4, runtime=10.0)
+        for each in (blocker, doomed, waiting):
+            scheduler.submit(each)
+        scheduler.on_job_terminal(doomed.job_id, lambda _: scheduler.submit(late))
+        scheduler.cancel(blocker.job_id)
+        assert waiting.state is JobState.RUNNING
+        assert late.state is JobState.RUNNING
+        assert scheduler.queue_depth == 0
+        clock.advance(10.0)
+        assert (waiting.state, late.state) == (JobState.COMPLETED, JobState.COMPLETED)
+        assert scheduler.cluster.free_cpus == 8
+
+
 class TestAccounting:
     def test_cpu_seconds_accumulate(self, scheduler, clock):
         j = job(cpus=4, runtime=10.0)
@@ -250,17 +306,6 @@ class TestAccounting:
         j = job(runtime=5.0)
         scheduler.submit(j)
         scheduler.on_job_terminal(j.job_id, lambda j: seen.append(j.job_id))
-        clock.advance(5.0)
-        assert seen == [j.job_id]
-
-    def test_add_terminal_hook_deprecated_but_functional(
-        self, scheduler, clock
-    ):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="on_job_terminal"):
-            scheduler.add_terminal_hook(lambda j: seen.append(j.job_id))
-        j = job(runtime=5.0)
-        scheduler.submit(j)
         clock.advance(5.0)
         assert seen == [j.job_id]
 

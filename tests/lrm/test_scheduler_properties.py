@@ -1,10 +1,13 @@
 """Property-based invariants of the batch scheduler."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lrm.cluster import Cluster
+from repro.lrm.errors import UnknownJobError
 from repro.lrm.jobs import BatchJob, JobState
 from repro.lrm.scheduler import BatchScheduler
 from repro.sim.clock import Clock
@@ -17,6 +20,28 @@ job_specs = st.lists(
     ),
     min_size=1,
     max_size=20,
+)
+
+#: Submissions (some with a zero walltime budget, so they fail inside
+#: the pass that starts them), management by index into the submitted
+#: jobs, and clock steps of one to four events.
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(min_value=1, max_value=8),
+            st.floats(min_value=0.5, max_value=50.0),
+            st.integers(min_value=0, max_value=5),
+            st.sampled_from((None, None, 0.0, 3.0, 30.0)),
+        ),
+        st.tuples(
+            st.sampled_from(("cancel", "suspend", "resume")),
+            st.integers(min_value=0, max_value=40),
+        ),
+        st.tuples(st.just("step"), st.integers(min_value=1, max_value=4)),
+    ),
+    min_size=1,
+    max_size=40,
 )
 
 
@@ -93,3 +118,57 @@ class TestSchedulerProperties:
         for job in jobs:
             assert job.wait_time is not None
             assert job.wait_time >= 0.0
+
+
+def check_invariants(scheduler):
+    cluster = scheduler.cluster
+    assert cluster.free_cpus == sum(node.free for node in cluster.nodes)
+    queued = scheduler.jobs(JobState.QUEUED)
+    assert scheduler.queue_depth == len(queued)
+    # Between passes no waiting job fits.
+    assert all(job.cpus > cluster.free_cpus for job in queued)
+    held = Counter()
+    for job in scheduler.jobs():
+        if job.state is JobState.RUNNING:
+            assert job.allocation is not None
+            assert job.allocation.total_cpus == job.cpus
+            held.update(dict(job.allocation.parts))
+        else:
+            assert job.allocation is None
+    assert held == Counter({node.name: node.used for node in cluster.nodes if node.used})
+
+
+class TestInvariantsAtEveryEventBoundary:
+    @given(ops=operations)
+    @settings(max_examples=300, deadline=None)
+    def test_accounting_queue_and_allocations_stay_consistent(self, ops):
+        clock = Clock()
+        scheduler = BatchScheduler(Cluster.homogeneous("c", 2, 4), clock)
+        jobs = []
+        for op in ops:
+            kind = op[0]
+            if kind == "submit":
+                _, cpus, runtime, priority, walltime = op
+                job = BatchJob(
+                    account="a",
+                    executable="sim",
+                    cpus=cpus,
+                    runtime=runtime,
+                    priority=priority,
+                    max_walltime=walltime,
+                )
+                jobs.append(job)
+                scheduler.submit(job)
+            elif kind == "step":
+                for _ in range(op[1]):
+                    clock.step()
+                    check_invariants(scheduler)
+            elif jobs:
+                job_id = jobs[op[1] % len(jobs)].job_id
+                try:
+                    getattr(scheduler, kind)(job_id)
+                except UnknownJobError:
+                    pass  # suspend/resume of a job in the wrong state
+            check_invariants(scheduler)
+        while clock.step() is not None:
+            check_invariants(scheduler)
