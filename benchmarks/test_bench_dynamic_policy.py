@@ -1,15 +1,15 @@
 """B-DYN — cost of dynamic policy machinery (§1's dynamic policies).
 
 (Extension bench.)  The paper requires policies that change over time.
-Dynamism costs something: the store indirection re-binds the evaluator
-per decision, and time-windowed snapshots rebuild the statement tuple
-when windows are active.  This bench measures those costs against the
-static baseline, and asserts the semantic artifact: a demo window
-flips decisions at its exact boundaries.
+Dynamism costs something: time-windowed snapshots rebuild the
+statement tuple when windows are active.  This bench measures that
+cost against the static baseline, and asserts the semantic artifact: a
+demo window flips decisions at its exact boundaries.  Publishing a
+new policy version is measured by ``test_bench_policy_store.py``.
 """
 
 
-from repro.core.dynamic import DynamicEvaluator, DynamicPolicy, PolicyStore
+from repro.core.dynamic import DynamicEvaluator, DynamicPolicy
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.model import PolicyAssertion, PolicyStatement, Subject
 from repro.core.parser import parse_policy
@@ -69,11 +69,6 @@ class TestDynamicOverheadBench:
         decision = benchmark(evaluator.evaluate, REQUEST)
         assert decision.is_permit
 
-    def test_bench_policy_store_indirection(self, benchmark):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        decision = benchmark(store.evaluate, REQUEST)
-        assert decision.is_permit
-
     def test_bench_windowed_snapshot_inactive(self, benchmark):
         clock = Clock()
         dynamic = DynamicPolicy(parse_policy(BASE, name="vo"))
@@ -90,13 +85,3 @@ class TestDynamicOverheadBench:
         evaluator = DynamicEvaluator(dynamic, clock)
         decision = benchmark(evaluator.evaluate, REQUEST)
         assert decision.is_permit
-
-    def test_bench_policy_install(self, benchmark):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        new_text = BASE + f"\n{ALICE}: &(action=cancel)(jobowner=self)\n"
-
-        def install():
-            return store.install_text(new_text)
-
-        diff = benchmark(install)
-        assert diff is not None

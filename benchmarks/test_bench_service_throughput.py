@@ -1,16 +1,16 @@
 """B-THROUGHPUT: sharding multiplies service throughput.
 
 Drives the churn workload through :class:`ShardedGramService` at 1, 4
-and 8 shards on the thread-pool executor, with a non-zero
-``request_service_time`` so every gatekeeper request costs simulated
-time on its shard's clock.  Requests for different users land on
-different shards, whose clocks advance independently — so the
-simulated makespan of a fixed workload shrinks as shards are added,
-and jobs/sec and decisions/sec (work / simulated makespan) scale up.
+and 8 shards, with a non-zero ``request_service_time`` so every
+gatekeeper request costs simulated time on its shard's clock.
+Requests for different users land on different shards, whose clocks
+advance independently — so the simulated makespan of a fixed workload
+shrinks as shards are added, and jobs/sec and decisions/sec (work /
+simulated makespan) scale up.
 
-Simulated throughput is the honest metric here: the benchmark host
-may have a single CPU and the GIL serializes Python bytecode anyway,
-so wall-clock speedup is recorded informationally but never asserted.
+Simulated throughput is the only metric here: every request runs on
+the caller's thread, so wall time does not shrink with shards and is
+recorded informationally but never asserted.
 
 Emits ``BENCH_service_throughput.json`` next to this file; CI's
 ``shards`` leg uploads it.
@@ -67,46 +67,41 @@ def _drive(shards: int) -> dict:
             node_count=16,
             cpus_per_node=4,
             shards=shards,
-            dispatch="thread",
             request_service_time=SERVICE_TIME,
             decision_cache=True,
         ),
     )
     wall_start = time.perf_counter()
-    try:
-        stats = run_sharded_churn(service, clients, CHURN)
-        wall_seconds = time.perf_counter() - wall_start
-        assert stats.errors == 0
-        assert stats.final_live_jmis == 0
+    stats = run_sharded_churn(service, clients, CHURN)
+    wall_seconds = time.perf_counter() - wall_start
+    assert stats.errors == 0
+    assert stats.final_live_jmis == 0
 
-        # The makespan is the busiest shard's clock: all clocks start
-        # at zero and service.run() advances them in lockstep, so the
-        # max is total elapsed simulated time.
-        sim_seconds = max(shard.clock.now for shard in service.shards)
-        decisions = sum(
-            series["value"]
-            for family in service.merged_snapshot()
-            if family["name"] == "authz_decisions_total"
-            for series in family["series"]
-        )
-        return {
-            "shards": shards,
-            "route_memo_hits": service.router.memo_hits,
-            "route_memo_misses": service.router.memo_misses,
-            "dispatch": "thread",
-            "service_time": SERVICE_TIME,
-            "submitted": stats.submitted,
-            "started": stats.started,
-            "polls": stats.polls,
-            "cancelled": stats.cancelled,
-            "decisions": decisions,
-            "sim_seconds": round(sim_seconds, 3),
-            "jobs_per_sec": round(stats.started / sim_seconds, 3),
-            "decisions_per_sec": round(decisions / sim_seconds, 3),
-            "wall_seconds": round(wall_seconds, 3),
-        }
-    finally:
-        service.close()
+    # The makespan is the busiest shard's clock: all clocks start
+    # at zero and service.run() advances them in lockstep, so the
+    # max is total elapsed simulated time.
+    sim_seconds = max(shard.clock.now for shard in service.shards)
+    decisions = sum(
+        series["value"]
+        for family in service.merged_snapshot()
+        if family["name"] == "authz_decisions_total"
+        for series in family["series"]
+    )
+    return {
+        "shards": shards,
+        "route_memo_hits": service.router.memo_hits,
+        "route_memo_misses": service.router.memo_misses,
+        "service_time": SERVICE_TIME,
+        "submitted": stats.submitted,
+        "started": stats.started,
+        "polls": stats.polls,
+        "cancelled": stats.cancelled,
+        "decisions": decisions,
+        "sim_seconds": round(sim_seconds, 3),
+        "jobs_per_sec": round(stats.started / sim_seconds, 3),
+        "decisions_per_sec": round(decisions / sim_seconds, 3),
+        "wall_seconds": round(wall_seconds, 3),
+    }
 
 
 def test_throughput_scales_with_shards():

@@ -10,7 +10,7 @@ unnatural — motivates shipping the analysis tools behind a CLI::
     python -m repro.cli authz explain vo.policy --subject "/O=Grid/CN=Bo"
     python -m repro.cli diff old.policy new.policy
     python -m repro.cli obs spans.jsonl --trace req-000001
-    python -m repro.cli obs metrics.jsonl --metrics prom
+    python -m repro.cli obs metrics.jsonl --format prometheus
     python -m repro.cli accounting usage.json --account alice
     python -m repro.cli demo
 
@@ -106,13 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "path", help="exported telemetry file (metrics snapshot or span .jsonl)"
-    )
-    obs.add_argument(
-        "--metrics",
-        default=None,
-        choices=["prom", "json"],
-        help="render PATH as a metrics snapshot (legacy spelling of "
-        "--format prometheus|jsonl)",
     )
     obs.add_argument(
         "--format",
@@ -417,11 +410,7 @@ def _cmd_obs(args) -> int:
         trace_summary,
     )
 
-    wants_metrics = (
-        args.format is not None
-        or args.metrics is not None
-        or args.family is not None
-    )
+    wants_metrics = args.format is not None or args.family is not None
     try:
         if wants_metrics:
             snapshot = load_snapshot(args.path)
@@ -442,9 +431,7 @@ def _cmd_obs(args) -> int:
                         file=sys.stderr,
                     )
                     return 1
-            fmt = args.format
-            if fmt is None:
-                fmt = "prometheus" if args.metrics == "prom" else "jsonl"
+            fmt = args.format or "jsonl"
             if fmt == "prometheus":
                 print(prometheus_text(snapshot), end="")
             elif fmt == "jsonl":

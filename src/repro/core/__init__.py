@@ -81,7 +81,6 @@ from repro.core.analysis import (
 from repro.core.dynamic import (
     DynamicEvaluator,
     DynamicPolicy,
-    PolicyStore,
     TimeWindow,
 )
 from repro.core.pipeline import (
@@ -162,7 +161,6 @@ __all__ = [
     "ImpactReport",
     "DynamicPolicy",
     "DynamicEvaluator",
-    "PolicyStore",
     "TimeWindow",
     "DecisionCache",
     "DecisionContext",

@@ -35,15 +35,13 @@ import hashlib
 import importlib
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
+from repro.core.pipeline import DecisionContext, current_context
 from repro.core.request import AuthorizationRequest
 from repro.obs.spans import span as obs_span
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.pipeline import DecisionContext
 
 #: The abstract callout type the Job Manager invokes before every
 #: job-start and job-management action.
@@ -107,20 +105,56 @@ class CalloutRegistry:
         self.invocations = 0
         #: Bumped whenever a *configuration event* changes what is
         #: configured (:meth:`configure`, :meth:`configure_from_file`
-        #: with changed content).  Exposed the way every policy source
-        #: exposes its epoch, so capability issuers and decision
-        #: caches that watch the registry revoke/invalidate on a real
-        #: reconfiguration — and, crucially, **not** on a no-op
-        #: republish of byte-identical file content.  Construction-time
+        #: with changed content) — never on a no-op republish of
+        #: byte-identical file content.  Construction-time
         #: :meth:`register` calls and :meth:`wrap` layering do not
-        #: bump: they assemble, they don't reconfigure.
-        self.policy_epoch = 0
+        #: bump: they assemble, they don't reconfigure.  Part of
+        #: :attr:`policy_epoch`.
+        self.configuration_epoch = 0
+        #: Bumped on every change to a configured chain; the epoch
+        #: sources of the configured callouts are re-collected only
+        #: when it moved.  Stored with the version they were collected
+        #: at, as one tuple, so a reader never pairs a version with
+        #: another version's sources.
+        self._chain_version = 0
+        self._epoch_sources: Tuple[int, Tuple[Any, ...]] = (0, ())
         #: Per-path content digest of the last applied configuration
         #: file — the no-op-reload short circuit.
         self._file_digests: Dict[str, str] = {}
         #: Per-path ``(type_name, label)`` pairs registered from that
         #: file, so a reload can replace exactly what the file owns.
         self._file_entries: Dict[str, List[Tuple[str, str]]] = {}
+
+    @property
+    def policy_epoch(self) -> Any:
+        """What the configured callouts decide from, as one epoch token.
+
+        Exposed the way every policy source exposes its epoch, so
+        capability issuers and decision caches that watch the registry
+        revoke/invalidate on a real reconfiguration *and* whenever a
+        configured callout's own policy moves — a time window opening,
+        a CAS trust-key rotation, a policy swap — including callouts
+        behind resilience or fault-injection wrappers (see
+        :func:`callout_epoch_source`).  With no such callout configured
+        it is just :attr:`configuration_epoch`.
+        """
+        version, sources = self._epoch_sources
+        if version != self._chain_version:
+            version = self._chain_version
+            found: Dict[int, Any] = {}
+            for chain in self._callouts.values():
+                for _, callout in chain:
+                    source = callout_epoch_source(callout)
+                    if source is not None:
+                        found.setdefault(id(source), source)
+            sources = tuple(found.values())
+            self._epoch_sources = (version, sources)
+        if not sources:
+            return self.configuration_epoch
+        return (
+            self.configuration_epoch,
+            *[source.policy_epoch for source in sources],
+        )
 
     # -- declaration ------------------------------------------------------
 
@@ -145,6 +179,7 @@ class CalloutRegistry:
         self._callouts.setdefault(type_name, []).append(
             (label or getattr(callout, "__name__", "callout"), callout)
         )
+        self._chain_version += 1
 
     def configure(self, configuration: CalloutConfiguration) -> None:
         """Configure a callout by module/symbol (the dlopen path)."""
@@ -154,7 +189,7 @@ class CalloutRegistry:
             callout,
             label=f"{configuration.module}:{configuration.symbol}",
         )
-        self.policy_epoch += 1
+        self.configuration_epoch += 1
 
     def configure_from_file(self, path: str, reload: bool = False) -> int:
         """Parse a callout configuration file; returns callouts loaded.
@@ -214,7 +249,7 @@ class CalloutRegistry:
             (type_name, label) for type_name, _, label in staged
         ]
         if staged or previously_owned:
-            self.policy_epoch += 1
+            self.configuration_epoch += 1
         return len(staged)
 
     def _drop_file_entries(self, path: str) -> None:
@@ -229,6 +264,7 @@ class CalloutRegistry:
                     break
             if not chain:
                 self._callouts.pop(type_name, None)
+        self._chain_version += 1
 
     def file_labels(self, path: str) -> Tuple[Tuple[str, str], ...]:
         """``(type_name, label)`` pairs owned by *path*'s configuration."""
@@ -257,6 +293,7 @@ class CalloutRegistry:
                 continue
             chain[index] = (existing_label, wrapper(existing_label, callout))
             wrapped += 1
+        self._chain_version += 1
         return wrapped
 
     def clear(self, type_name: Optional[str] = None) -> None:
@@ -265,6 +302,7 @@ class CalloutRegistry:
             self._callouts.clear()
         else:
             self._callouts.pop(type_name, None)
+        self._chain_version += 1
 
     def configured(self, type_name: str) -> bool:
         return bool(self._callouts.get(type_name))
@@ -278,7 +316,7 @@ class CalloutRegistry:
         self,
         type_name: str,
         request: AuthorizationRequest,
-        context: Optional["DecisionContext"] = None,
+        context: Optional[DecisionContext] = None,
     ) -> Decision:
         """Invoke every callout of *type_name*; all must permit.
 
@@ -298,8 +336,6 @@ class CalloutRegistry:
                 source=type_name,
             )
         if context is None:
-            from repro.core.pipeline import current_context
-
             context = current_context()
         self.invocations += 1
         for label, callout in chain:
@@ -355,6 +391,36 @@ class CalloutRegistry:
         return Decision.permit(
             reason=f"all {len(chain)} callout(s) permit", source=type_name
         )
+
+
+#: Attributes under which the callout factories attach the object a
+#: callout decides from (``policy_callout``/``combined_policy_callout``:
+#: ``evaluator``; ``cas_callout``: ``policy_source``; ``akenti_callout``:
+#: ``engine``; ``gridmap_callout``: ``gridmap``); a bound method such as
+#: ``DynamicEvaluator.evaluate`` decides from its ``__self__``.
+_EPOCH_SOURCE_ATTRIBUTES = (
+    "evaluator",
+    "policy_source",
+    "engine",
+    "gridmap",
+    "__self__",
+)
+
+
+def callout_epoch_source(callout: Any) -> Any:
+    """The object whose ``policy_epoch`` covers *callout*'s decisions.
+
+    Looks through wrappers that expose the callout they wrap as
+    ``__wrapped__`` (resilience, fault injection).  ``None`` for a
+    callout with no policy state of its own, such as ``permit_all``.
+    """
+    while callout is not None:
+        for name in _EPOCH_SOURCE_ATTRIBUTES:
+            source = getattr(callout, name, None)
+            if source is not None and hasattr(source, "policy_epoch"):
+                return source
+        callout = getattr(callout, "__wrapped__", None)
+    return None
 
 
 def default_registry() -> CalloutRegistry:

@@ -438,6 +438,8 @@ class CapabilityMiddleware:
         call_next: NextHandler,
     ) -> Decision:
         key = request_key(request)
+        if key is None:
+            return call_next(request, context)
         entry = self.store.get(key)
         reason = ABSENT
         if entry is not None:

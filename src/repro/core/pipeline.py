@@ -19,8 +19,8 @@ This module collapses those into one layer:
   epoch, with what effect), the final effect and the cache status.
 * :class:`DecisionMiddleware` — the protocol the PEP's middleware
   stack is built from: ``middleware(request, context, call_next)``.
-* :class:`MetricsMiddleware` — counters and a latency histogram,
-  replacing the ad-hoc counters.
+* :class:`MetricsMiddleware` — counters and a simulated-time latency
+  histogram, replacing the ad-hoc counters.
 * :class:`TracingMiddleware` — retains finished contexts and exports
   them as JSON lines, superseding the scattered trace mechanisms for
   authorization decisions.
@@ -55,6 +55,7 @@ from typing import (
 from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.request import AuthorizationRequest
+from repro.gsi.proxy import PATH_LENGTH_EXTENSION
 from repro.obs import spans as obs_spans
 
 _decision_counter = itertools.count(1)
@@ -345,18 +346,13 @@ def _wrap(middleware: DecisionMiddleware, nxt: NextHandler) -> NextHandler:
     return run
 
 
-#: Latency histogram bucket upper bounds, in seconds.
-LATENCY_BUCKETS = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, float("inf")
-)
-
-
 class MetricsMiddleware:
     """Counters and latency histogram for the decision pipeline.
 
     Replaces the old ad-hoc ``permits``/``denials``/``failures``
     counters on the PEP (which now delegate here) and gives the
-    operator a latency distribution per outcome.
+    operator a latency distribution per outcome.  Wall-clock decision
+    time lives in the :class:`DecisionContext` stages.
 
     Since the unified telemetry subsystem (:mod:`repro.obs`) this is
     a thin adapter: the plain attribute counters keep their historic
@@ -366,8 +362,7 @@ class MetricsMiddleware:
     ``authz_cache_total{status}``, ``authz_latency_seconds{action,
     decision}``).  The labeled latency is measured in *simulated*
     seconds (when a clock is attached), so registry snapshots are
-    deterministic run to run; the legacy wall-clock histogram stays
-    wall-clock.
+    deterministic run to run.
     """
 
     name = "metrics"
@@ -384,8 +379,6 @@ class MetricsMiddleware:
         self.invocations = 0
         self.cache_hits = 0
         self.degraded = 0
-        self._latency = [0] * len(LATENCY_BUCKETS)
-        self.total_seconds = 0.0
 
     def __call__(
         self,
@@ -394,16 +387,13 @@ class MetricsMiddleware:
         call_next: NextHandler,
     ) -> Decision:
         self.invocations += 1
-        started = time.perf_counter()
         started_sim = self.clock.now if self.clock is not None else 0.0
         try:
             decision = call_next(request, context)
         except AuthorizationSystemFailure:
             self.failures += 1
-            self._observe(time.perf_counter() - started)
             self._observe_registry(context, "failure", started_sim)
             raise
-        self._observe(time.perf_counter() - started)
         if decision.is_permit:
             self.permits += 1
             outcome = "permit"
@@ -471,20 +461,9 @@ class MetricsMiddleware:
         )
         series[1].observe(elapsed_sim)
 
-    def _observe(self, elapsed: float) -> None:
-        self.total_seconds += elapsed
-        for index, bound in enumerate(LATENCY_BUCKETS):
-            if elapsed <= bound:
-                self._latency[index] += 1
-                break
-
     @property
     def decisions(self) -> int:
         return self.permits + self.denials + self.failures
-
-    def latency_histogram(self) -> Tuple[Tuple[float, int], ...]:
-        """(bucket upper bound in seconds, count) pairs."""
-        return tuple(zip(LATENCY_BUCKETS, self._latency))
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -494,11 +473,6 @@ class MetricsMiddleware:
             "failures": self.failures,
             "cache_hits": self.cache_hits,
             "degraded": self.degraded,
-            "total_seconds": self.total_seconds,
-            "latency_histogram": [
-                {"le": bound, "count": count}
-                for bound, count in self.latency_histogram()
-            ],
         }
 
     def __str__(self) -> str:
@@ -579,31 +553,72 @@ class TracingMiddleware:
 # -- the policy-epoch decision cache ----------------------------------------
 
 
-def request_key(request: AuthorizationRequest) -> Any:
+#: Memo sentinel: ``None`` is a valid memoized key ("decide fresh").
+_UNKEYED = object()
+
+
+def request_key(request: AuthorizationRequest) -> Optional[Tuple[Any, ...]]:
     """The identity of an authorization question, minus policy state.
 
     Shared by the :class:`DecisionCache` (which appends the policy
-    epochs) and the resilience layer's last-known-good store (which
-    stores the epochs alongside and compares them at serve time).  The
-    job description is included so two start requests sharing a jobtag
-    but asking for different things never collide.
+    epochs), the capability store, and the resilience layer's
+    last-known-good store (which stores the epochs alongside and
+    compares them at serve time).  The job description is included so
+    two start requests sharing a jobtag but asking for different
+    things never collide.
+
+    This is the one place that decides whether a request may be
+    replayed at all: it returns ``None`` when the presented credential
+    carries a delegated policy (see :func:`carries_delegated_policy`).
+    Such a request is decided fresh every time — never looked up,
+    stored or minted by any repeat path — because the key leaves the
+    credential out, while a credential-aware source (a CAS restricted
+    proxy) decides from it: the same question under another
+    credential, or after the carried assertion expires, can have a
+    different answer.
 
     The key is memoized on the (frozen) request: repeat traffic hits
     the decision cache, the last-known-good store and the capability
     store with the same tuple object, so the component strings keep
     their cached hashes instead of being re-rendered per lookup.
     """
-    cached = request.__dict__.get("_request_key")
-    if cached is None:
-        cached = (
-            str(request.requester),
-            request.action.value,
-            request.jobtag,
-            str(request.owner),
-            request.job_description,
-        )
+    cached = request.__dict__.get("_request_key", _UNKEYED)
+    if cached is _UNKEYED:
+        credential = request.credential
+        # An identity credential (no chain, no extensions) costs two
+        # attribute reads; only a proxy or extended certificate is
+        # scanned.
+        if (
+            credential is not None
+            and (credential.chain or credential.certificate.extensions)
+            and carries_delegated_policy(credential)
+        ):
+            cached = None
+        else:
+            cached = (
+                str(request.requester),
+                request.action.value,
+                request.jobtag,
+                str(request.owner),
+                request.job_description,
+            )
         object.__setattr__(request, "_request_key", cached)
     return cached
+
+
+def carries_delegated_policy(credential: Any) -> bool:
+    """True when *credential*'s chain carries policy of its own.
+
+    A plain identity credential (no chain, no extensions) and an
+    impersonation proxy carry none.  Any certificate extension other
+    than the proxy path length — a restricted proxy's policy, a CAS
+    assertion — is treated as policy a source may decide from.
+    """
+    return any(
+        name != PATH_LENGTH_EXTENSION
+        for certificate in credential.full_chain()
+        for name, _ in certificate.extensions
+    )
 
 
 def epoch_of(source: Any) -> Any:
@@ -632,7 +647,9 @@ class DecisionCache:
     key can match it.
 
     System failures are never cached — a broken authorization system
-    must stay visibly broken, not replay a stale decision.
+    must stay visibly broken, not replay a stale decision — and nor is
+    any request :func:`request_key` refuses to key: it passes straight
+    through with ``cache_status`` left at ``"bypass"``.
     """
 
     name = "decision-cache"
@@ -657,16 +674,16 @@ class DecisionCache:
     def _epochs(self) -> Tuple[Any, ...]:
         return tuple(epoch_of(source) for source in self.epoch_sources)
 
-    def _key(self, request: AuthorizationRequest) -> Any:
-        return request_key(request) + (self._epochs(),)
-
     def __call__(
         self,
         request: AuthorizationRequest,
         context: DecisionContext,
         call_next: NextHandler,
     ) -> Decision:
-        key = self._key(request)
+        key = request_key(request)
+        if key is None:
+            return call_next(request, context)
+        key += (self._epochs(),)
         cached = self._entries.get(key)
         if cached is not None:
             self._entries.move_to_end(key)

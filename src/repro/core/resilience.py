@@ -414,6 +414,11 @@ class ResilientCallout:
         self.registry = registry
         self.__name__ = f"resilient:{name}"
 
+    @property
+    def __wrapped__(self) -> Callable[[AuthorizationRequest], Decision]:
+        """The wrapped callout (the ``functools.wraps`` convention)."""
+        return self.callout
+
     def _count(self, name: str, help: str, **labels: str) -> None:
         if self.registry is not None:
             self.registry.count(name, help=help, **labels)
@@ -651,7 +656,7 @@ class ResilienceMiddleware:
             decision = call_next(request, context)
         except AuthorizationSystemFailure as exc:
             return self._degrade(key, context, exc)
-        if decision.effect in (Effect.PERMIT, Effect.DENY):
+        if key is not None and decision.effect in (Effect.PERMIT, Effect.DENY):
             # context.finish() derives a fallback SourceRecord from
             # decision.source only after the chain unwinds — derive it
             # here too so replayed decisions keep their provenance.
@@ -688,7 +693,7 @@ class ResilienceMiddleware:
         failure: AuthorizationSystemFailure,
     ) -> Decision:
         source = failure.source or "unknown"
-        if self.mode is DegradationMode.FAIL_STATIC:
+        if key is not None and self.mode is DegradationMode.FAIL_STATIC:
             with self._lock:
                 entry = self._lkg.get(key)
             if entry is not None and entry.epochs == self._epochs():

@@ -22,8 +22,8 @@ extensions (§5):
 * :mod:`repro.gram.service` — glue assembling a whole resource
   (gatekeeper + scheduler + accounts + PEP) for examples and benches.
 * :mod:`repro.gram.dispatch` — the sharded service core: N complete
-  stacks hashed on requester DN behind the same synchronous API, with
-  an inline (deterministic) and a per-shard worker-thread executor.
+  stacks hashed on requester DN behind the same synchronous API, each
+  request served on the caller's thread by its owning shard.
 """
 
 from repro.gram.protocol import (
@@ -47,9 +47,7 @@ from repro.gram.client import GramClient
 from repro.gram.service import GramService, ServiceConfig
 from repro.gram.dispatch import (
     EpochBroadcast,
-    InlineExecutor,
     ShardRouter,
-    ShardWorkerPool,
     ShardedGatekeeper,
     ShardedGramService,
 )
@@ -71,9 +69,7 @@ __all__ = [
     "GramService",
     "ServiceConfig",
     "EpochBroadcast",
-    "InlineExecutor",
     "ShardRouter",
-    "ShardWorkerPool",
     "ShardedGatekeeper",
     "ShardedGramService",
     "ShardState",

@@ -18,15 +18,11 @@ cross-shard concerns are explicit objects:
   every shard's :class:`~repro.core.pipeline.DecisionCache` epoch
   sources, so one bump invalidates all shard caches at once.
 
-Two executors sit behind the unchanged synchronous client API:
-
-* :class:`InlineExecutor` — runs every shard on the caller's thread.
-  With one shard this is *exactly* the pre-shard code path: same
-  objects, same order, byte-for-byte identical exports.
-* :class:`ShardWorkerPool` — one dedicated worker thread per shard,
-  each draining its own FIFO queue.  All of a shard's state is only
-  ever touched from its own worker, preserving the shard-confinement
-  invariant while unrelated users proceed in parallel.
+Every request runs on the caller's thread, in the owning shard's
+stack: a sharded service is a loop over plain service stacks, so a
+multi-shard run is deterministic end to end and with one shard it is
+*exactly* the pre-shard code path — same objects, same order,
+byte-for-byte identical exports.
 
 :class:`ShardedGramService` assembles the whole thing and
 :class:`ShardedGatekeeper` is the facade a stock
@@ -38,13 +34,10 @@ from __future__ import annotations
 
 import threading
 import zlib
-from concurrent.futures import Future
 from dataclasses import replace
-from queue import SimpleQueue
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.capability import default_capability_key
-from repro.core.compiled import compiled_for
 from repro.core.store import PolicyBundle, PolicySnapshot
 from repro.gram.lifecycle import SharedGauge
 from repro.gram.spill import shard_spill_path
@@ -109,10 +102,10 @@ class ShardRouter:
             raise ValueError("shards must be >= 1")
         self.shards = shards
         self._key_fn = key_fn
-        # DN string -> shard index.  Routing happens on the *caller's*
-        # thread, so this is written concurrently — but every access
-        # is a single dict get/set (atomic under the GIL) and a lost
-        # race merely recomputes the same deterministic value.  The
+        # DN string -> shard index.  Callers may route from several
+        # threads at once, so this is written concurrently — but every
+        # access is a single dict get/set (atomic under the GIL) and a
+        # lost race merely recomputes the same deterministic value.  The
         # hit/miss counters are advisory and likewise tolerate races.
         self._memo: Dict[str, int] = {}
         self.memo_hits = 0
@@ -158,105 +151,15 @@ class ShardRouter:
         return shard
 
 
-class InlineExecutor:
-    """Run shard work on the caller's thread, immediately.
-
-    The deterministic executor: with it, a sharded service is just a
-    loop over plain service stacks — no threads, no queues, and with
-    one shard no observable difference from the pre-shard code.
-    """
-
-    name = "inline"
-
-    def run(self, shard: int, fn: Callable[[], Any]) -> Any:
-        return fn()
-
-    def submit(self, shard: int, fn: Callable[[], Any]) -> "Future[Any]":
-        future: "Future[Any]" = Future()
-        try:
-            future.set_result(fn())
-        except BaseException as exc:  # pragma: no cover - surfaced by result()
-            future.set_exception(exc)
-        return future
-
-    def close(self) -> None:
-        pass
-
-
-class ShardWorkerPool:
-    """One dedicated worker thread per shard, each with a FIFO queue.
-
-    A shard's queue serializes everything that touches that shard's
-    state, so shard state needs no locks; distinct shards drain their
-    queues concurrently.  FIFO order per shard means a single client's
-    operations (submit, then poll, then cancel — all hashed to one
-    shard) keep their program order, which is what makes the sharded
-    service's per-shard behaviour deterministic given a deterministic
-    request order.
-    """
-
-    name = "thread"
-
-    def __init__(self, shards: int) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self._queues: List["SimpleQueue[Any]"] = [
-            SimpleQueue() for _ in range(shards)
-        ]
-        self._threads = [
-            threading.Thread(
-                target=self._worker,
-                args=(workqueue,),
-                name=f"gram-shard-{index}",
-                daemon=True,
-            )
-            for index, workqueue in enumerate(self._queues)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    @staticmethod
-    def _worker(workqueue: "SimpleQueue[Any]") -> None:
-        while True:
-            item = workqueue.get()
-            if item is None:
-                return
-            fn, future = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(fn())
-            except BaseException as exc:
-                future.set_exception(exc)
-
-    def submit(self, shard: int, fn: Callable[[], Any]) -> "Future[Any]":
-        """Enqueue *fn* on *shard*'s worker; returns its future."""
-        future: "Future[Any]" = Future()
-        self._queues[shard].put((fn, future))
-        return future
-
-    def run(self, shard: int, fn: Callable[[], Any]) -> Any:
-        """The synchronous API: enqueue and wait for the result."""
-        return self.submit(shard, fn).result()
-
-    def close(self) -> None:
-        """Stop the workers after draining already-queued work."""
-        for workqueue in self._queues:
-            workqueue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=30.0)
-
-
 class ShardedGatekeeper:
     """The facade a stock :class:`~repro.gram.client.GramClient` sees.
 
     Duck-types the two entry points clients use — :meth:`submit` and
-    :meth:`manage` — routing each call to the owning shard through the
-    service's executor.  Submissions hash on the requester DN;
-    management requests route by the *contact's* host (jobs live on
-    the shard that created them — that is what lets a peer manage
-    another user's job, the paper's whole point, without the peer's
-    own shard mattering).
+    :meth:`manage` — calling the owning shard's gatekeeper directly.
+    Submissions hash on the requester DN; management requests route
+    by the *contact's* host (jobs live on the shard that created them
+    — that is what lets a peer manage another user's job, the paper's
+    whole point, without the peer's own shard mattering).
     """
 
     def __init__(self, service: "ShardedGramService") -> None:
@@ -273,10 +176,11 @@ class ShardedGatekeeper:
         """
         return self.service.shards[0].clock
 
-    # -- the synchronous API -------------------------------------------------
-
     def submit(self, credential: Credential, rsl_text: str) -> GramResponse:
-        return self.submit_async(credential, rsl_text).result()
+        service = self.service
+        shard = service.shard_of(str(credential.identity))
+        service.record_route(shard, "submit")
+        return service.shards[shard].gatekeeper.submit(credential, rsl_text)
 
     def manage(
         self,
@@ -285,35 +189,11 @@ class ShardedGatekeeper:
         action: str,
         value: Optional[int] = None,
     ) -> GramResponse:
-        return self.manage_async(credential, contact, action, value=value).result()
-
-    # -- the asynchronous seam (benchmarks saturate shards through it) -------
-
-    def submit_async(
-        self, credential: Credential, rsl_text: str
-    ) -> "Future[GramResponse]":
-        service = self.service
-        shard = service.shard_of(str(credential.identity))
-        service.record_route(shard, "submit")
-        gatekeeper = service.shards[shard].gatekeeper
-        return service.executor.submit(
-            shard, lambda: gatekeeper.submit(credential, rsl_text)
-        )
-
-    def manage_async(
-        self,
-        credential: Credential,
-        contact: JobContact,
-        action: str,
-        value: Optional[int] = None,
-    ) -> "Future[GramResponse]":
         service = self.service
         shard = service.shard_of_contact(contact, str(credential.identity))
         service.record_route(shard, "manage")
-        gatekeeper = service.shards[shard].gatekeeper
-        return service.executor.submit(
-            shard,
-            lambda: gatekeeper.manage(credential, contact, action, value=value),
+        return service.shards[shard].gatekeeper.manage(
+            credential, contact, action, value=value
         )
 
     # -- aggregate views -----------------------------------------------------
@@ -348,9 +228,8 @@ class ShardedGramService:
     instances sharing one CA (so any shard verifies any credential),
     one :class:`~repro.gram.lifecycle.SharedGauge` (the global
     ``max_active_jmis`` ceiling) and one :class:`EpochBroadcast`
-    (cache invalidation), under the executor ``config.dispatch``
-    selects.  With ``shards=1`` and ``dispatch="inline"`` the single
-    shard *is* a plain service — same wiring, same behaviour.
+    (cache invalidation).  With ``shards=1`` the single shard *is* a
+    plain service — same wiring, same behaviour.
     """
 
     def __init__(
@@ -359,11 +238,6 @@ class ShardedGramService:
         ca: Optional[CertificateAuthority] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        if self.config.dispatch not in ("inline", "thread"):
-            raise ValueError(
-                f"unknown dispatch {self.config.dispatch!r}: "
-                "expected 'inline' or 'thread'"
-            )
         shard_count = self.config.shards
         self.ca = ca or CertificateAuthority("/O=Grid/CN=Reproduction CA")
         self.router = ShardRouter(shard_count, key_fn=self.config.shard_key)
@@ -376,9 +250,8 @@ class ShardedGramService:
 
         # A durable policy store is a *service-level* concern: the
         # sharded service seeds/reads it once, hands every shard the
-        # active snapshot's policies, and fans publishes out through
-        # the executor (below) — shards must not subscribe separately
-        # or the publisher's thread would race the shard workers.
+        # active snapshot's policies, and fans publishes out to every
+        # shard (below) — shards do not subscribe separately.
         self.policy_store = self.config.policy_store
         shard_policies = tuple(self.config.policies)
         if self.policy_store is not None:
@@ -389,12 +262,6 @@ class ShardedGramService:
             active = self.policy_store.active()
             if active is not None:
                 shard_policies = tuple(active.policies)
-
-        # Pre-compile shared policies on this (single) thread: the
-        # compiled form is cached on the Policy object, and warming it
-        # here keeps shard workers from racing the first compilation.
-        for policy in shard_policies:
-            compiled_for(policy)
 
         # Every shard signs and verifies capabilities with the *same*
         # key (derived from the base host unless one was provisioned):
@@ -419,7 +286,6 @@ class ShardedGramService:
                 self.config,
                 host=host,
                 shards=1,
-                dispatch="inline",
                 capability_key=capability_key,
                 health_slo=False,
                 policies=shard_policies,
@@ -468,27 +334,21 @@ class ShardedGramService:
                         "store", self.policy_store
                     )
         #: Requests routed to each shard by the front door, by kind —
-        #: the raw material of :meth:`placement_report`.  Incremented
-        #: on the caller's thread, hence the lock.
+        #: the raw material of :meth:`placement_report`.  Callers may
+        #: drive the facade from several threads, hence the lock.
         self._route_lock = threading.Lock()
         self.routed_submissions: List[int] = [0] * shard_count
         self.routed_management: List[int] = [0] * shard_count
         self._host_to_shard: Dict[str, int] = {
             shard.config.host: index for index, shard in enumerate(self.shards)
         }
-        self.executor = (
-            InlineExecutor()
-            if self.config.dispatch == "inline"
-            else ShardWorkerPool(shard_count)
-        )
         self.gatekeeper = ShardedGatekeeper(self)
         #: Health & SLO monitor scoring the merged service view plus
         #: each shard (None unless ``config.health_slo``).
         self.health: Optional[HealthMonitor] = self._build_health()
         if self.policy_store is not None:
             # Shard 0's validator speaks for all shards (identical
-            # source topology); publishes fan out through the executor
-            # so each shard swaps between its own requests.
+            # source topology); publishes fan out to every shard.
             self.policy_store.add_validator(self.shards[0]._validate_bundle)
             self.policy_store.subscribe(self.apply_policy_snapshot)
 
@@ -531,18 +391,9 @@ class ShardedGramService:
         return credential
 
     def run(self, duration: float) -> None:
-        """Advance every shard's clock by *duration*, on its own worker.
-
-        Clock advancement fires scheduler events that mutate shard
-        state, so it goes through the executor like any other shard
-        work — the confinement invariant holds for time itself.
-        """
-        futures = [
-            self.executor.submit(index, lambda s=shard: s.run(duration))
-            for index, shard in enumerate(self.shards)
-        ]
-        for future in futures:
-            future.result()
+        """Advance every shard's clock by *duration*, shard by shard."""
+        for shard in self.shards:
+            shard.run(duration)
         # Every shard has advanced past this point, so the snapshots
         # the health windows close over are quiescent.
         if self.health is not None:
@@ -587,18 +438,12 @@ class ShardedGramService:
     def apply_policy_snapshot(self, snapshot: PolicySnapshot) -> int:
         """Swap *snapshot*'s policies into every shard; returns swaps.
 
-        Each shard applies through the executor, so the swap is
-        serialized with that shard's request traffic — a shard never
-        evaluates half-old, half-new policy.  Registered as the
-        policy store's subscriber when ``config.policy_store`` is set.
+        Each shard swaps atomically between two of its requests, so a
+        shard never evaluates half-old, half-new policy.  Registered
+        as the policy store's subscriber when ``config.policy_store``
+        is set.
         """
-        futures = [
-            self.executor.submit(
-                index, lambda s=shard: s.apply_policy_snapshot(snapshot)
-            )
-            for index, shard in enumerate(self.shards)
-        ]
-        return sum(future.result() for future in futures)
+        return sum(shard.apply_policy_snapshot(snapshot) for shard in self.shards)
 
     def set_shard_key(
         self, key_fn: Optional[Callable[[str], str]]
@@ -621,13 +466,7 @@ class ShardedGramService:
         runs — the digest short-circuit, so a no-op reload revokes
         nothing anywhere).
         """
-        futures = [
-            self.executor.submit(
-                index, lambda s=shard: s.reload_callouts(path)
-            )
-            for index, shard in enumerate(self.shards)
-        ]
-        return sum(future.result() for future in futures)
+        return sum(shard.reload_callouts(path) for shard in self.shards)
 
     @property
     def recovery(self):
@@ -712,16 +551,6 @@ class ShardedGramService:
                 )
             ]
         return report
-
-    def close(self) -> None:
-        """Stop the worker threads (no-op for the inline executor)."""
-        self.executor.close()
-
-    def __enter__(self) -> "ShardedGramService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- merged observability ------------------------------------------------
 

@@ -31,16 +31,11 @@ from repro.core.callout import (
     CalloutRegistry,
     default_registry,
 )
-from repro.core.combination import CombinationAlgorithm
 from repro.core.model import Policy
 from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.query import QueryEngine
 from repro.core.pipeline import DecisionCache, TracingMiddleware
-from repro.core.resilience import (
-    DegradationMode,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.core.resilience import ResilienceConfig
 from repro.core.store import (
     REJECT_SOURCES,
     BundleRejected,
@@ -73,10 +68,8 @@ class ServiceConfig:
     mode: AuthorizationMode = AuthorizationMode.EXTENDED
     #: Policy sources combined by the PEP (VO policy, local policy, ...).
     policies: Tuple[Policy, ...] = ()
-    combination: CombinationAlgorithm = CombinationAlgorithm.ALL_MUST_PERMIT
     #: "static", "dynamic", "sandbox", or None for no enforcement layer.
     enforcement: Optional[str] = "static"
-    sandbox_interval: float = 1.0
     dynamic_pool_size: int = 0
     #: Place an additional PEP in the Gatekeeper (§6.2 comparison).
     pep_in_gatekeeper: bool = False
@@ -94,20 +87,11 @@ class ServiceConfig:
     #: JSON lines (:class:`repro.core.pipeline.TracingMiddleware`).
     trace_decisions: bool = False
     #: Wrap the configured authorization callouts with the resilience
-    #: layer — per-call timeout, bounded retry, per-source circuit
-    #: breaker — and attach the selected degradation middleware to the
-    #: PEPs (:mod:`repro.core.resilience`).
+    #: layer at construction, with the stock
+    #: :class:`~repro.core.resilience.ResilienceConfig` (fail-closed);
+    #: call :meth:`GramService.harden` with a config of your own to
+    #: tune timeouts, retries, breakers or degradation instead.
     resilience: bool = False
-    #: What the PEP does when the authorization system fails:
-    #: fail-closed (deny, naming the failed source) or fail-static
-    #: (serve the last-known-good decision for the same policy epoch).
-    degradation: DegradationMode = DegradationMode.FAIL_CLOSED
-    #: Per-call time budget in simulated seconds (None = no timeout).
-    callout_timeout: Optional[float] = None
-    #: Retry policy for failing callouts (None = single attempt).
-    callout_retry: Optional[RetryPolicy] = None
-    breaker_failure_threshold: int = 5
-    breaker_reset_timeout: float = 30.0
     #: Unified telemetry (:mod:`repro.obs`): labeled metrics registry
     #: plus correlated span tracing across Gatekeeper → JMI → PEP →
     #: callout → policy-source.  Deterministic under the sim clock and
@@ -156,10 +140,6 @@ class ServiceConfig:
     #: :class:`repro.gram.dispatch.ShardedGramService`, which hashes
     #: each requester DN to a shard with its own full service stack.
     shards: int = 1
-    #: Dispatch executor for the sharded service: ``"inline"`` runs
-    #: every shard on the caller's thread (deterministic, the default)
-    #: while ``"thread"`` gives each shard a dedicated worker thread.
-    dispatch: str = "inline"
     #: VO-aware shard-key override: maps a requester DN string to the
     #: string actually hashed for shard selection (None = hash the DN
     #: itself).  Lets a deployment pin a whole VO subtree to one shard.
@@ -412,14 +392,7 @@ class GramService:
                 "new GramService to change the resilience configuration"
             )
         if resilience is None:
-            resilience = ResilienceConfig(
-                clock=self.clock,
-                timeout=self.config.callout_timeout,
-                retry=self.config.callout_retry,
-                failure_threshold=self.config.breaker_failure_threshold,
-                reset_timeout=self.config.breaker_reset_timeout,
-                mode=self.config.degradation,
-            )
+            resilience = ResilienceConfig(clock=self.clock)
         if resilience.registry is None and self.telemetry is not None:
             resilience.registry = self.telemetry.registry
         self.resilience = resilience
@@ -431,11 +404,13 @@ class GramService:
         self.registry.wrap(GRAM_AUTHZ_CALLOUT, wrapper)
         if self.config.pep_in_gatekeeper:
             self.registry.wrap(GATEKEEPER_AUTHZ_CALLOUT, wrapper)
-        epoch_sources = [epoch_source] if epoch_source is not None else []
-        self.pep.use_resilience(resilience.middleware(epoch_sources))
+        # Fail-static replays only while the registry's epoch holds: it
+        # covers every configured callout's policy, the combined
+        # evaluator included.
+        self.pep.use_resilience(resilience.middleware([self.registry]))
         if self.gatekeeper_pep is not None:
             self.gatekeeper_pep.use_resilience(
-                resilience.middleware(epoch_sources)
+                resilience.middleware([self.registry])
             )
         return resilience
 
@@ -602,7 +577,6 @@ class GramService:
         if self._effective_policies:
             callout = combined_policy_callout(
                 list(self._effective_policies),
-                algorithm=self.config.combination,
                 registry=self.telemetry.registry if self.telemetry else None,
             )
             self.combined_evaluator = callout.evaluator
@@ -636,10 +610,10 @@ class GramService:
             epoch_sources.append(("policy", self.combined_evaluator))
         epoch_sources.append(("gridmap", self.gridmap))
         # The callout registry is an epoch source too: a *changed*
-        # callout configuration file must revoke (the new chain could
-        # deny what the old one permitted), while the digest
-        # short-circuit keeps a byte-identical republish from revoking
-        # anything.
+        # callout configuration file, or a move in any configured
+        # callout's own policy, must revoke (the chain could now deny
+        # what it permitted), while the digest short-circuit keeps a
+        # byte-identical republish from revoking anything.
         epoch_sources.append(("callouts", self.registry))
         if self.config.policy_store is not None:
             epoch_sources.append(("store", self.config.policy_store))
@@ -687,9 +661,5 @@ class GramService:
         if kind == "dynamic":
             return DynamicAccountEnforcement()
         if kind == "sandbox":
-            return SandboxEnforcement(
-                scheduler=self.scheduler,
-                clock=self.clock,
-                interval=self.config.sandbox_interval,
-            )
+            return SandboxEnforcement(scheduler=self.scheduler, clock=self.clock)
         raise ValueError(f"unknown enforcement kind {kind!r}")

@@ -210,6 +210,7 @@ def inject(
             return fault(lambda: original(request), request)
 
         faulty.__name__ = f"faulty:{lbl}"
+        faulty.__wrapped__ = original
         return faulty
 
     return registry.wrap(type_name, wrapper, label=label)

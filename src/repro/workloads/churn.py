@@ -169,7 +169,7 @@ def build_sharded_churn(
     The sharded sibling of :func:`build_churn_service`: same user
     population, same defaults, but the service is a
     :class:`~repro.gram.dispatch.ShardedGramService` built from
-    ``service_config.shards``/``dispatch``.
+    ``service_config.shards``.
     """
     service = ShardedGramService(
         service_config
@@ -191,13 +191,11 @@ def run_sharded_churn(
 ) -> ChurnStats:
     """Drive the churn loop against a sharded service, in waves.
 
-    Each wave submits one job per shard-pool slot through the
-    asynchronous dispatch seam, so under the thread executor distinct
-    shards serve their submissions concurrently; polls and cancels for
-    the started jobs dispatch the same way.  The wave order and the
-    cancel lottery are seeded exactly like :func:`run_churn`, so a
-    one-shard inline run observes the same request stream the plain
-    driver would issue.
+    Each wave submits one job per shard-pool slot, then polls and
+    cancels the started jobs, every request on the caller's thread.
+    The wave order and the cancel lottery are seeded exactly like
+    :func:`run_churn`, so a one-shard run observes the same request
+    stream the plain driver would issue.
     """
     rng = random.Random(config.seed)
     stats = stats if stats is not None else ChurnStats()
@@ -212,13 +210,9 @@ def run_sharded_churn(
             for offset in range(min(wave_size, config.cycles - cycle))
         ]
         cycle += len(wave)
-        submits = [
-            (client, gatekeeper.submit_async(client.credential, rsl))
-            for client in wave
-        ]
         started: List[Tuple[GramClient, JobContact]] = []
-        for client, future in submits:
-            response = future.result()
+        for client in wave:
+            response = gatekeeper.submit(client.credential, rsl)
             stats.submitted += 1
             if response.code is GramErrorCode.RESOURCE_BUSY:
                 stats.rejected_busy += 1
@@ -230,23 +224,13 @@ def run_sharded_churn(
             else:
                 stats.errors += 1
         for _ in range(config.polls_per_job):
-            polls = [
-                gatekeeper.manage_async(
-                    client.credential, contact, "information"
-                )
-                for client, contact in started
-            ]
-            for future in polls:
-                future.result()
+            for client, contact in started:
+                gatekeeper.manage(client.credential, contact, "information")
                 stats.polls += 1
-        cancels = [
-            (gatekeeper.manage_async(client.credential, contact, "cancel"))
-            for client, contact in started
-            if rng.random() < config.cancel_fraction
-        ]
-        for future in cancels:
-            if future.result().ok:
-                stats.cancelled += 1
+        for client, contact in started:
+            if rng.random() < config.cancel_fraction:
+                if gatekeeper.manage(client.credential, contact, "cancel").ok:
+                    stats.cancelled += 1
         stats.max_live_jmis = max(
             stats.max_live_jmis, gatekeeper.active_job_managers
         )

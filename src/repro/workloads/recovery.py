@@ -61,7 +61,6 @@ class RecoveryDifferentialConfig:
     #: ``shards > 1`` runs the differential through the sharded
     #: service (spill files per shard, recovery per shard).
     shards: int = 1
-    dispatch: str = "inline"
 
 
 @dataclass
@@ -109,7 +108,6 @@ def build_recovery_config(config: RecoveryDifferentialConfig, **overrides):
         decision_cache=True,
         spill_path=config.spill_path,
         shards=config.shards,
-        dispatch=config.dispatch,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -301,8 +299,4 @@ def run_recovery_differential(
                 -1, "capability", verdict_a, verdict_b
             )
 
-    if hasattr(service_a, "close"):
-        service_a.close()
-    if hasattr(service_b, "close"):
-        service_b.close()
     return stats

@@ -1,11 +1,10 @@
-"""Dynamic policies: versioned stores and time windows."""
+"""Dynamic policies: time-windowed statements."""
 
 import pytest
 
 from repro.core.dynamic import (
     DynamicEvaluator,
     DynamicPolicy,
-    PolicyStore,
     TimeWindow,
 )
 from repro.core.model import PolicyAssertion, PolicyStatement, Subject
@@ -71,66 +70,3 @@ class TestDynamicPolicy:
         dynamic.add_window(self.demo_statement(), not_before=100.0, not_after=200.0)
         assert dynamic.snapshot(0.0) is dynamic.base
         assert len(dynamic.snapshot(150.0)) == len(dynamic.base) + 1
-
-
-class TestPolicyStore:
-    def test_hot_reload_changes_decisions(self):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        big = start("&(executable=sim)(count=16)")
-        assert store.evaluate(big).is_deny
-        store.install_text(f"{ALICE}: &(action=start)(executable=sim)(count<32)")
-        assert store.evaluate(big).is_permit
-
-    def test_versions_increment_and_diff(self):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        assert store.version == 1
-        diff = store.install_text(
-            BASE + f"\n{ALICE}: &(action=cancel)(jobowner=self)"
-        )
-        assert store.version == 2
-        assert len(diff.added) == 1
-
-    def test_rollback(self):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        store.install_text(f"{ALICE}: &(action=start)(executable=other)")
-        assert store.evaluate(start()).is_deny
-        store.rollback(to_version=1)
-        assert store.version == 3  # rollback is a new version
-        assert store.evaluate(start()).is_permit
-
-    def test_rollback_to_unknown_version(self):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        with pytest.raises(KeyError):
-            store.rollback(42)
-
-    def test_listeners_notified_with_diff(self):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        seen = []
-        store.listeners.append(lambda version, diff: seen.append((version.version, diff)))
-        store.install_text(f"{ALICE}: &(action=start)(executable=other)")
-        assert len(seen) == 1
-        assert seen[0][0] == 2
-        assert not seen[0][1].is_empty
-
-    def test_history_preserved(self):
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        store.install_text(f"{ALICE}: &(action=start)(executable=v2)")
-        store.install_text(f"{ALICE}: &(action=start)(executable=v3)")
-        assert [v.version for v in store.history()] == [1, 2, 3]
-
-    def test_store_callout_sees_updates(self):
-        """The PEP-facing callout reflects new versions immediately."""
-        from repro.core.callout import GRAM_AUTHZ_CALLOUT, CalloutRegistry
-        from repro.core.pep import EnforcementPoint
-        from repro.core.errors import AuthorizationDenied
-
-        store = PolicyStore(parse_policy(BASE, name="vo"))
-        registry = CalloutRegistry()
-        registry.register(GRAM_AUTHZ_CALLOUT, store.callout())
-        pep = EnforcementPoint(registry=registry)
-
-        big = start("&(executable=sim)(count=16)")
-        with pytest.raises(AuthorizationDenied):
-            pep.authorize(big)
-        store.install_text(f"{ALICE}: &(action=start)(executable=sim)(count<32)")
-        assert pep.authorize(big).is_permit

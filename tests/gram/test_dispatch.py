@@ -1,4 +1,4 @@
-"""The sharded dispatch seam: routing, executors, cross-shard concerns."""
+"""The sharded dispatch seam: routing, shard stacks, cross-shard concerns."""
 
 import threading
 import zlib
@@ -10,9 +10,7 @@ from repro.core.pipeline import DecisionCache
 from repro.gram.client import GramClient
 from repro.gram.dispatch import (
     EpochBroadcast,
-    InlineExecutor,
     ShardRouter,
-    ShardWorkerPool,
     ShardedGramService,
 )
 from repro.gram.lifecycle import SharedGauge
@@ -31,14 +29,13 @@ POLICY = f"""
 RSL = "&(executable=sim)(count=1)(runtime=10)(jobtag=SHARD)"
 
 
-def build_sharded(shards=4, dispatch="thread", **overrides):
+def build_sharded(shards=4, **overrides):
     defaults = dict(
         host="grid.example.org",
         node_count=8,
         cpus_per_node=4,
         policies=(parse_policy(POLICY, name="vo"),),
         shards=shards,
-        dispatch=dispatch,
     )
     defaults.update(overrides)
     return ShardedGramService(ServiceConfig(**defaults))
@@ -119,177 +116,103 @@ class TestEpochBroadcast:
         assert cache._epochs() != first
 
     def test_service_bump_reaches_every_shard_cache(self):
-        service = build_sharded(shards=4, dispatch="inline", decision_cache=True)
+        service = build_sharded(shards=4, decision_cache=True)
         epochs_before = [shard.pep.cache._epochs() for shard in service.shards]
         service.bump_policy_epoch()
         epochs_after = [shard.pep.cache._epochs() for shard in service.shards]
         assert all(a != b for a, b in zip(epochs_after, epochs_before))
-        service.close()
-
-
-class TestExecutors:
-    def test_inline_runs_on_caller_thread(self):
-        executor = InlineExecutor()
-        assert executor.run(0, threading.get_ident) == threading.get_ident()
-
-    def test_pool_runs_each_shard_on_its_own_thread(self):
-        pool = ShardWorkerPool(4)
-        try:
-            idents = {
-                shard: pool.run(shard, threading.get_ident) for shard in range(4)
-            }
-            assert len(set(idents.values())) == 4
-            assert threading.get_ident() not in idents.values()
-            # Repeat calls to one shard land on the same worker.
-            assert pool.run(2, threading.get_ident) == idents[2]
-        finally:
-            pool.close()
-
-    def test_pool_propagates_exceptions(self):
-        pool = ShardWorkerPool(1)
-        try:
-            def boom():
-                raise RuntimeError("shard work failed")
-
-            with pytest.raises(RuntimeError, match="shard work failed"):
-                pool.run(0, boom)
-        finally:
-            pool.close()
-
-    def test_pool_fifo_per_shard(self):
-        pool = ShardWorkerPool(1)
-        try:
-            seen = []
-            futures = [
-                pool.submit(0, lambda n=n: seen.append(n)) for n in range(20)
-            ]
-            for future in futures:
-                future.result()
-            assert seen == list(range(20))
-        finally:
-            pool.close()
 
 
 class TestShardedService:
-    def test_rejects_unknown_dispatch(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            build_sharded(dispatch="fork")
-
     def test_plain_service_refuses_multi_shard_config(self):
         with pytest.raises(ValueError, match="ShardedGramService"):
             GramService(ServiceConfig(shards=4))
 
     def test_shard_hosts_are_distinct_and_routable(self):
-        service = build_sharded(shards=4, dispatch="inline")
+        service = build_sharded(shards=4)
         hosts = [shard.config.host for shard in service.shards]
         assert hosts == [f"shard{i}.grid.example.org" for i in range(4)]
-        service.close()
 
     def test_single_shard_keeps_the_plain_host(self):
-        service = build_sharded(shards=1, dispatch="inline")
+        service = build_sharded(shards=1)
         assert service.shards[0].config.host == "grid.example.org"
         assert service.shared_active_jmis is None
-        service.close()
 
     def test_submit_lands_on_the_requesters_shard(self):
-        service = build_sharded(shards=4, dispatch="thread")
+        service = build_sharded(shards=4)
         clients = enroll(service, 8)
-        try:
-            for client in clients:
-                response = client.submit(RSL)
-                assert response.ok, response.message
-                shard = service.shard_of(client.identity)
-                expected_host = service.shards[shard].config.host
-                assert response.contact.host == expected_host
-        finally:
-            service.close()
+        for client in clients:
+            response = client.submit(RSL)
+            assert response.ok, response.message
+            shard = service.shard_of(client.identity)
+            expected_host = service.shards[shard].config.host
+            assert response.contact.host == expected_host
 
     def test_cross_shard_management_routes_to_the_jobs_shard(self):
-        service = build_sharded(shards=4, dispatch="thread")
+        service = build_sharded(shards=4)
         clients = enroll(service, 16)
-        try:
-            # Find an owner and a peer living on different shards.
-            owner = clients[0]
-            peer = next(
-                c
-                for c in clients[1:]
-                if service.shard_of(c.identity)
-                != service.shard_of(owner.identity)
-            )
-            response = owner.submit(RSL)
-            assert response.ok
-            # Peer polls the owner's job (authorized by the jobtag
-            # grant) — must route to the owner's shard and succeed.
-            status = peer.status(response.contact)
-            assert status.ok, status.message
-            # The peer may not cancel (jobowner=self) — a *denial*
-            # proves the request reached the job, not NO_SUCH_JOB.
-            denied = peer.cancel(response.contact)
-            assert denied.code is GramErrorCode.AUTHORIZATION_DENIED
-            assert owner.cancel(response.contact).ok
-        finally:
-            service.close()
+        # Find an owner and a peer living on different shards.
+        owner = clients[0]
+        peer = next(
+            c
+            for c in clients[1:]
+            if service.shard_of(c.identity)
+            != service.shard_of(owner.identity)
+        )
+        response = owner.submit(RSL)
+        assert response.ok
+        # Peer polls the owner's job (authorized by the jobtag
+        # grant) — must route to the owner's shard and succeed.
+        status = peer.status(response.contact)
+        assert status.ok, status.message
+        # The peer may not cancel (jobowner=self) — a *denial*
+        # proves the request reached the job, not NO_SUCH_JOB.
+        denied = peer.cancel(response.contact)
+        assert denied.code is GramErrorCode.AUTHORIZATION_DENIED
+        assert owner.cancel(response.contact).ok
 
     def test_unknown_contact_answers_no_such_job(self):
         from repro.gram.protocol import JobContact
 
-        service = build_sharded(shards=4, dispatch="thread")
+        service = build_sharded(shards=4)
         clients = enroll(service, 1)
-        try:
-            response = clients[0].status(
-                JobContact(host="elsewhere.example.org", job_id="424242")
-            )
-            assert response.code is GramErrorCode.NO_SUCH_JOB
-        finally:
-            service.close()
+        response = clients[0].status(
+            JobContact(host="elsewhere.example.org", job_id="424242")
+        )
+        assert response.code is GramErrorCode.NO_SUCH_JOB
 
     def test_global_ceiling_spans_shards(self):
-        service = build_sharded(
-            shards=4, dispatch="thread", max_active_jmis=2
-        )
+        service = build_sharded(shards=4, max_active_jmis=2)
         clients = enroll(service, 12)
-        try:
-            # Pick three users on three different shards: the ceiling
-            # must reject the third even though its shard is empty.
-            chosen, shards_used = [], set()
-            for client in clients:
-                shard = service.shard_of(client.identity)
-                if shard not in shards_used:
-                    shards_used.add(shard)
-                    chosen.append(client)
-                if len(chosen) == 3:
-                    break
-            assert len(chosen) == 3
-            assert chosen[0].submit(RSL).ok
-            assert chosen[1].submit(RSL).ok
-            rejected = chosen[2].submit(RSL)
-            assert rejected.code is GramErrorCode.RESOURCE_BUSY
-            assert "capacity" in rejected.message
-            # Slots free as jobs finish, service-wide.
-            service.run(15.0)
-            assert chosen[2].submit(RSL).ok
-        finally:
-            service.close()
+        # Pick three users on three different shards: the ceiling
+        # must reject the third even though its shard is empty.
+        chosen, shards_used = [], set()
+        for client in clients:
+            shard = service.shard_of(client.identity)
+            if shard not in shards_used:
+                shards_used.add(shard)
+                chosen.append(client)
+            if len(chosen) == 3:
+                break
+        assert len(chosen) == 3
+        assert chosen[0].submit(RSL).ok
+        assert chosen[1].submit(RSL).ok
+        rejected = chosen[2].submit(RSL)
+        assert rejected.code is GramErrorCode.RESOURCE_BUSY
+        assert "capacity" in rejected.message
+        # Slots free as jobs finish, service-wide.
+        service.run(15.0)
+        assert chosen[2].submit(RSL).ok
 
     def test_run_advances_every_shard_clock(self):
-        service = build_sharded(shards=3, dispatch="thread")
-        try:
-            service.run(5.0)
-            assert [shard.clock.now for shard in service.shards] == [5.0] * 3
-        finally:
-            service.close()
-
-    def test_context_manager_closes_the_pool(self):
-        with build_sharded(shards=2, dispatch="thread") as service:
-            clients = enroll(service, 2)
-            assert clients[0].submit(RSL).ok
-        # After close, the pool threads have exited.
-        assert all(not t.is_alive() for t in service.executor._threads)
+        service = build_sharded(shards=3)
+        service.run(5.0)
+        assert [shard.clock.now for shard in service.shards] == [5.0] * 3
 
 
 class TestMergedTelemetry:
-    def build_and_drive(self, shards, dispatch):
-        service = build_sharded(shards=shards, dispatch=dispatch)
+    def build_and_drive(self, shards):
+        service = build_sharded(shards=shards)
         clients = enroll(service, 8)
         for client in clients:
             response = client.submit(RSL)
@@ -298,55 +221,43 @@ class TestMergedTelemetry:
         return service
 
     def test_merged_decisions_sum_across_shards(self):
-        service = self.build_and_drive(4, "thread")
-        try:
-            per_shard = sum(
-                shard.telemetry.registry.value(
-                    "authz_decisions_total", action="start", decision="permit"
-                )
-                for shard in service.shards
-            )
-            assert per_shard == 8
-            assert service.merged_value(
+        service = self.build_and_drive(4)
+        per_shard = sum(
+            shard.telemetry.registry.value(
                 "authz_decisions_total", action="start", decision="permit"
-            ) == 8
-            snapshot = service.merged_snapshot()
-            family = next(
-                f for f in snapshot if f["name"] == "authz_decisions_total"
             )
-            total = sum(series["value"] for series in family["series"])
-            assert total == 16  # 8 starts + 8 information polls
-        finally:
-            service.close()
+            for shard in service.shards
+        )
+        assert per_shard == 8
+        assert service.merged_value(
+            "authz_decisions_total", action="start", decision="permit"
+        ) == 8
+        snapshot = service.merged_snapshot()
+        family = next(
+            f for f in snapshot if f["name"] == "authz_decisions_total"
+        )
+        total = sum(series["value"] for series in family["series"])
+        assert total == 16  # 8 starts + 8 information polls
 
     def test_merged_prometheus_renders_once_per_family(self):
-        service = self.build_and_drive(4, "thread")
-        try:
-            text = service.merged_prometheus()
-            assert text.count("# TYPE authz_decisions_total counter") == 1
-            assert "authz_decisions_total{" in text
-        finally:
-            service.close()
+        service = self.build_and_drive(4)
+        text = service.merged_prometheus()
+        assert text.count("# TYPE authz_decisions_total counter") == 1
+        assert "authz_decisions_total{" in text
 
     def test_merged_spans_have_unique_shard_prefixed_traces(self):
-        service = self.build_and_drive(4, "thread")
-        try:
-            spans = service.merged_spans()
-            assert spans
-            trace_ids = {span["trace"] for span in spans}
-            assert all(":" in trace for trace in trace_ids)
-            shards_seen = {trace.split(":", 1)[0] for trace in trace_ids}
-            assert len(shards_seen) > 1
-        finally:
-            service.close()
+        service = self.build_and_drive(4)
+        spans = service.merged_spans()
+        assert spans
+        trace_ids = {span["trace"] for span in spans}
+        assert all(":" in trace for trace in trace_ids)
+        shards_seen = {trace.split(":", 1)[0] for trace in trace_ids}
+        assert len(shards_seen) > 1
 
     def test_merge_is_identity_for_one_shard(self):
-        service = self.build_and_drive(1, "inline")
-        try:
-            merged = service.merged_snapshot()
-            assert merged == service.shards[0].telemetry.registry.snapshot()
-        finally:
-            service.close()
+        service = self.build_and_drive(1)
+        merged = service.merged_snapshot()
+        assert merged == service.shards[0].telemetry.registry.snapshot()
 
 
 class TestPlacementReport:
@@ -365,7 +276,7 @@ class TestPlacementReport:
         return clients, contacts
 
     def test_routed_counts_add_up(self):
-        service = build_sharded(shards=4, dispatch="inline")
+        service = build_sharded(shards=4)
         self.drive(service, users=16, polls=2)
         report = service.placement_report()
         assert len(report["shards"]) == 4
@@ -377,7 +288,7 @@ class TestPlacementReport:
             assert row["served_submissions"] == row["routed_submissions"]
 
     def test_balanced_population_has_low_skew(self):
-        service = build_sharded(shards=4, dispatch="inline")
+        service = build_sharded(shards=4)
         self.drive(service, users=32, polls=1)
         report = service.placement_report()
         populated = [r for r in report["shards"] if r["routed_total"]]
@@ -390,7 +301,6 @@ class TestPlacementReport:
         visible (skew == shard count, one hot shard)."""
         service = build_sharded(
             shards=4,
-            dispatch="inline",
             shard_key=lambda dn: dn.rsplit("/CN=", 1)[0],
         )
         self.drive(service, users=16, polls=2)
@@ -404,7 +314,7 @@ class TestPlacementReport:
         assert all(r["routed_total"] == 0 for r in cold)
 
     def test_empty_report(self):
-        service = build_sharded(shards=2, dispatch="inline")
+        service = build_sharded(shards=2)
         report = service.placement_report()
         assert report["total_routed"] == 0
         assert report["skew"] == 0.0

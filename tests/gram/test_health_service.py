@@ -102,7 +102,6 @@ def build_sharded(shards=2, **overrides):
     defaults = dict(
         policies=(parse_policy(POLICY, name="vo"),),
         shards=shards,
-        dispatch="inline",
         health_slo=True,
         health_window=2.0,
     )

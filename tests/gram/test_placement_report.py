@@ -26,7 +26,6 @@ def build(shards, **overrides):
     defaults = dict(
         policies=(parse_policy(POLICY, name="vo"),),
         shards=shards,
-        dispatch="inline",
     )
     defaults.update(overrides)
     return ShardedGramService(ServiceConfig(**defaults))

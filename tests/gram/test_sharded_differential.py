@@ -1,19 +1,28 @@
 """Differential check: sharding must not change authorization outcomes.
 
 The same seeded request stream is driven through a plain single-shard
-``GramService`` and through ``ShardedGramService`` at four shards on
-the thread-pool executor.  Contacts and job ids differ (the global
-contact counter is consumed in a different order), so the comparison
-is over what the paper cares about: the per-request decision — code,
-reasons, and observed job state.
+``GramService`` and through ``ShardedGramService`` at four shards.
+Contacts and job ids differ (each shard mints contacts under its own
+host), so the comparison is over what the paper cares about: the
+per-request decision — code, reasons, and observed job state.  A
+multi-shard run is itself deterministic: rerun in one process with the
+global counters reset, it exports byte-identical telemetry.
 """
 
+import itertools
 import random
 
+from repro.core import capability
 from repro.core.parser import parse_policy
+from repro.gram import protocol
 from repro.gram.client import GramClient
 from repro.gram.dispatch import ShardedGramService
 from repro.gram.service import GramService, ServiceConfig
+from repro.workloads.churn import (
+    ChurnConfig,
+    build_sharded_churn,
+    run_sharded_churn,
+)
 
 PREFIX = "/O=Grid/O=Globus/OU=diff.example.org"
 
@@ -101,10 +110,8 @@ def test_sharded_outcomes_match_single_shard():
     plain = GramService(build_config())
     baseline = drive(plain, plain.gatekeeper)
 
-    with ShardedGramService(
-        build_config(shards=4, dispatch="thread")
-    ) as sharded:
-        outcomes = drive(sharded, sharded.gatekeeper)
+    sharded = ShardedGramService(build_config(shards=4))
+    outcomes = drive(sharded, sharded.gatekeeper)
 
     assert len(baseline) == len(outcomes)
     for index, (expected, got) in enumerate(zip(baseline, outcomes)):
@@ -120,22 +127,54 @@ def test_sharded_outcomes_match_single_shard():
 
 
 def test_inline_single_shard_is_byte_identical_to_plain():
-    """shards=1 + inline dispatch is the plain service, observably."""
-    import itertools
-
-    from repro.gram import protocol
-
+    """shards=1, served inline on the caller's thread, is the plain
+    service, observably."""
     protocol._contact_counter = itertools.count(1)
     plain = GramService(build_config())
     baseline = drive(plain, plain.gatekeeper)
     plain_contacts = sorted(plain.gatekeeper.completed._records)
 
     protocol._contact_counter = itertools.count(1)
-    sharded = ShardedGramService(build_config(shards=1, dispatch="inline"))
+    sharded = ShardedGramService(build_config(shards=1))
     outcomes = drive(sharded, sharded.gatekeeper)
     sharded_contacts = sorted(sharded.shards[0].gatekeeper.completed._records)
-    sharded.close()
 
     assert outcomes == baseline
     # With the counter reset, even job ids line up.
     assert sharded_contacts == plain_contacts
+
+
+def _four_shard_churn():
+    """One 4-shard churn with every repeat path and the ceiling on."""
+    protocol._contact_counter = itertools.count(1)
+    capability._token_counter = itertools.count(1)
+    churn = ChurnConfig(users=24, cycles=120, runtime=4.0, step=0.5)
+    service, clients = build_sharded_churn(
+        churn,
+        ServiceConfig(
+            host="churn.example.org",
+            node_count=16,
+            cpus_per_node=4,
+            shards=4,
+            decision_cache=True,
+            capability_grants=True,
+            max_active_jmis=6,
+        ),
+    )
+    return service, run_sharded_churn(service, clients, churn)
+
+
+def test_multi_shard_reruns_are_byte_identical():
+    first, first_stats = _four_shard_churn()
+    second, second_stats = _four_shard_churn()
+
+    # The run reached every mechanism it claims to pin down, and the
+    # service-wide ceiling held exactly across shards.
+    assert first_stats.rejected_busy > 0
+    assert first_stats.max_live_jmis == 6
+    assert first.merged_value("capability_hit_total") > 0
+    assert len({contact.host for _, contact in first_stats.contacts}) == 4
+
+    assert second_stats.contacts == first_stats.contacts
+    assert second.merged_prometheus() == first.merged_prometheus()
+    assert second.merged_spans() == first.merged_spans()

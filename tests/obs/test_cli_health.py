@@ -89,9 +89,14 @@ class TestObsFormats:
         assert "no metric family 'nope'" in err
         assert "available: authz_decisions_total, authz_latency_seconds" in err
 
-    def test_legacy_metrics_flag_still_works(self, metrics_path, capsys):
-        assert main(["obs", str(metrics_path), "--metrics", "prom"]) == 0
-        assert "# TYPE" in capsys.readouterr().out
+    def test_family_alone_renders_jsonl(self, metrics_path, capsys):
+        assert (
+            main(["obs", str(metrics_path), "--family", "authz_latency_seconds"])
+            == 0
+        )
+        out = capsys.readouterr().out.strip()
+        names = {json.loads(line)["name"] for line in out.splitlines()}
+        assert names == {"authz_latency_seconds"}
 
     def test_unreadable_path_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

@@ -52,13 +52,13 @@ class TestObsCommand:
         assert "req-000001" in out and "req-000002" in out
 
     def test_metrics_prometheus(self, exports, capsys):
-        assert main(["obs", str(exports["metrics"]), "--metrics", "prom"]) == 0
+        assert main(["obs", str(exports["metrics"]), "--format", "prometheus"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE authz_decisions_total counter" in out
         assert 'decision="permit"' in out and 'decision="deny"' in out
 
     def test_metrics_json(self, exports, capsys):
-        assert main(["obs", str(exports["metrics"]), "--metrics", "json"]) == 0
+        assert main(["obs", str(exports["metrics"]), "--format", "jsonl"]) == 0
         assert '"authz_decisions_total"' in capsys.readouterr().out
 
     def test_ambiguous_trace_is_usage_error(self, exports, capsys):

@@ -1,12 +1,13 @@
 """The failure matrix: every policy source × every fault mode.
 
-For each source backing the GRAM authorization callout (dynamic
-policy store, CAS, Akenti, grid-mapfile) and each injected fault
-(timeout, exception, intermittent flap, byzantine wrong-answer), the
-GRAM protocol must keep the paper's §5.2 distinction intact: policy
-denials come back as ``AUTHORIZATION_DENIED``, broken infrastructure
-as ``AUTHORIZATION_SYSTEM_FAILURE`` naming the failed source —
-and fail-static degradation must never serve a decision across a
+For each source backing the GRAM authorization callout (the versioned
+policy store's serving path, CAS, Akenti, grid-mapfile) and each
+injected fault (timeout, exception, intermittent flap, byzantine
+wrong-answer), the GRAM protocol must keep the paper's §5.2
+distinction intact: policy denials come back as
+``AUTHORIZATION_DENIED``, broken infrastructure as
+``AUTHORIZATION_SYSTEM_FAILURE`` naming the failed source — and
+fail-static degradation must never serve a decision across a
 policy-epoch bump.
 """
 
@@ -14,13 +15,13 @@ import pytest
 
 from repro.core.builtin_callouts import gridmap_callout
 from repro.core.callout import GRAM_AUTHZ_CALLOUT
-from repro.core.dynamic import PolicyStore
 from repro.core.parser import parse_policy
 from repro.core.resilience import (
     DegradationMode,
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.core.store import PolicyBundle, VersionedPolicyStore
 from repro.gram.client import GramClient
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
@@ -35,6 +36,9 @@ POLICY_TEXT = (
     f"{ALICE}: &(action=start)(executable=sim) &(action=information) "
     "&(action=cancel)(jobowner=self)"
 )
+#: A changed policy that still grants GOOD: publishing it moves the
+#: store's epoch (republishing identical content would be a no-op).
+REISSUED_TEXT = POLICY_TEXT + " &(action=signal)(jobowner=self)"
 GOOD = "&(executable=sim)(count=1)(runtime=50)"
 BAD = "&(executable=rogue)(count=1)"
 
@@ -60,21 +64,23 @@ def build_scenario(source_name) -> _Scenario:
     resilience wrapper then goes around the faulty callout, exactly
     like a slow real source behind the production wrapper.
     """
+    policy = parse_policy(POLICY_TEXT, name="vo")
+    if source_name == "policy-store":
+        # The store's serving path: the combined callout the service
+        # builds over the store's active snapshot, swapped on publish.
+        store = VersionedPolicyStore()
+        service = GramService(
+            ServiceConfig(policies=(policy,), policy_store=store)
+        )
+        client = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
+        return _Scenario(
+            service, client, "combined:vo", store,
+            deny=lambda: client.submit(BAD),
+        )
+
     service = GramService(ServiceConfig())
     credential = service.add_user(ALICE, "alice")
     service.registry.clear(GRAM_AUTHZ_CALLOUT)
-    policy = parse_policy(POLICY_TEXT, name="vo")
-
-    if source_name == "policy-store":
-        store = PolicyStore(policy, clock=service.clock)
-        service.registry.register(
-            GRAM_AUTHZ_CALLOUT, store.callout(), label="policy-store"
-        )
-        client = GramClient(credential, service.gatekeeper)
-        return _Scenario(
-            service, client, "policy-store", store,
-            deny=lambda: client.submit(BAD),
-        )
 
     if source_name == "cas":
         vo = VirtualOrganization("NFC")
@@ -204,7 +210,7 @@ class TestBreakerThroughTheProtocol:
         response = scenario.client.submit(GOOD)
         assert response.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
         assert response.failure_kind == "breaker-open"
-        assert response.failure_source == "policy-store"
+        assert response.failure_source == scenario.label
         assert fault.calls == calls_before  # fast-fail: source untouched
 
     def test_policy_epoch_bump_rearms_the_breaker(self):
@@ -212,17 +218,15 @@ class TestBreakerThroughTheProtocol:
         fault = ExceptionFault()
         inject(scenario.service.registry, GRAM_AUTHZ_CALLOUT, fault)
         resilience = harden(scenario.service, retry=None, failure_threshold=2)
-        # harden() has no combined evaluator here; arm the breaker on
-        # the store's epoch explicitly.
-        resilience.breakers["policy-store"].epoch_source = scenario.epoch_source
+        # Arm the breaker on the store's epoch (harden() already arms
+        # it on the combined evaluator the store swaps into).
+        resilience.breakers[scenario.label].epoch_source = scenario.epoch_source
 
         for _ in range(3):
             scenario.client.submit(GOOD)
         assert scenario.client.submit(GOOD).failure_kind == "breaker-open"
         fault.enabled = False
-        scenario.epoch_source.install(
-            parse_policy(POLICY_TEXT, name="vo"), comment="fixed"
-        )
+        scenario.epoch_source.publish(PolicyBundle.from_texts({"vo": REISSUED_TEXT}))
         # New policy version: the half-open probe goes through and
         # the recovered source serves again.
         assert scenario.client.submit(GOOD).ok
@@ -247,9 +251,8 @@ class TestFailStaticAcrossEpochs:
         assert degraded.decision_context.degraded == "fail-static"
         assert resilience.metrics.degraded_static == 1
 
-        scenario.epoch_source.install(
-            parse_policy(POLICY_TEXT, name="vo"), comment="revoked and reissued"
-        )
+        # Revoked and reissued: a new epoch, same grant.
+        scenario.epoch_source.publish(PolicyBundle.from_texts({"vo": REISSUED_TEXT}))
         after_bump = scenario.client.submit(GOOD)
         assert after_bump.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
         assert resilience.metrics.degraded_static == 1  # not served again
