@@ -103,7 +103,7 @@ class TestDecisionCacheBench:
         from repro.core.builtin_callouts import combined_policy_callout
         from repro.core.callout import GRAM_AUTHZ_CALLOUT, CalloutRegistry
         from repro.core.pep import EnforcementPoint
-        from repro.core.pipeline import DecisionCache
+        from repro.core.pipeline import DecisionCache, EpochView
 
         callout = combined_policy_callout(
             [
@@ -114,7 +114,9 @@ class TestDecisionCacheBench:
         registry = CalloutRegistry()
         registry.register(GRAM_AUTHZ_CALLOUT, callout)
         cache = (
-            DecisionCache(epoch_sources=[callout.evaluator]) if cached else None
+            DecisionCache(EpochView([("policy", callout.evaluator)]))
+            if cached
+            else None
         )
         return EnforcementPoint(registry=registry, cache=cache)
 

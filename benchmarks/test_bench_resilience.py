@@ -22,6 +22,7 @@ from repro.core.callout import GRAM_AUTHZ_CALLOUT, CalloutRegistry
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.parser import parse_policy
 from repro.core.pep import EnforcementPoint
+from repro.core.pipeline import EpochView
 from repro.core.request import AuthorizationRequest
 from repro.core.resilience import DegradationMode, ResilienceConfig
 from repro.rsl.parser import parse_specification
@@ -69,7 +70,7 @@ def build(mode, failure_threshold):
     )
     pep = EnforcementPoint(
         registry=registry,
-        resilience=config.middleware([callout.evaluator]),
+        resilience=config.middleware(EpochView([("policy", callout.evaluator)])),
     )
     return pep, clock, fault, config
 

@@ -63,7 +63,6 @@ from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.capability import (
     CapabilityIssuer,
     CapabilityMiddleware,
-    CapabilityStore,
     CapabilityToken,
 )
 from repro.core.analysis import (
@@ -86,7 +85,9 @@ from repro.core.dynamic import (
 from repro.core.pipeline import (
     DecisionCache,
     DecisionContext,
+    EpochView,
     MetricsMiddleware,
+    ReplayStore,
     SourceRecord,
     StageRecord,
     TracingMiddleware,
@@ -147,7 +148,6 @@ __all__ = [
     "PEPPlacement",
     "CapabilityIssuer",
     "CapabilityMiddleware",
-    "CapabilityStore",
     "CapabilityToken",
     "LintFinding",
     "LintLevel",
@@ -164,7 +164,9 @@ __all__ = [
     "TimeWindow",
     "DecisionCache",
     "DecisionContext",
+    "EpochView",
     "MetricsMiddleware",
+    "ReplayStore",
     "SourceRecord",
     "StageRecord",
     "TracingMiddleware",

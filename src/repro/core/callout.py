@@ -307,6 +307,25 @@ class CalloutRegistry:
     def configured(self, type_name: str) -> bool:
         return bool(self._callouts.get(type_name))
 
+    @property
+    def chain_version(self) -> int:
+        """Moves on every change to any configured chain."""
+        return self._chain_version
+
+    def decides_from(self, type_name: str, source: Any) -> bool:
+        """True when a *type_name* callout decides from *source*.
+
+        Looks through wrappers the way :func:`callout_epoch_source`
+        does, so a hardened or fault-injected callout still counts.
+        Nothing decides from a *source* of ``None``.
+        """
+        if source is None:
+            return False
+        return any(
+            callout_epoch_source(callout) is source
+            for _, callout in self._callouts.get(type_name, ())
+        )
+
     def callout_labels(self, type_name: str) -> Tuple[str, ...]:
         return tuple(label for label, _ in self._callouts.get(type_name, []))
 

@@ -11,9 +11,9 @@ machinery:
 * After a full combined decision PERMITs, the pipeline **mints** a
   :class:`CapabilityToken` — an HMAC-signed artifact scoped to
   (subject DN × action set × jobtag/jobowner constraint × job-spec
-  digest), bound to the *exact* policy epochs (VO source, local
-  source, grid-mapfile, cross-shard broadcast) that produced the
-  decision, with a sim-clock TTL.
+  digest), bound to the service's :class:`~repro.core.pipeline.EpochView`
+  snapshot (callout chain, grid-mapfile, cross-shard broadcast) that
+  produced the decision, with a sim-clock TTL.
 * The PEP gains a **validate-first fast path**
   (:class:`CapabilityMiddleware`): signature, expiry, scope and epoch
   check in O(HMAC) — independent of policy size — falling back to
@@ -43,17 +43,17 @@ import hashlib
 import hmac
 import itertools
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.decision import Decision, Effect
 from repro.core.pipeline import (
     DecisionContext,
+    EpochView,
     NextHandler,
-    SourceRecord,
+    ReplayEntry,
+    ReplayStore,
     StageRecord,
-    epoch_of,
     request_key,
 )
 from repro.core.request import AuthorizationRequest
@@ -228,12 +228,10 @@ class CapabilityToken:
 class CapabilityIssuer:
     """Mints and validates tokens for one resource (one HMAC key).
 
-    ``epoch_sources`` are ``(name, source)`` pairs; each source exposes
-    a ``policy_epoch`` the way every other epoch source does (see
-    :func:`repro.core.pipeline.epoch_of`).  The issuer binds the full
-    named epoch view into every token it mints, and compares the
-    *current* view at validation time — any divergence is a
-    revocation, never a grant.
+    Every token binds the *view*'s snapshot at mint time (see
+    :class:`repro.core.pipeline.EpochView`), and validation compares
+    it with the *current* snapshot — any divergence is a revocation,
+    never a grant.
     """
 
     def __init__(
@@ -241,36 +239,15 @@ class CapabilityIssuer:
         key: bytes,
         clock: Any,
         ttl: float = 300.0,
-        epoch_sources: Sequence[Tuple[str, Any]] = (),
+        view: Optional[EpochView] = None,
     ) -> None:
         if ttl <= 0:
             raise ValueError("capability ttl must be > 0")
         self.key = key
         self.clock = clock
         self.ttl = ttl
-        self.epoch_sources: List[Tuple[str, Any]] = list(epoch_sources)
+        self.view = view if view is not None else EpochView()
         self.minted = 0
-        # The epoch view is rebuilt only when a raw epoch actually
-        # moved; the fast path pays one attribute read per source plus
-        # a tuple compare.
-        self._epoch_raw: Optional[Tuple[Any, ...]] = None
-        self._epoch_view: Tuple[Tuple[str, str], ...] = ()
-
-    def add_epoch_source(self, name: str, source: Any) -> None:
-        """Bind another epoch source (e.g. a cross-shard broadcast)."""
-        self.epoch_sources.append((name, source))
-        self._epoch_raw = None
-
-    def epoch_view(self) -> Tuple[Tuple[str, str], ...]:
-        """The current named-epoch snapshot tokens bind and check."""
-        raw = tuple([epoch_of(source) for _, source in self.epoch_sources])
-        if raw != self._epoch_raw:
-            self._epoch_view = tuple(
-                (name, repr(epoch))
-                for (name, _), epoch in zip(self.epoch_sources, raw)
-            )
-            self._epoch_raw = raw
-        return self._epoch_view
 
     def mint(
         self,
@@ -292,7 +269,7 @@ class CapabilityIssuer:
             jobtag=request.jobtag or "",
             jobowner=str(request.owner),
             spec_digest=spec_digest(request.job_description),
-            epochs=self.epoch_view(),
+            epochs=self.view.snapshot(),
             issued_at=now,
             expires_at=now + self.ttl,
         )
@@ -315,68 +292,11 @@ class CapabilityIssuer:
             return BAD_SIGNATURE
         if token.expired(self.clock.now if now is None else now):
             return EXPIRED
-        if token.epochs != self.epoch_view():
+        if token.epochs != self.view.snapshot():
             return EPOCH
         if request is not None and not token.covers(request):
             return SCOPE
         return VALID
-
-
-class CapabilityStore:
-    """Bounded LRU of minted capabilities, keyed like the decision cache.
-
-    The key is :func:`repro.core.pipeline.request_key` — subject,
-    action, jobtag, jobowner *and the job description itself* — so a
-    held token is only ever consulted for the exact question it
-    answered.  Entries keep the decision and its provenance alongside
-    the token so a fast-path hit explains itself like any other
-    decision.
-    """
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Any, Tuple[CapabilityToken, Decision, Tuple[SourceRecord, ...]]]" = (
-            OrderedDict()
-        )
-        self.evictions = 0
-
-    def get(
-        self, key: Any
-    ) -> Optional[Tuple[CapabilityToken, Decision, Tuple[SourceRecord, ...]]]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(
-        self,
-        key: Any,
-        token: CapabilityToken,
-        decision: Decision,
-        sources: Tuple[SourceRecord, ...],
-    ) -> None:
-        self._entries[key] = (token, decision, sources)
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def discard(self, key: Any) -> None:
-        self._entries.pop(key, None)
-
-    def find(self, token_id: str) -> Optional[CapabilityToken]:
-        for token, _, _ in self._entries.values():
-            if token.token_id == token_id:
-                return token
-        return None
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def tokens(self) -> Tuple[CapabilityToken, ...]:
-        return tuple(token for token, _, _ in self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class CapabilityMiddleware:
@@ -390,8 +310,9 @@ class CapabilityMiddleware:
       PDP is never consulted.
     * **miss** — no token, or it failed validation: the token (if any)
       is dropped and the stack below decides fresh; a fresh PERMIT
-      re-mints.  Denials are never tokenized — capabilities encode
-      grants, the default-deny path always re-evaluates.
+      re-mints, unless the view moved while the stack decided.
+      Denials are never tokenized — capabilities encode grants, the
+      default-deny path always re-evaluates.
     * **revoked** — the specific miss where a bound epoch moved:
       counted separately (``capability_revoked_total``) because it is
       the fail-closed contract in action.
@@ -402,11 +323,13 @@ class CapabilityMiddleware:
     def __init__(
         self,
         issuer: CapabilityIssuer,
-        store: Optional[CapabilityStore] = None,
+        store: Optional[ReplayStore] = None,
         registry: Any = None,
     ) -> None:
         self.issuer = issuer
-        self.store = store if store is not None else CapabilityStore()
+        #: Held tokens by request key (job description included), so
+        #: a token only answers the exact question it answered.
+        self.store = store if store is not None else ReplayStore()
         self.registry = registry
         self.hits = 0
         self.misses = 0
@@ -443,7 +366,7 @@ class CapabilityMiddleware:
         entry = self.store.get(key)
         reason = ABSENT
         if entry is not None:
-            token, decision, sources = entry
+            token = entry.token
             status = self._validate_fast(token, key)
             if status == VALID:
                 self.hits += 1
@@ -453,7 +376,7 @@ class CapabilityMiddleware:
                 )
                 context.cache_status = CAPABILITY_HIT
                 context.capability = token
-                context.sources.extend(sources)
+                context.sources.extend(entry.sources)
                 # The hit stage record never varies for a given token
                 # (duration 0.0 by definition — no evaluation ran), so
                 # it is built once and shared across contexts.
@@ -467,7 +390,7 @@ class CapabilityMiddleware:
                     object.__setattr__(token, "_hit_stage", stage)
                 context.stages.append(stage)
                 obs_spans.event("capability", stage.detail)
-                return decision
+                return entry.decision
             # Fail closed: whatever went wrong, the token can only be
             # revoked — never trusted — and the PDP decides fresh.
             self.store.discard(key)
@@ -486,14 +409,23 @@ class CapabilityMiddleware:
             "Capability fast-path misses by reason",
             reason=reason,
         )
+        epochs = self.issuer.view.snapshot()
         decision = call_next(request, context)
-        if decision.effect is Effect.PERMIT:
+        # Mint only when the view did not move while the chain decided:
+        # such a PERMIT belongs to neither snapshot.
+        if (
+            decision.effect is Effect.PERMIT
+            and self.issuer.view.snapshot() == epochs
+        ):
             token = self.issuer.mint(request)
             self._count(
                 "capability_mint_total",
                 "Capabilities minted after full decisions",
             )
-            self.store.put(key, token, decision, tuple(context.sources))
+            self.store.put(
+                key,
+                ReplayEntry(decision, tuple(context.sources), token.epochs, token),
+            )
             context.capability = token
             obs_spans.event("capability", f"mint {token.token_id}")
         return decision
@@ -513,7 +445,7 @@ class CapabilityMiddleware:
             return BAD_SIGNATURE
         if token.expired(issuer.clock.now):
             return EXPIRED
-        if token.epochs != issuer.epoch_view():
+        if token.epochs != issuer.view.snapshot():
             return EPOCH
         if not (
             token.subject == key[0]

@@ -120,20 +120,21 @@ class DynamicEvaluator:
 
     @property
     def policy_epoch(self) -> Tuple:
-        """Mutation count plus the set of windows active *right now*.
+        """Mutation count plus how many window edges *now* has passed.
 
-        Including the active-window signature means a cached decision
-        expires the instant a time window opens or closes — not just
-        when a statement is added — so the decision cache stays
-        correct across simulated time.
+        A stored decision expires the instant a time window opens or
+        closes, not just when a statement is added.  Both counts only
+        grow (the simulated clock never runs backwards), so the epoch
+        never returns to an earlier value: a decision filed under the
+        epoch from before a window opened is never served again, even
+        once the window has closed.
         """
         now = self.clock.now
-        active = tuple(
-            index
-            for index, entry in enumerate(self.dynamic.windowed_statements)
-            if entry.window.contains(now)
+        edges = sum(
+            (entry.window.not_before <= now) + (entry.window.not_after <= now)
+            for entry in self.dynamic.windowed_statements
         )
-        return (self.dynamic.policy_epoch, active)
+        return (self.dynamic.policy_epoch, edges)
 
     def evaluate(self, request: AuthorizationRequest) -> Decision:
         policy = self.dynamic.snapshot(self.clock.now)

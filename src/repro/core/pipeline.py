@@ -24,12 +24,12 @@ This module collapses those into one layer:
 * :class:`TracingMiddleware` — retains finished contexts and exports
   them as JSON lines, superseding the scattered trace mechanisms for
   authorization decisions.
-* :class:`DecisionCache` — a policy-epoch keyed decision cache:
+* :class:`DecisionCache` — a policy-epoch guarded decision cache:
   every policy source exposes a ``policy_epoch`` token bumped on
-  mutation, so cached PERMIT/DENY decisions are invalidated exactly
-  when local or VO policy changes.  This makes the paper's
-  job-monitoring poll loop (repeated identical ``information``
-  checks) measurably faster.
+  mutation, and an :class:`EpochView` snapshot stored with each
+  decision stales it exactly when local or VO policy changes.  This
+  makes the paper's job-monitoring poll loop (repeated identical
+  ``information`` checks) measurably faster.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import threading
 import time
 from collections import OrderedDict, deque
 from contextvars import ContextVar
@@ -47,6 +48,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -550,7 +552,7 @@ class TracingMiddleware:
         return len(self._records)
 
 
-# -- the policy-epoch decision cache ----------------------------------------
+# -- the replay guard: one epoch view, one store type -------------------------
 
 
 #: Memo sentinel: ``None`` is a valid memoized key ("decide fresh").
@@ -560,12 +562,12 @@ _UNKEYED = object()
 def request_key(request: AuthorizationRequest) -> Optional[Tuple[Any, ...]]:
     """The identity of an authorization question, minus policy state.
 
-    Shared by the :class:`DecisionCache` (which appends the policy
-    epochs), the capability store, and the resilience layer's
-    last-known-good store (which stores the epochs alongside and
-    compares them at serve time).  The job description is included so
-    two start requests sharing a jobtag but asking for different
-    things never collide.
+    Shared by the three repeat paths — the :class:`DecisionCache`, the
+    capability store and the resilience layer's last-known-good store
+    — each of which keys a :class:`ReplayStore` on it and keeps the
+    :class:`EpochView` snapshot in the entry.  The job description is
+    included so two start requests sharing a jobtag but asking for
+    different things never collide.
 
     This is the one place that decides whether a request may be
     replayed at all: it returns ``None`` when the presented credential
@@ -578,9 +580,9 @@ def request_key(request: AuthorizationRequest) -> Optional[Tuple[Any, ...]]:
     different answer.
 
     The key is memoized on the (frozen) request: repeat traffic hits
-    the decision cache, the last-known-good store and the capability
-    store with the same tuple object, so the component strings keep
-    their cached hashes instead of being re-rendered per lookup.
+    every repeat path with the same tuple object, so the component
+    strings keep their cached hashes instead of being re-rendered per
+    lookup.
     """
     cached = request.__dict__.get("_request_key", _UNKEYED)
     if cached is _UNKEYED:
@@ -634,17 +636,110 @@ def epoch_of(source: Any) -> Any:
     return epoch
 
 
+#: An :class:`EpochView` snapshot: ``(member name, repr(epoch))`` pairs.
+EpochSnapshot = Tuple[Tuple[str, str], ...]
+
+
+class EpochView:
+    """Everything a replayed decision depends on, as one named snapshot.
+
+    Members are ``(name, source)`` pairs (see :func:`epoch_of`).  A
+    service hands one view to its decision cache, capability issuer,
+    fail-static store and circuit breakers, so no repeat path watches
+    less than another.  The snapshot renders each epoch with ``repr``
+    (capability tokens sign it) and is rebuilt only when a raw member
+    epoch moved; the view is an epoch source itself.
+    """
+
+    def __init__(self, members: Sequence[Tuple[str, Any]] = ()) -> None:
+        self._members: List[Tuple[str, Any]] = list(members)
+        # (raw epochs, snapshot) as one tuple, so a reader never pairs
+        # one call's raw epochs with another call's snapshot.
+        self._memo: Tuple[Any, EpochSnapshot] = (None, ())
+
+    def add(self, name: str, source: Any) -> None:
+        """Make *source* a member (e.g. a cross-shard broadcast)."""
+        self._members.append((name, source))
+        self._memo = (None, ())
+
+    def snapshot(self) -> EpochSnapshot:
+        """The members' current ``(name, repr(epoch))`` pairs."""
+        raw = tuple([epoch_of(source) for _, source in self._members])
+        memo_raw, snapshot = self._memo
+        if raw != memo_raw:
+            snapshot = tuple(
+                (name, repr(epoch))
+                for (name, _), epoch in zip(self._members, raw)
+            )
+            self._memo = (raw, snapshot)
+        return snapshot
+
+    @property
+    def policy_epoch(self) -> EpochSnapshot:
+        return self.snapshot()
+
+
+class ReplayEntry(NamedTuple):
+    """One stored decision a repeat path may serve again."""
+
+    decision: Decision
+    #: The provenance the decision was made with.
+    sources: Tuple[SourceRecord, ...]
+    #: The :class:`EpochView` snapshot the decision was made under; the
+    #: entry is served only while the view still reports it.
+    epochs: EpochSnapshot
+    #: The capability token minted for the decision, if one was.
+    token: Any = None
+
+
+class ReplayStore:
+    """Bounded, thread-safe LRU of :func:`request_key` → :class:`ReplayEntry`.
+
+    The one store type of the three repeat paths; each keeps its own
+    instance.  A stale entry is replaced in place by the next fresh
+    decision for its key instead of ageing out of the LRU.
+    """
+
+    def __init__(self, maxsize: int = 4096) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[Any, ReplayEntry]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.evictions = 0
+
+    def get(self, key: Any) -> Optional[ReplayEntry]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: Any, entry: ReplayEntry) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def discard(self, key: Any) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class DecisionCache:
     """Middleware caching PERMIT/DENY decisions across identical requests.
 
-    The key is ``(subject DN, action, jobtag, jobowner, job
-    description, policy epochs)`` — the job description is included so
-    two start requests that share a jobtag but differ in what they ask
-    for never collide.  ``epoch_sources`` are the policy sources whose
-    ``policy_epoch`` tokens enter the key: mutate any source (install
-    a new policy version, enroll a VO member, open a time window) and
-    every previously cached decision is invalidated, because no future
-    key can match it.
+    Keyed on :func:`request_key` — ``(subject DN, action, jobtag,
+    jobowner, job description)``; each entry keeps the
+    :class:`EpochView` snapshot it was decided under and is served
+    only while the view still reports that snapshot.  Mutate any
+    member's policy (install a new policy version, enroll a VO member,
+    open a time window, change a grid-mapfile line) and every cached
+    decision is stale; the next identical request re-decides and
+    replaces it.
 
     System failures are never cached — a broken authorization system
     must stay visibly broken, not replay a stale decision — and nor is
@@ -655,24 +750,16 @@ class DecisionCache:
     name = "decision-cache"
 
     def __init__(
-        self,
-        epoch_sources: Sequence[Any] = (),
-        maxsize: int = 4096,
+        self, view: Optional[EpochView] = None, maxsize: int = 4096
     ) -> None:
-        self.epoch_sources = list(epoch_sources)
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Any, Tuple[Decision, Tuple[SourceRecord, ...]]]" = (
-            OrderedDict()
-        )
+        self.view = view if view is not None else EpochView()
+        self.store = ReplayStore(maxsize)
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
-    def add_epoch_source(self, source: Any) -> None:
-        self.epoch_sources.append(source)
-
-    def _epochs(self) -> Tuple[Any, ...]:
-        return tuple(epoch_of(source) for source in self.epoch_sources)
+    @property
+    def evictions(self) -> int:
+        return self.store.evictions
 
     def __call__(
         self,
@@ -683,37 +770,35 @@ class DecisionCache:
         key = request_key(request)
         if key is None:
             return call_next(request, context)
-        key += (self._epochs(),)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self._entries.move_to_end(key)
+        epochs = self.view.snapshot()
+        entry = self.store.get(key)
+        if entry is not None and entry.epochs == epochs:
             self.hits += 1
             context.cache_status = CACHE_HIT
-            decision, sources = cached
-            context.sources.extend(sources)
+            context.sources.extend(entry.sources)
             context.record_stage("cache", 0.0, detail="hit")
             obs_spans.event("cache", "hit")
-            return decision
+            return entry.decision
         self.misses += 1
         context.cache_status = CACHE_MISS
         decision = call_next(request, context)
-        if decision.effect in (Effect.PERMIT, Effect.DENY):
-            self._entries[key] = (decision, tuple(context.sources))
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        # A decision the view moved under (the clock crossed a window
+        # edge while the chain decided) belongs to neither snapshot.
+        if (
+            decision.effect in (Effect.PERMIT, Effect.DENY)
+            and self.view.snapshot() == epochs
+        ):
+            self.store.put(
+                key, ReplayEntry(decision, tuple(context.sources), epochs)
+            )
         return decision
 
-    def invalidate(self) -> None:
-        """Drop every cached decision (epoch bumps do this implicitly)."""
-        self._entries.clear()
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.store)
 
     def __str__(self) -> str:
         return (
-            f"decision-cache[{len(self._entries)}/{self.maxsize} "
+            f"decision-cache[{len(self.store)}/{self.store.maxsize} "
             f"hits={self.hits} misses={self.misses}]"
         )
 

@@ -572,6 +572,9 @@ class QueryEngine:
             raise ValueError("need at least one policy source")
         self.evaluators = list(evaluators)
         self.algorithm = algorithm
+        #: The combined evaluator these members belong to, when built
+        #: by :meth:`from_combined`.
+        self.combined = None
         self.consumer = consumer
         self._extra_epochs = list(epoch_sources)
         self._indexes: Optional[Tuple[QueryIndex, ...]] = None
@@ -585,7 +588,9 @@ class QueryEngine:
     @classmethod
     def from_combined(cls, combined, **kwargs) -> "QueryEngine":
         """Build over a :class:`~repro.core.combination.CombinedEvaluator`."""
-        return cls(combined.evaluators, algorithm=combined.algorithm, **kwargs)
+        engine = cls(combined.evaluators, algorithm=combined.algorithm, **kwargs)
+        engine.combined = combined
+        return engine
 
     def add_epoch_source(self, source) -> None:
         """Watch another epoch source (e.g. a cross-shard broadcast)."""

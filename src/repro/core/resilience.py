@@ -31,10 +31,11 @@ Degradation is explicit and paper-faithful, selected per
   :class:`~repro.core.errors.AuthorizationSystemFailure` naming the
   failed source (the paper's default posture);
 * :attr:`DegradationMode.FAIL_STATIC` — serve the last-known-good
-  decision *for the same policy epoch*, flagged in the decision's
-  provenance (``context.degraded``).  A policy-epoch bump immediately
-  invalidates every stale decision: fail-static never serves across
-  an epoch change.
+  decision *for the same policy epochs*, flagged in the decision's
+  provenance (``context.degraded``).  Any move of the
+  :class:`~repro.core.pipeline.EpochView` the other repeat paths
+  watch too invalidates every stale decision: fail-static never
+  serves across an epoch change.
 
 Every retry, breaker transition, fast-fail and degraded decision is
 recorded on the active :class:`~repro.core.pipeline.DecisionContext`
@@ -47,7 +48,6 @@ import enum
 import random
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -56,7 +56,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -64,7 +63,10 @@ from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.pipeline import (
     DecisionContext,
+    EpochView,
     NextHandler,
+    ReplayEntry,
+    ReplayStore,
     SourceRecord,
     current_context,
     epoch_of,
@@ -600,24 +602,17 @@ class DegradationMode(enum.Enum):
     FAIL_STATIC = "fail-static"
 
 
-@dataclass
-class _LastKnownGood:
-    decision: Decision
-    epochs: Tuple[Any, ...]
-    sources: Tuple[SourceRecord, ...]
-
-
 class ResilienceMiddleware:
     """Decision middleware applying the configured degradation mode.
 
     Sits between the PEP's observability middlewares and the decision
-    cache: successful PERMIT/DENY decisions refresh a bounded
-    last-known-good store; an
-    :class:`~repro.core.errors.AuthorizationSystemFailure` escaping
-    the inner stack is either re-raised (fail-closed) or — in
-    fail-static mode — replaced by the stored decision *if and only
-    if* every ``epoch_source`` still reports the epoch the decision
-    was computed under.  Degraded decisions are flagged on
+    cache.  An :class:`~repro.core.errors.AuthorizationSystemFailure`
+    escaping the inner stack is either re-raised (fail-closed) or — in
+    fail-static mode — replaced by the last-known-good decision for
+    the request *if and only if* the *view* still reports the snapshot
+    the decision was computed under.  Only fail-static records
+    PERMIT/DENY decisions in its bounded store; nothing else reads
+    it.  Degraded decisions are flagged on
     ``context.degraded``, recorded as a pipeline stage, and counted.
     """
 
@@ -626,24 +621,16 @@ class ResilienceMiddleware:
     def __init__(
         self,
         mode: DegradationMode = DegradationMode.FAIL_CLOSED,
-        epoch_sources: Sequence[Any] = (),
+        view: Optional[EpochView] = None,
         metrics: Optional[ResilienceMetrics] = None,
         lkg_limit: int = 4096,
         registry: Any = None,
     ) -> None:
         self.mode = mode
-        self.epoch_sources = list(epoch_sources)
+        self.view = view if view is not None else EpochView()
         self.metrics = metrics if metrics is not None else ResilienceMetrics()
-        self.lkg_limit = lkg_limit
         self.registry = registry
-        self._lkg: "OrderedDict[Any, _LastKnownGood]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def add_epoch_source(self, source: Any) -> None:
-        self.epoch_sources.append(source)
-
-    def _epochs(self) -> Tuple[Any, ...]:
-        return tuple(epoch_of(source) for source in self.epoch_sources)
+        self._lkg = ReplayStore(lkg_limit)
 
     def __call__(
         self,
@@ -651,12 +638,21 @@ class ResilienceMiddleware:
         context: DecisionContext,
         call_next: NextHandler,
     ) -> Decision:
-        key = request_key(request)
+        static = self.mode is DegradationMode.FAIL_STATIC
+        key = request_key(request) if static else None
+        epochs = self.view.snapshot() if key is not None else ()
         try:
             decision = call_next(request, context)
         except AuthorizationSystemFailure as exc:
             return self._degrade(key, context, exc)
-        if key is not None and decision.effect in (Effect.PERMIT, Effect.DENY):
+        if (
+            key is not None
+            and decision.effect in (Effect.PERMIT, Effect.DENY)
+            # The clock may move while the chain decides (latency,
+            # retry backoff): a decision the view moved under belongs
+            # to neither snapshot, so it is not stored.
+            and self.view.snapshot() == epochs
+        ):
             # context.finish() derives a fallback SourceRecord from
             # decision.source only after the chain unwinds — derive it
             # here too so replayed decisions keep their provenance.
@@ -667,21 +663,11 @@ class ResilienceMiddleware:
                         name=decision.source, effect=decision.effect.value
                     ),
                 )
-            entry = _LastKnownGood(
-                decision=decision,
-                epochs=self._epochs(),
-                sources=sources,
-            )
-            with self._lock:
-                self._lkg[key] = entry
-                self._lkg.move_to_end(key)
-                if len(self._lkg) > self.lkg_limit:
-                    self._lkg.popitem(last=False)
-                size = len(self._lkg)
+            self._lkg.put(key, ReplayEntry(decision, sources, epochs))
             if self.registry is not None:
                 self.registry.set_gauge(
                     "resilience_lkg_size",
-                    size,
+                    len(self._lkg),
                     help="Entries in the last-known-good store",
                 )
         return decision
@@ -693,10 +679,9 @@ class ResilienceMiddleware:
         failure: AuthorizationSystemFailure,
     ) -> Decision:
         source = failure.source or "unknown"
-        if key is not None and self.mode is DegradationMode.FAIL_STATIC:
-            with self._lock:
-                entry = self._lkg.get(key)
-            if entry is not None and entry.epochs == self._epochs():
+        if key is not None:
+            entry = self._lkg.get(key)
+            if entry is not None and entry.epochs == self.view.snapshot():
                 self.metrics.count("degraded_static")
                 if self.registry is not None:
                     self.registry.count(
@@ -736,8 +721,7 @@ class ResilienceMiddleware:
 
     @property
     def lkg_size(self) -> int:
-        with self._lock:
-            return len(self._lkg)
+        return len(self._lkg)
 
     def __str__(self) -> str:
         return f"resilience[{self.mode.value} lkg={self.lkg_size}]"
@@ -804,12 +788,10 @@ class ResilienceConfig:
             registry=self.registry,
         )
 
-    def middleware(
-        self, epoch_sources: Sequence[Any] = ()
-    ) -> ResilienceMiddleware:
+    def middleware(self, view: Optional[EpochView] = None) -> ResilienceMiddleware:
         return ResilienceMiddleware(
             mode=self.mode,
-            epoch_sources=epoch_sources,
+            view=view,
             metrics=self.metrics,
             registry=self.registry,
         )

@@ -15,8 +15,9 @@ cross-shard concerns are explicit objects:
   :class:`~repro.gram.lifecycle.SharedGauge` that every shard's
   JMI bookkeeping adjusts atomically;
 * policy-epoch bumps go through an :class:`EpochBroadcast` added to
-  every shard's :class:`~repro.core.pipeline.DecisionCache` epoch
-  sources, so one bump invalidates all shard caches at once.
+  every shard's :class:`~repro.core.pipeline.EpochView`, so one bump
+  invalidates every shard's decision cache, capability grants and
+  fail-static store at once.
 
 Every request runs on the caller's thread, in the owning shard's
 stack: a sharded service is a loop over plain service stacks, so a
@@ -56,9 +57,9 @@ class EpochBroadcast:
     """The cross-shard policy epoch.
 
     Exposes ``policy_epoch`` the way every other epoch source does, so
-    it can join a :class:`~repro.core.pipeline.DecisionCache`'s source
-    list unchanged; :meth:`bump` invalidates every cache that watches
-    it — the sharded answer to "a policy changed somewhere".
+    it can join a :class:`~repro.core.pipeline.EpochView` unchanged;
+    :meth:`bump` invalidates every repeat path that watches it — the
+    sharded answer to "a policy changed somewhere".
     """
 
     def __init__(self) -> None:
@@ -228,7 +229,7 @@ class ShardedGramService:
     instances sharing one CA (so any shard verifies any credential),
     one :class:`~repro.gram.lifecycle.SharedGauge` (the global
     ``max_active_jmis`` ceiling) and one :class:`EpochBroadcast`
-    (cache invalidation).  With ``shards=1`` the single shard *is* a
+    (replay invalidation).  With ``shards=1`` the single shard *is* a
     plain service — same wiring, same behaviour.
     """
 
@@ -307,32 +308,11 @@ class ShardedGramService:
                 )
             )
         for shard in self.shards:
-            if shard.pep.cache is not None:
-                shard.pep.cache.add_epoch_source(self.epoch_broadcast)
-            if shard.capability is not None:
-                # Bind the cross-shard epoch into every token: a
-                # bump_policy_epoch() anywhere revokes capabilities
-                # everywhere, fail-closed, before the next validate.
-                shard.capability.issuer.add_epoch_source(
-                    "broadcast", self.epoch_broadcast
-                )
+            # bump_policy_epoch() stales every shard's replayed
+            # decisions and its reverse index before the next request.
+            shard.epoch_view.add("broadcast", self.epoch_broadcast)
             if shard.query_engine is not None:
-                # The reverse index obeys the same fail-closed rule as
-                # capabilities: bump_policy_epoch() anywhere forces a
-                # rebuild before the next fast-deny answer, on every
-                # shard.
                 shard.query_engine.add_epoch_source(self.epoch_broadcast)
-            if self.policy_store is not None:
-                # Mirror the flat service's wiring: the store's epoch
-                # joins every shard's cache and capability binding, so
-                # flat and sharded deployments observe publishes the
-                # same way.
-                if shard.pep.cache is not None:
-                    shard.pep.cache.add_epoch_source(self.policy_store)
-                if shard.capability is not None:
-                    shard.capability.issuer.add_epoch_source(
-                        "store", self.policy_store
-                    )
         #: Requests routed to each shard by the front door, by kind —
         #: the raw material of :meth:`placement_report`.  Callers may
         #: drive the facade from several threads, hence the lock.
@@ -425,11 +405,11 @@ class ShardedGramService:
             shard.harden(*args, **kwargs)
 
     def bump_policy_epoch(self) -> int:
-        """Invalidate every shard's decision cache in one step.
+        """Invalidate every shard's replayed decisions in one step.
 
-        Also revokes every outstanding capability, fail-closed: the
-        broadcast epoch is bound into each token at mint time, so the
-        next validate on any shard sees the mismatch and re-decides.
+        The broadcast is a member of every shard's epoch view: the
+        decision cache misses, every outstanding capability is revoked
+        and fail-static stops serving its last-known-good decisions.
         """
         return self.epoch_broadcast.bump()
 

@@ -128,6 +128,8 @@ class Gatekeeper:
         #: anything the index cannot prove falls through to the full
         #: path.
         self.query_engine = query_engine
+        #: ``(chain version, live)`` memo of :meth:`_fast_deny_live`.
+        self._fast_deny_chain: Tuple[Optional[int], bool] = (None, False)
         self._published_evictions: Dict[str, int] = {}
 
     # -- shard-state views (back-compat accessors) ----------------------------
@@ -230,7 +232,7 @@ class Gatekeeper:
         # through to the full path; deny-safety is pinned by the
         # differential suite, and ensure_fresh() inside the check
         # rebuilds on any policy-epoch bump first.
-        if self.query_engine is not None:
+        if self.query_engine is not None and self._fast_deny_live():
             pre = self.query_engine.check_action(str(identity), "start")
             if pre.guaranteed_deny:
                 self._trace(
@@ -366,6 +368,25 @@ class Gatekeeper:
         return len(self.completed)
 
     # -- internals ---------------------------------------------------------------
+
+    def _fast_deny_live(self) -> bool:
+        """May the reverse index answer for the PEP's callout chain?
+
+        Only while the chain holds a callout deciding from the
+        evaluator the index inverts: the chain is all-must-permit, so
+        that member's guaranteed deny is the whole chain's, and once
+        the chain is replaced the index proves nothing about it.
+        Re-checked only when the registry's chain version moves.
+        """
+        registry = self.pep.registry
+        version, live = self._fast_deny_chain
+        if version != registry.chain_version:
+            version = registry.chain_version
+            live = registry.decides_from(
+                self.pep.callout_type, self.query_engine.combined
+            )
+            self._fast_deny_chain = (version, live)
+        return live
 
     def _admission_rejected(
         self, scope: str, reason: str, retry_after: Optional[float] = None

@@ -82,10 +82,12 @@ class CompletedJobRecord:
     spec: Specification
     #: The capability token minted for the job's start decision
     #: (:class:`~repro.core.capability.CapabilityToken`), retained
-    #: alongside the spec: post-reap management requests re-enter the
-    #: PEP against the retained spec, so an unexpired, unrevoked
-    #: capability keeps fast-pathing them.  ``None`` when capability
-    #: grants were not configured.
+    #: alongside the spec as the job's authorization artifact for
+    #: audit and spill.  It never serves a post-reap request: its
+    #: actions are ``("start",)``, and post-reap management requests
+    #: re-enter the PEP against the retained spec, where the PEP's own
+    #: capability store answers them by request key.  ``None`` when
+    #: capability grants were not configured.
     capability: Any = None
 
     @property

@@ -34,7 +34,7 @@ from repro.core.callout import (
 from repro.core.model import Policy
 from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.query import QueryEngine
-from repro.core.pipeline import DecisionCache, TracingMiddleware
+from repro.core.pipeline import DecisionCache, EpochView, TracingMiddleware
 from repro.core.resilience import ResilienceConfig
 from repro.core.store import (
     REJECT_SOURCES,
@@ -86,12 +86,6 @@ class ServiceConfig:
     #: Retain per-decision pipeline traces on the PEPs, exportable as
     #: JSON lines (:class:`repro.core.pipeline.TracingMiddleware`).
     trace_decisions: bool = False
-    #: Wrap the configured authorization callouts with the resilience
-    #: layer at construction, with the stock
-    #: :class:`~repro.core.resilience.ResilienceConfig` (fail-closed);
-    #: call :meth:`GramService.harden` with a config of your own to
-    #: tune timeouts, retries, breakers or degradation instead.
-    resilience: bool = False
     #: Unified telemetry (:mod:`repro.obs`): labeled metrics registry
     #: plus correlated span tracing across Gatekeeper → JMI → PEP →
     #: callout → policy-source.  Deterministic under the sim clock and
@@ -116,7 +110,7 @@ class ServiceConfig:
     max_active_jmis: Optional[int] = None
     #: Signed capability grants (:mod:`repro.core.capability`): after
     #: a full combined PERMIT the PEP mints an HMAC-signed token bound
-    #: to the exact policy epochs, and repeat identical requests are
+    #: to the service's epoch view, and repeat identical requests are
     #: served by validate-first (signature/TTL/epoch/scope) instead of
     #: re-deciding.  Fail-closed: any epoch bump revokes.
     capability_grants: bool = False
@@ -169,10 +163,10 @@ class ServiceConfig:
     #: the service serves the store's *active* snapshot (seeding the
     #: store from ``policies`` if it is empty) and subscribes to
     #: publishes: each publish atomically swaps the pre-compiled
-    #: policies into the combined evaluator, so the decision cache,
-    #: capability issuer and query engine all observe one consistent
-    #: epoch step — and an invalid or byte-identical bundle never
-    #: disturbs the serving epoch at all.
+    #: policies into the combined evaluator, so every repeat path and
+    #: the query engine observe one consistent epoch step — and an
+    #: invalid or byte-identical bundle never disturbs the serving
+    #: epoch at all.
     policy_store: Optional[object] = None
     #: JSONL spill file for the completed-job store
     #: (:mod:`repro.gram.spill`).  Inserts/evictions append; a service
@@ -232,10 +226,18 @@ class GramService:
 
         self.registry: CalloutRegistry = default_registry()
         #: The combined policy evaluator behind the configured callout
-        #: (None in LEGACY mode or when no policies are installed) —
-        #: the decision cache reads its per-source policy epochs.
+        #: (None in LEGACY mode or when no policies are installed).
         self.combined_evaluator = None
         self._configure_callouts()
+        #: What every replayed decision depends on, shared by the
+        #: decision cache, capability grants, fail-static and every
+        #: circuit breaker.  The registry's epoch folds in every
+        #: configured callout's own policy (the combined evaluator a
+        #: policy-store publish swaps included); a grid-mapfile change
+        #: must revoke too.
+        self.epoch_view = EpochView(
+            [("callouts", self.registry), ("gridmap", self.gridmap)]
+        )
         obs_registry = self.telemetry.registry if self.telemetry else None
         #: The capability fast path on the Job Manager PEP (None when
         #: ``config.capability_grants`` is off).
@@ -279,8 +281,6 @@ class GramService:
         #: The live :class:`ResilienceConfig` once :meth:`harden` ran
         #: (shared metrics, per-source breakers); None until then.
         self.resilience: Optional[ResilienceConfig] = None
-        if self.config.resilience:
-            self.harden()
 
         self.enforcement = self._build_enforcement()
         self.dynamic_pool = (
@@ -373,10 +373,9 @@ class GramService:
     ) -> ResilienceConfig:
         """Apply the resilience layer to the configured callouts and PEPs.
 
-        Runs automatically at construction when ``config.resilience``
-        is set.  Tests that inject faults *inside* the resilience
-        wrapper build the service un-hardened, inject, then call this
-        — wrapping happens in place via the registry's public
+        Tests that inject faults *inside* the resilience wrapper build
+        the service, inject, then call this — wrapping happens in
+        place via the registry's public
         :meth:`~repro.core.callout.CalloutRegistry.wrap` hook, so
         whatever is configured at that moment (faulty or not) ends up
         behind the timeout/retry/breaker.
@@ -396,23 +395,22 @@ class GramService:
         if resilience.registry is None and self.telemetry is not None:
             resilience.registry = self.telemetry.registry
         self.resilience = resilience
-        epoch_source = self.combined_evaluator
-
-        def wrapper(label, callout):
-            return resilience.wrap(callout, name=label, epoch_source=epoch_source)
-
-        self.registry.wrap(GRAM_AUTHZ_CALLOUT, wrapper)
+        self.registry.wrap(GRAM_AUTHZ_CALLOUT, self._resilient)
         if self.config.pep_in_gatekeeper:
-            self.registry.wrap(GATEKEEPER_AUTHZ_CALLOUT, wrapper)
-        # Fail-static replays only while the registry's epoch holds: it
-        # covers every configured callout's policy, the combined
-        # evaluator included.
-        self.pep.use_resilience(resilience.middleware([self.registry]))
+            self.registry.wrap(GATEKEEPER_AUTHZ_CALLOUT, self._resilient)
+        self.pep.use_resilience(resilience.middleware(self.epoch_view))
         if self.gatekeeper_pep is not None:
             self.gatekeeper_pep.use_resilience(
-                resilience.middleware([self.registry])
+                resilience.middleware(self.epoch_view)
             )
         return resilience
+
+    def _resilient(self, label: str, callout):
+        """*callout* behind the resilience layer, its breaker re-armed
+        by any move of the service's epoch view."""
+        return self.resilience.wrap(
+            callout, name=label, epoch_source=self.epoch_view
+        )
 
     # -- durable control plane ---------------------------------------------------
 
@@ -464,12 +462,12 @@ class GramService:
         Each member evaluator whose policy content changed is swapped
         via :meth:`~repro.core.evaluator.PolicyEvaluator.replace_policy`
         (a reference flip — publish already compiled), bumping its
-        epoch.  The decision cache, capability issuer and query engine
-        all key on those epochs, so every consumer observes the swap
-        as one consistent epoch step: requests before it decide (and
-        validate capabilities) entirely under the old epoch, requests
-        after it entirely under the new one.  Returns the number of
-        sources swapped.
+        epoch.  The epoch view (through the callout registry) and the
+        query engine both watch those epochs, so every consumer
+        observes the swap as one consistent epoch step: requests
+        before it decide (and validate capabilities) entirely under
+        the old epoch, requests after it entirely under the new one.
+        Returns the number of sources swapped.
         """
         if self.combined_evaluator is None:
             return 0
@@ -514,16 +512,8 @@ class GramService:
         """
         count = self.registry.configure_from_file(path, reload=True)
         if count and self.resilience is not None:
-            resilience = self.resilience
-            epoch_source = self.combined_evaluator
-
-            def wrapper(label, callout):
-                return resilience.wrap(
-                    callout, name=label, epoch_source=epoch_source
-                )
-
             for type_name, label in self.registry.file_labels(path):
-                self.registry.wrap(type_name, wrapper, label=label)
+                self.registry.wrap(type_name, self._resilient, label=label)
         return count
 
     def _recover_completed_jobs(self) -> None:
@@ -601,27 +591,11 @@ class GramService:
         key = self.config.capability_key
         if key is None:
             key = default_capability_key(self.config.host)
-        epoch_sources = []
-        if self.combined_evaluator is not None:
-            # One named source per combined evaluator member (VO
-            # policy, local policy, ...) so a token records which
-            # epoch it was bound to, plus the grid-mapfile: a mapping
-            # change must revoke like any policy change.
-            epoch_sources.append(("policy", self.combined_evaluator))
-        epoch_sources.append(("gridmap", self.gridmap))
-        # The callout registry is an epoch source too: a *changed*
-        # callout configuration file, or a move in any configured
-        # callout's own policy, must revoke (the chain could now deny
-        # what it permitted), while the digest short-circuit keeps a
-        # byte-identical republish from revoking anything.
-        epoch_sources.append(("callouts", self.registry))
-        if self.config.policy_store is not None:
-            epoch_sources.append(("store", self.config.policy_store))
         issuer = CapabilityIssuer(
             key=key,
             clock=self.clock,
             ttl=self.config.capability_ttl,
-            epoch_sources=epoch_sources,
+            view=self.epoch_view,
         )
         return CapabilityMiddleware(
             issuer,
@@ -644,13 +618,7 @@ class GramService:
     def _build_decision_cache(self) -> Optional[DecisionCache]:
         if not self.config.decision_cache:
             return None
-        epoch_sources = (
-            [self.combined_evaluator] if self.combined_evaluator is not None else []
-        )
-        epoch_sources.append(self.registry)
-        if self.config.policy_store is not None:
-            epoch_sources.append(self.config.policy_store)
-        return DecisionCache(epoch_sources=epoch_sources)
+        return DecisionCache(self.epoch_view)
 
     def _build_enforcement(self) -> Optional[EnforcementMechanism]:
         kind = self.config.enforcement

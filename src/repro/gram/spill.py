@@ -21,8 +21,8 @@ Records serialize through their existing wire forms: the job spec as
 RSL text (round-trips through ``parse_specification``), the owner DN
 as its string rendering, and the capability token through
 :meth:`~repro.core.capability.CapabilityToken.to_dict` — so a
-recovered record re-authorizes *identically*, capability fast path
-included.  The restart-recovery differential suite
+recovered record re-authorizes *identically* and keeps its
+authorization artifact.  The restart-recovery differential suite
 (:mod:`repro.workloads.recovery`) pins that guarantee end to end.
 """
 

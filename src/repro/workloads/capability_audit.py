@@ -35,7 +35,7 @@ from repro.core.combination import CombinationAlgorithm, CombinedEvaluator
 from repro.core.decision import Effect
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.evaluator import PolicyEvaluator
-from repro.core.pipeline import DecisionContext, activate, compose
+from repro.core.pipeline import DecisionContext, EpochView, activate, compose
 from repro.sim.clock import Clock
 from repro.workloads.generator import (
     PolicyShape,
@@ -133,7 +133,7 @@ def build_audit_stack(
         key=b"audit-key" * 4,
         clock=clock,
         ttl=config.ttl,
-        epoch_sources=[("policy", combined)],
+        view=EpochView([("policy", combined)]),
     )
     middleware = CapabilityMiddleware(issuer)
 

@@ -16,14 +16,20 @@ from repro.core.capability import (
     VALID,
     CapabilityIssuer,
     CapabilityMiddleware,
-    CapabilityStore,
     CapabilityToken,
     default_capability_key,
     spec_digest,
 )
 from repro.core.decision import Decision, Effect
 from repro.core.pep import EnforcementPoint
-from repro.core.pipeline import DecisionContext, EpochCounter, request_key
+from repro.core.pipeline import (
+    DecisionContext,
+    EpochCounter,
+    EpochView,
+    ReplayEntry,
+    ReplayStore,
+    request_key,
+)
 from repro.core.request import AuthorizationRequest
 from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock, SimulationError
@@ -47,7 +53,7 @@ def manage(who, action, owner, rsl="&(executable=test1)(count=2)"):
 
 def make_issuer(ttl=300.0, clock=None, epoch_sources=()):
     return CapabilityIssuer(
-        key=KEY, clock=clock or Clock(), ttl=ttl, epoch_sources=epoch_sources
+        key=KEY, clock=clock or Clock(), ttl=ttl, view=EpochView(epoch_sources)
     )
 
 
@@ -228,31 +234,21 @@ class TestSerialization:
 
 class TestCapabilityStore:
     def test_lru_eviction(self):
-        store = CapabilityStore(maxsize=2)
+        store = ReplayStore(maxsize=2)
         issuer = make_issuer()
         requests = [
             start(rsl=f"&(executable=test1)(count={n})") for n in (1, 2, 3)
         ]
         for request in requests:
+            token = issuer.mint(request)
             store.put(
                 request_key(request),
-                issuer.mint(request),
-                Decision.permit(),
-                (),
+                ReplayEntry(Decision.permit(), (), token.epochs, token),
             )
         assert len(store) == 2
         assert store.evictions == 1
         assert store.get(request_key(requests[0])) is None
         assert store.get(request_key(requests[2])) is not None
-
-    def test_find_by_token_id(self):
-        store = CapabilityStore()
-        issuer = make_issuer()
-        request = start()
-        token = issuer.mint(request)
-        store.put(request_key(request), token, Decision.permit(), ())
-        assert store.find(token.token_id) is token
-        assert store.find("cap-nope") is None
 
 
 def permit_callout(request, context=None):

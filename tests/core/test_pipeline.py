@@ -19,6 +19,7 @@ from repro.core.pipeline import (
     CACHE_HIT,
     CACHE_MISS,
     DecisionCache,
+    EpochView,
     DecisionContext,
     MetricsMiddleware,
     TracingMiddleware,
@@ -206,7 +207,7 @@ class TestDecisionCache:
 
     def test_hit_replays_provenance(self):
         callout = combined_policy_callout([parse_policy(GRANT_ALICE, name="vo")])
-        cache = DecisionCache(epoch_sources=[callout.evaluator])
+        cache = DecisionCache(EpochView([("policy", callout.evaluator)]))
         pep = make_pep(callout, cache=cache)
         pep.authorize(start_request())
         hit = pep.authorize(start_request())
@@ -269,7 +270,7 @@ class TestPolicyEpochInvalidation:
         evaluator = PolicyEvaluator(parse_policy(GRANT_ALICE, name="vo"))
         registry = CalloutRegistry()
         registry.register(GRAM_AUTHZ_CALLOUT, policy_callout(evaluator))
-        cache = DecisionCache(epoch_sources=[evaluator])
+        cache = DecisionCache(EpochView([("policy", evaluator)]))
         pep = EnforcementPoint(registry=registry, cache=cache)
         request = start_request()
 

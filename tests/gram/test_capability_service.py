@@ -180,7 +180,7 @@ class TestShardedCapabilities:
     def test_broadcast_epoch_bound_into_every_token(self):
         service = build_sharded(shards=2)
         for shard in service.shards:
-            names = [name for name, _ in shard.capability.issuer.epoch_sources]
+            names = [name for name, _ in shard.capability.issuer.view.snapshot()]
             assert "broadcast" in names
 
     def test_fast_path_works_per_shard(self):

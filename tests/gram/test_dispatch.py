@@ -6,7 +6,7 @@ import zlib
 import pytest
 
 from repro.core.parser import parse_policy
-from repro.core.pipeline import DecisionCache
+from repro.core.pipeline import DecisionCache, EpochView
 from repro.gram.client import GramClient
 from repro.gram.dispatch import (
     EpochBroadcast,
@@ -109,17 +109,17 @@ class TestSharedGauge:
 class TestEpochBroadcast:
     def test_bump_invalidates_a_watching_cache(self):
         broadcast = EpochBroadcast()
-        cache = DecisionCache(epoch_sources=[broadcast])
-        first = cache._epochs()
-        assert cache._epochs() == first
+        cache = DecisionCache(EpochView([("broadcast", broadcast)]))
+        first = cache.view.snapshot()
+        assert cache.view.snapshot() == first
         broadcast.bump()
-        assert cache._epochs() != first
+        assert cache.view.snapshot() != first
 
     def test_service_bump_reaches_every_shard_cache(self):
         service = build_sharded(shards=4, decision_cache=True)
-        epochs_before = [shard.pep.cache._epochs() for shard in service.shards]
+        epochs_before = [shard.pep.cache.view.snapshot() for shard in service.shards]
         service.bump_policy_epoch()
-        epochs_after = [shard.pep.cache._epochs() for shard in service.shards]
+        epochs_after = [shard.pep.cache.view.snapshot() for shard in service.shards]
         assert all(a != b for a, b in zip(epochs_after, epochs_before))
 
 

@@ -2,7 +2,7 @@
 
 The decision cache, the capability store and the fail-static
 last-known-good store replay earlier decisions.  A replay is only
-sound when nothing the decision depended on has moved.  Two inputs
+sound when nothing the decision depended on has moved.  Three inputs
 escaped that rule:
 
 * policy carried *in the credential* (a CAS restricted proxy): the
@@ -11,7 +11,14 @@ escaped that rule:
   assertion expired;
 * a callout registered at run time whose own policy moves (a
   time-windowed grant): the repeat paths never saw its epoch, so a
-  closed window kept permitting.
+  closed window kept permitting;
+* a sharded ``bump_policy_epoch()``: it reached the decision cache
+  and the capability grants but not fail-static, which kept serving
+  the pre-bump PERMIT once the chain went down;
+* a clock that crosses a window edge while the chain decides: the
+  decision was stored under the snapshot from one side of the edge
+  although it was made on the other, and replayed once that snapshot
+  came round again.
 
 Every test drives the stock :class:`GramClient` and compares against
 what a fresh decision says.
@@ -19,16 +26,19 @@ what a fresh decision says.
 
 import pytest
 
+from repro.core.builtin_callouts import permit_all
 from repro.core.callout import GRAM_AUTHZ_CALLOUT
+from repro.core.decision import Decision
 from repro.core.dynamic import DynamicEvaluator, DynamicPolicy
 from repro.core.model import PolicyAssertion, PolicyStatement, Subject
 from repro.core.parser import parse_policy
 from repro.core.resilience import DegradationMode, ResilienceConfig
 from repro.gram.client import GramClient
+from repro.gram.dispatch import ShardedGramService
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
 from repro.gsi.proxy import delegate
-from repro.testing import ExceptionFault, FaultSchedule, inject
+from repro.testing import ExceptionFault, FaultSchedule, LatencyFault, inject
 from repro.vo.cas import CASServer, attach_cas_policy, cas_callout
 from repro.vo.organization import VirtualOrganization
 from repro.workloads.scenarios import FIGURE3_POLICY_TEXT
@@ -219,3 +229,120 @@ class TestCalloutRegisteredAtRunTime:
         assert service.reload_callouts(str(path)) == 0
         assert service.registry.policy_epoch == epoch
         assert alice.submit(DEMO_JOB).decision_context.cache_status == "capability"
+
+
+class TestClockCrossingAWindowEdgeMidDecision:
+    """A decision the view moved under is stored by no repeat path.
+
+    Slow chain members move the clock while the chain decides, across
+    an edge of the [100, 200) demo window.  The PERMIT then belongs to
+    neither the snapshot before the call nor the one after it, and at
+    t=250 the window is closed, as it was before or after the call.
+    """
+
+    #: edge -> (time the request is made, {chain member label: latency})
+    EDGES = {
+        # The window callout itself is slow: asked at 99.5, it decides
+        # at 100.5, inside the window.
+        "opens-before-the-decision": (99.5, {"evaluate": 1.0}),
+        # The window callout decides at 199.5; a slow member after it
+        # answers at 200.5, once the window has closed.
+        "closes-after-the-decision": (199.5, {"slow": 1.0}),
+        # Asked at 50, decided at 110, answered at 210: the window is
+        # closed both before and after the call.
+        "opens-and-closes-around-the-decision": (
+            50.0,
+            {"evaluate": 60.0, "slow": 100.0},
+        ),
+    }
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    @pytest.mark.parametrize(
+        "layer", ["decision_cache", "capability_grants", "fail-static"]
+    )
+    def test_no_permit_replayed_after_the_window(self, edge, layer):
+        asked_at, latencies = self.EDGES[edge]
+        config = {} if layer == "fail-static" else {layer: True}
+        service = build_demo_window_service("plain", **config)
+        service.registry.register(GRAM_AUTHZ_CALLOUT, permit_all, label="slow")
+        faults = [LatencyFault(service.clock, latency) for latency in latencies.values()]
+        for label, fault in zip(latencies, faults):
+            inject(service.registry, GRAM_AUTHZ_CALLOUT, fault, label=label)
+        outage = ExceptionFault()
+        outage.enabled = False
+        inject(service.registry, GRAM_AUTHZ_CALLOUT, outage)
+        if layer == "fail-static":
+            service.harden(
+                ResilienceConfig(
+                    clock=service.clock, mode=DegradationMode.FAIL_STATIC
+                )
+            )
+        alice = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
+
+        service.run(asked_at)
+        assert alice.submit(DEMO_JOB).ok  # decided inside the window
+        for fault in faults:
+            fault.enabled = False
+        service.run(250.0 - service.clock.now)
+        if layer == "fail-static":
+            outage.enabled = True
+            expected = GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
+        else:
+            expected = DENIED
+        assert alice.submit(DEMO_JOB).code is expected
+
+
+class _Switch:
+    """A callout with no epoch of its own: the operator flips it."""
+
+    def __init__(self):
+        self.deny = False
+        self.down = False
+
+    def __call__(self, request):
+        if self.down:
+            raise ConnectionError("policy service unreachable")
+        if self.deny:
+            return Decision.deny(reasons=("flipped",), source="switch")
+        return Decision.permit(source="switch")
+
+
+class TestShardedEpochBumpReachesFailStatic:
+    @pytest.mark.parametrize(
+        "switches",
+        [(), ("decision_cache",), ("capability_grants",)],
+        ids=["neither", "decision_cache", "capability_grants"],
+    )
+    def test_no_pre_bump_permit_after_the_chain_goes_down(self, switches):
+        service = ShardedGramService(
+            ServiceConfig(shards=2, **{name: True for name in switches})
+        )
+        switch = _Switch()
+        for shard in service.shards:
+            shard.registry.clear(GRAM_AUTHZ_CALLOUT)
+            shard.registry.register(GRAM_AUTHZ_CALLOUT, switch)
+        service.harden(ResilienceConfig(mode=DegradationMode.FAIL_STATIC))
+        alice = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
+        assert alice.submit(DEMO_JOB).ok
+
+        switch.deny = True
+        service.bump_policy_epoch()
+        switch.down = True
+        response = alice.submit(DEMO_JOB)
+        assert response.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
+
+
+class TestFailClosedKeepsNoLastKnownGood:
+    def test_default_hardening_stores_nothing(self):
+        policy = parse_policy(
+            f"{BO}: &(action=start)(jobtag!=NULL) &(action=information)",
+            name="vo",
+        )
+        service = GramService(ServiceConfig(policies=(policy,)))
+        service.harden()
+        client = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
+        contact = client.submit(GOOD).contact
+        for _ in range(5):
+            assert client.status(contact).ok
+        assert service.pep.resilience.lkg_size == 0
+        assert service.telemetry.registry.get("resilience_lkg_size") is None

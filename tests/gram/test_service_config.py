@@ -95,12 +95,6 @@ class TestHardenIdempotency:
         # The original configuration is untouched by the rejected call.
         assert service.resilience is first
 
-    def test_construction_time_hardening_counts_as_applied(self):
-        service = GramService(ServiceConfig(resilience=True))
-        assert service.resilience is not None
-        with pytest.raises(RuntimeError):
-            service.harden()
-
 
 class TestLifecycleConfigWiring:
     def test_defaults_reap_with_bounded_retention(self):

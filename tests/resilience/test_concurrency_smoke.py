@@ -13,6 +13,7 @@ from repro.core.builtin_callouts import permit_all
 from repro.core.callout import GRAM_AUTHZ_CALLOUT, default_registry
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.pep import EnforcementPoint
+from repro.core.pipeline import EpochView
 from repro.core.request import AuthorizationRequest
 from repro.core.resilience import DegradationMode, ResilienceConfig
 from repro.rsl.parser import parse_specification
@@ -47,7 +48,7 @@ def build():
     )
     pep = EnforcementPoint(
         registry=registry,
-        resilience=config.middleware([epochs]),
+        resilience=config.middleware(EpochView([("stub", epochs)])),
         audit_limit=AUDIT_LIMIT,
     )
     return pep, config, fault, epochs

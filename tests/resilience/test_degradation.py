@@ -6,6 +6,7 @@ from repro.core.callout import GRAM_AUTHZ_CALLOUT, default_registry
 from repro.core.decision import Decision
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.pep import EnforcementPoint
+from repro.core.pipeline import EpochView
 from repro.core.request import AuthorizationRequest
 from repro.core.resilience import (
     DegradationMode,
@@ -48,7 +49,7 @@ def build(mode, epoch_source=None):
     registry.register(GRAM_AUTHZ_CALLOUT, source, label="toggle")
     config = ResilienceConfig(mode=mode)
     middleware = config.middleware(
-        [epoch_source] if epoch_source is not None else []
+        EpochView([("stub", epoch_source)] if epoch_source is not None else [])
     )
     pep = EnforcementPoint(registry=registry, resilience=middleware)
     return pep, source, config, middleware

@@ -217,10 +217,7 @@ class TestBreakerThroughTheProtocol:
         scenario = build_scenario("policy-store")
         fault = ExceptionFault()
         inject(scenario.service.registry, GRAM_AUTHZ_CALLOUT, fault)
-        resilience = harden(scenario.service, retry=None, failure_threshold=2)
-        # Arm the breaker on the store's epoch (harden() already arms
-        # it on the combined evaluator the store swaps into).
-        resilience.breakers[scenario.label].epoch_source = scenario.epoch_source
+        harden(scenario.service, retry=None, failure_threshold=2)
 
         for _ in range(3):
             scenario.client.submit(GOOD)
@@ -241,7 +238,6 @@ class TestFailStaticAcrossEpochs:
         resilience = harden(
             scenario.service, retry=None, mode=DegradationMode.FAIL_STATIC
         )
-        scenario.service.pep.resilience.add_epoch_source(scenario.epoch_source)
 
         assert scenario.client.submit(GOOD).ok  # populates last-known-good
         fault.enabled = True
