@@ -86,11 +86,9 @@ from repro.core.pipeline import (
     DecisionCache,
     DecisionContext,
     EpochView,
-    MetricsMiddleware,
     ReplayStore,
     SourceRecord,
     StageRecord,
-    TracingMiddleware,
     current_context,
 )
 from repro.core.store import (
@@ -165,11 +163,9 @@ __all__ = [
     "DecisionCache",
     "DecisionContext",
     "EpochView",
-    "MetricsMiddleware",
     "ReplayStore",
     "SourceRecord",
     "StageRecord",
-    "TracingMiddleware",
     "current_context",
     "BundleRejected",
     "PolicyBundle",

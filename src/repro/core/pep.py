@@ -10,12 +10,13 @@ placement is explicit here and both are exercised by the benchmarks.
 The PEP fronts the callout registry through the decision pipeline
 (:mod:`repro.core.pipeline`): every call to
 :meth:`EnforcementPoint.authorize` builds a
-:class:`~repro.core.pipeline.DecisionContext`, runs the middleware
-stack (metrics always; tracing and the policy-epoch decision cache
-when configured) around the callout chain, records an audit entry,
-and either returns the PERMIT decision (context attached) or raises
-:class:`AuthorizationDenied` / :class:`AuthorizationSystemFailure`
-(context attached to the exception).
+:class:`~repro.core.pipeline.DecisionContext`, runs its fixed stack
+(resilience, capability grants and the policy-epoch decision cache,
+each when configured) around the callout chain, counts the outcome,
+records an audit entry, and either returns the PERMIT decision
+(context attached) or raises :class:`AuthorizationDenied` /
+:class:`AuthorizationSystemFailure` (context attached to the
+exception).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.callout import (
     GRAM_AUTHZ_CALLOUT,
@@ -36,13 +37,12 @@ from repro.core.pipeline import (
     DecisionCache,
     DecisionContext,
     DecisionMiddleware,
-    MetricsMiddleware,
     NextHandler,
-    TracingMiddleware,
     activate,
     compose,
 )
 from repro.core.request import AuthorizationRequest
+from repro.obs.instrument import METRIC_HELP
 from repro.obs.spans import current_span, span as obs_span
 
 
@@ -75,13 +75,15 @@ class AuditRecord:
 
 
 class EnforcementPoint:
-    """A PEP bound to a callout registry, a placement and a middleware stack.
+    """A PEP bound to a callout registry, a placement and a fixed stack.
 
-    The stack runs outermost-first: metrics (always present), tracing
-    (when configured), any extra middlewares, then the decision cache
-    (when configured) sitting directly in front of the callout chain
-    so a hit skips policy evaluation entirely while metrics and
-    tracing still observe it.
+    The stack runs outermost-first: resilience (once hardened), then
+    capability grants, then the decision cache sitting directly in
+    front of the callout chain, each only when configured — so a hit
+    skips policy evaluation entirely.  The PEP itself counts every
+    outcome (:attr:`permits`, :attr:`denials`, :attr:`failures`), feeds
+    the ``authz_*`` telemetry families, and keeps the audit log: its
+    one per-decision record.
     """
 
     def __init__(
@@ -90,9 +92,6 @@ class EnforcementPoint:
         callout_type: str = GRAM_AUTHZ_CALLOUT,
         placement: PEPPlacement = PEPPlacement.JOB_MANAGER,
         audit_limit: int = 10_000,
-        middlewares: Sequence[DecisionMiddleware] = (),
-        metrics: Optional[MetricsMiddleware] = None,
-        tracing: Optional[TracingMiddleware] = None,
         resilience: Optional[DecisionMiddleware] = None,
         capability: Optional[DecisionMiddleware] = None,
         cache: Optional[DecisionCache] = None,
@@ -102,98 +101,56 @@ class EnforcementPoint:
         self.callout_type = callout_type
         self.placement = placement
         self.telemetry = telemetry
-        if metrics is None:
-            metrics = MetricsMiddleware(
-                registry=telemetry.registry if telemetry is not None else None,
-                clock=telemetry.clock if telemetry is not None else None,
-            )
-        self.metrics = metrics
-        self.tracing = tracing
         self.resilience = resilience
         self.capability = capability
         self.cache = cache
-        self._extra_middlewares = list(middlewares)
+        self.permits = 0
+        self.denials = 0
+        self.failures = 0
+        # Registry series, resolved on first use so the per-decision
+        # path skips name resolution: (action, outcome) -> (decisions
+        # counter, latency histogram) and cache status -> counter.
+        self._outcome_series: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
+        self._cache_series: Dict[str, Any] = {}
         self._chain: Optional[NextHandler] = None
         self._audit_limit = audit_limit
         self._audit: Deque[AuditRecord] = deque(maxlen=audit_limit)
 
-    # -- middleware stack -----------------------------------------------------
+    # -- the stack ------------------------------------------------------------
 
     @property
     def middlewares(self) -> Tuple[DecisionMiddleware, ...]:
-        stack = [self.metrics]
-        if self.tracing is not None:
-            stack.append(self.tracing)
-        stack.extend(self._extra_middlewares)
-        if self.resilience is not None:
-            # Outside the cache: a cache hit never needs degradation,
-            # and a failing callout chain is caught before metrics.
-            stack.append(self.resilience)
-        if self.capability is not None:
-            # In front of the decision cache: a validated capability
-            # answers without consulting policy epochs per lookup, and
-            # a miss still benefits from the cache underneath.
-            stack.append(self.capability)
-        if self.cache is not None:
-            stack.append(self.cache)
-        return tuple(stack)
-
-    def add_middleware(self, middleware: DecisionMiddleware) -> None:
-        """Insert *middleware* between tracing and the decision cache."""
-        self._extra_middlewares.append(middleware)
-        self._chain = None
-
-    def use_tracing(self, tracing: Optional[TracingMiddleware] = None) -> TracingMiddleware:
-        """Enable (or replace) the tracing middleware."""
-        if tracing is None:
-            tracing = TracingMiddleware(
-                registry=(
-                    self.telemetry.registry
-                    if self.telemetry is not None
-                    else None
-                )
-            )
-        self.tracing = tracing
-        self._chain = None
-        return self.tracing
+        # Resilience outside the repeat paths: a hit never needs
+        # degradation.  Capability grants in front of the decision
+        # cache: a validated capability answers without consulting
+        # policy epochs per lookup, and a miss still benefits from the
+        # cache underneath.
+        return tuple(
+            layer
+            for layer in (self.resilience, self.capability, self.cache)
+            if layer is not None
+        )
 
     def use_resilience(self, middleware: DecisionMiddleware) -> DecisionMiddleware:
-        """Enable (or replace) the resilience/degradation middleware.
+        """Enable (or replace) the resilience/degradation layer.
 
-        Typically a :class:`~repro.core.resilience.ResilienceMiddleware`;
-        it sits between the extra middlewares and the decision cache.
+        Typically a :class:`~repro.core.resilience.ResilienceMiddleware`,
+        installed by :meth:`~repro.gram.service.GramService.harden`
+        after faults are injected; it sits outermost.
         """
         self.resilience = middleware
         self._chain = None
         return middleware
 
-    def use_capability(self, middleware: DecisionMiddleware) -> DecisionMiddleware:
-        """Enable (or replace) the capability validate-first fast path.
-
-        Typically a :class:`~repro.core.capability.CapabilityMiddleware`;
-        it sits between resilience and the decision cache.
-        """
-        self.capability = middleware
-        self._chain = None
-        return middleware
-
-    def use_cache(self, cache: Optional[DecisionCache] = None) -> DecisionCache:
-        """Enable (or replace) the policy-epoch decision cache."""
-        self.cache = cache if cache is not None else DecisionCache()
-        self._chain = None
-        return self.cache
-
     def _handler(self) -> NextHandler:
         if self._chain is None:
-            def terminal(
-                request: AuthorizationRequest, context: DecisionContext
-            ) -> Decision:
-                return self.registry.invoke(
-                    self.callout_type, request, context=context
-                )
-
-            self._chain = compose(self.middlewares, terminal)
+            self._chain = compose(self.middlewares, self._invoke)
         return self._chain
+
+    def _invoke(
+        self, request: AuthorizationRequest, context: DecisionContext
+    ) -> Decision:
+        return self.registry.invoke(self.callout_type, request, context=context)
 
     # -- decisions ---------------------------------------------------------------
 
@@ -216,8 +173,9 @@ class EnforcementPoint:
                 request, placement=self.placement.value
             )
         handler = self._handler()
-        if self.telemetry is not None:
-            pep_span = self.telemetry.span(
+        telemetry = self.telemetry
+        if telemetry is not None:
+            pep_span = telemetry.span(
                 "pep.authorize",
                 action=context.action,
                 placement=self.placement.value,
@@ -233,10 +191,13 @@ class EnforcementPoint:
                 span = current_span()
             if span is not None:
                 context.correlation_id = span.trace_id
+            started = telemetry.now() if telemetry is not None else 0.0
             try:
                 with context.stage("pep", detail=self.placement.value):
                     decision = handler(request, context)
             except AuthorizationSystemFailure as exc:
+                self.failures += 1
+                self._observe(context, "failure", started)
                 context.finish_failure(str(exc))
                 exc.context = context
                 if span is not None:
@@ -254,6 +215,13 @@ class EnforcementPoint:
                     )
                 )
                 raise
+            if decision.is_permit:
+                self.permits += 1
+                outcome = "permit"
+            else:
+                self.denials += 1
+                outcome = "deny"
+            self._observe(context, outcome, started)
             if span is not None:
                 span.set_attr("decision", decision.effect.value)
         context.finish(decision)
@@ -286,23 +254,54 @@ class EnforcementPoint:
                 reasons=exc.reasons, source="pep"
             ).with_context(exc.context)
 
-    # -- counters (backed by the metrics middleware) -----------------------
+    # -- counting -----------------------------------------------------------
 
-    @property
-    def permits(self) -> int:
-        return self.metrics.permits
+    def _observe(
+        self, context: DecisionContext, outcome: str, started: float
+    ) -> None:
+        """Feed one decision into the ``authz_*`` registry families.
 
-    @property
-    def denials(self) -> int:
-        return self.metrics.denials
-
-    @property
-    def failures(self) -> int:
-        return self.metrics.failures
+        Latency is measured in *simulated* seconds, so registry
+        snapshots are deterministic run to run; wall-clock decision
+        time lives in the :class:`DecisionContext` stages.
+        """
+        telemetry = self.telemetry
+        if telemetry is None:
+            return
+        key = (context.action, outcome)
+        series = self._outcome_series.get(key)
+        if series is None:
+            registry = telemetry.registry
+            series = self._outcome_series[key] = (
+                registry.counter(
+                    "authz_decisions_total",
+                    help=METRIC_HELP["authz_decisions_total"],
+                    labelnames=("action", "decision"),
+                ).labels(action=context.action, decision=outcome),
+                registry.histogram(
+                    "authz_latency_seconds",
+                    help=METRIC_HELP["authz_latency_seconds"],
+                    labelnames=("action", "decision"),
+                ).labels(action=context.action, decision=outcome),
+            )
+        series[0].inc()
+        status = self._cache_series.get(context.cache_status)
+        if status is None:
+            status = self._cache_series[context.cache_status] = (
+                telemetry.registry.counter(
+                    "authz_cache_total",
+                    help=METRIC_HELP["authz_cache_total"],
+                    labelnames=("status",),
+                ).labels(status=context.cache_status)
+            )
+        status.inc()
+        if context.degraded:
+            telemetry.count("authz_degraded_total", mode=context.degraded)
+        series[1].observe(telemetry.now() - started)
 
     @property
     def decisions_made(self) -> int:
-        return self.metrics.decisions
+        return self.permits + self.denials + self.failures
 
     # -- audit ------------------------------------------------------------
 

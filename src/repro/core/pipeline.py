@@ -1,14 +1,10 @@
 """The explainable decision pipeline.
 
-Historically the authorization path kept its bookkeeping in four
-parallel places: counters on :class:`~repro.core.pep.EnforcementPoint`
-(``permits``/``denials``/``failures``), the invocation counter on
-:class:`~repro.core.callout.CalloutRegistry`, the component hand-off
-log in :class:`~repro.gram.protocol.TraceRecorder`, and the
-``_trace`` calls sprinkled through the Job Manager.  No single object
-could explain one decision end to end.
-
-This module collapses those into one layer:
+Counters on :class:`~repro.core.pep.EnforcementPoint`, the invocation
+counter on :class:`~repro.core.callout.CalloutRegistry` and the
+component hand-off log in :class:`~repro.gram.protocol.TraceRecorder`
+each see one slice of a decision; none can explain it end to end.
+This module provides the pieces that can:
 
 * :class:`DecisionContext` — one object per authorization decision,
   threaded (via an explicit argument *and* a context variable, so
@@ -17,13 +13,10 @@ This module collapses those into one layer:
   callout chain → policy sources.  It records per-stage timings,
   policy-source provenance (which sources contributed, at which
   epoch, with what effect), the final effect and the cache status.
-* :class:`DecisionMiddleware` — the protocol the PEP's middleware
-  stack is built from: ``middleware(request, context, call_next)``.
-* :class:`MetricsMiddleware` — counters and a simulated-time latency
-  histogram, replacing the ad-hoc counters.
-* :class:`TracingMiddleware` — retains finished contexts and exports
-  them as JSON lines, superseding the scattered trace mechanisms for
-  authorization decisions.
+* :class:`DecisionMiddleware` — the protocol the layers of the PEP's
+  fixed stack share: ``middleware(request, context, call_next)``.  The
+  PEP itself counts outcomes and keeps the audit log of finished
+  contexts (see :class:`~repro.core.pep.EnforcementPoint`).
 * :class:`DecisionCache` — a policy-epoch guarded decision cache:
   every policy source exposes a ``policy_epoch`` token bumped on
   mutation, and an :class:`EpochView` snapshot stored with each
@@ -39,7 +32,7 @@ import itertools
 import json
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import (
@@ -55,7 +48,6 @@ from typing import (
 )
 
 from repro.core.decision import Decision, Effect
-from repro.core.errors import AuthorizationSystemFailure
 from repro.core.request import AuthorizationRequest
 from repro.gsi.proxy import PATH_LENGTH_EXTENSION
 from repro.obs import spans as obs_spans
@@ -346,210 +338,6 @@ def _wrap(middleware: DecisionMiddleware, nxt: NextHandler) -> NextHandler:
         return middleware(request, context, nxt)
 
     return run
-
-
-class MetricsMiddleware:
-    """Counters and latency histogram for the decision pipeline.
-
-    Replaces the old ad-hoc ``permits``/``denials``/``failures``
-    counters on the PEP (which now delegate here) and gives the
-    operator a latency distribution per outcome.  Wall-clock decision
-    time lives in the :class:`DecisionContext` stages.
-
-    Since the unified telemetry subsystem (:mod:`repro.obs`) this is
-    a thin adapter: the plain attribute counters keep their historic
-    API, and — when a :class:`~repro.obs.registry.MetricsRegistry` is
-    attached — every decision additionally feeds the *labeled*
-    families (``authz_decisions_total{action, decision}``,
-    ``authz_cache_total{status}``, ``authz_latency_seconds{action,
-    decision}``).  The labeled latency is measured in *simulated*
-    seconds (when a clock is attached), so registry snapshots are
-    deterministic run to run.
-    """
-
-    name = "metrics"
-
-    def __init__(self, registry: Any = None, clock: Any = None) -> None:
-        self.registry = registry
-        self.clock = clock
-        # (registry, decisions, cache, latency) family handles, cached
-        # on first use so the per-decision path skips name resolution.
-        self._families = None
-        self.permits = 0
-        self.denials = 0
-        self.failures = 0
-        self.invocations = 0
-        self.cache_hits = 0
-        self.degraded = 0
-
-    def __call__(
-        self,
-        request: AuthorizationRequest,
-        context: DecisionContext,
-        call_next: NextHandler,
-    ) -> Decision:
-        self.invocations += 1
-        started_sim = self.clock.now if self.clock is not None else 0.0
-        try:
-            decision = call_next(request, context)
-        except AuthorizationSystemFailure:
-            self.failures += 1
-            self._observe_registry(context, "failure", started_sim)
-            raise
-        if decision.is_permit:
-            self.permits += 1
-            outcome = "permit"
-        else:
-            self.denials += 1
-            outcome = "deny"
-        if context.cache_status == CACHE_HIT:
-            self.cache_hits += 1
-        if context.degraded:
-            self.degraded += 1
-        self._observe_registry(context, outcome, started_sim)
-        return decision
-
-    def _observe_registry(
-        self, context: DecisionContext, outcome: str, started_sim: float
-    ) -> None:
-        registry = self.registry
-        if registry is None:
-            return
-        cached = self._families
-        if cached is None or cached[0] is not registry:
-            cached = self._families = (
-                registry,
-                registry.counter(
-                    "authz_decisions_total",
-                    help="Authorization decisions by final outcome",
-                    labelnames=("action", "decision"),
-                ),
-                registry.counter(
-                    "authz_cache_total",
-                    help="Decision-cache lookups by status",
-                    labelnames=("status",),
-                ),
-                registry.histogram(
-                    "authz_latency_seconds",
-                    help="End-to-end decision latency (simulated)",
-                    labelnames=("action", "decision"),
-                ),
-                {},  # (action, outcome) -> (counter, histogram) series
-                {},  # cache status -> counter series
-            )
-        _, decisions, cache, latency, by_outcome, by_status = cached
-        key = (context.action, outcome)
-        series = by_outcome.get(key)
-        if series is None:
-            series = by_outcome[key] = (
-                decisions.labels(action=context.action, decision=outcome),
-                latency.labels(action=context.action, decision=outcome),
-            )
-        series[0].inc()
-        status_counter = by_status.get(context.cache_status)
-        if status_counter is None:
-            status_counter = by_status[context.cache_status] = cache.labels(
-                status=context.cache_status
-            )
-        status_counter.inc()
-        if context.degraded:
-            registry.count(
-                "authz_degraded_total",
-                help="Decisions served in a degraded mode",
-                mode=context.degraded,
-            )
-        elapsed_sim = (
-            self.clock.now - started_sim if self.clock is not None else 0.0
-        )
-        series[1].observe(elapsed_sim)
-
-    @property
-    def decisions(self) -> int:
-        return self.permits + self.denials + self.failures
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "invocations": self.invocations,
-            "permits": self.permits,
-            "denials": self.denials,
-            "failures": self.failures,
-            "cache_hits": self.cache_hits,
-            "degraded": self.degraded,
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"metrics[permits={self.permits} denials={self.denials} "
-            f"failures={self.failures} cache_hits={self.cache_hits}]"
-        )
-
-
-class TracingMiddleware:
-    """Retains finished DecisionContexts; exports them as JSON lines.
-
-    One structured record per decision — stages, provenance, outcome —
-    superseding the three separate trace mechanisms (PEP audit
-    counters, registry invocation counter, component TraceRecorder)
-    for authorization decisions.
-
-    Retention is bounded by deque semantics: the oldest context is
-    evicted when the limit is reached, the eviction is counted on
-    :attr:`dropped`, and — when a metrics registry is attached —
-    surfaced as the ``tracing_dropped_total`` counter instead of
-    being silently discarded.
-    """
-
-    name = "tracing"
-
-    def __init__(self, limit: int = 10_000, registry: Any = None) -> None:
-        self._limit = limit
-        self._records: deque = deque(maxlen=limit)
-        self.registry = registry
-        self.dropped = 0
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def __call__(
-        self,
-        request: AuthorizationRequest,
-        context: DecisionContext,
-        call_next: NextHandler,
-    ) -> Decision:
-        try:
-            return call_next(request, context)
-        finally:
-            if len(self._records) == self._limit:
-                self.dropped += 1
-                if self.registry is not None:
-                    self.registry.count(
-                        "tracing_dropped_total",
-                        help="Decision traces evicted by retention",
-                    )
-            self._records.append(context)
-
-    @property
-    def records(self) -> Tuple[DecisionContext, ...]:
-        return tuple(self._records)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(record.to_json() for record in self._records)
-
-    def export(self, path: str) -> int:
-        """Write retained decisions as JSON lines; returns count."""
-        count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self._records:
-                handle.write(record.to_json() + "\n")
-                count += 1
-        return count
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 # -- the replay guard: one epoch view, one store type -------------------------

@@ -38,8 +38,11 @@ Degradation is explicit and paper-faithful, selected per
   serves across an epoch change.
 
 Every retry, breaker transition, fast-fail and degraded decision is
-recorded on the active :class:`~repro.core.pipeline.DecisionContext`
-and counted in :class:`ResilienceMetrics`.
+recorded on the active :class:`~repro.core.pipeline.DecisionContext`.
+Retries, failures, fast-fails and degraded decisions are counted in
+:class:`ResilienceMetrics`; breaker transitions are logged once, on
+:attr:`CircuitBreaker.transitions` (and, with a registry, in
+``breaker_transitions_total``).
 """
 
 from __future__ import annotations
@@ -342,23 +345,12 @@ class ResilienceMetrics:
         self.timeouts = 0
         self.failures = 0
         self.fast_fails = 0
-        self.breaker_opens = 0
-        self.breaker_closes = 0
-        self.breaker_half_opens = 0
         self.degraded_static = 0
         self.failed_closed = 0
 
     def count(self, counter: str, amount: int = 1) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + amount)
-
-    def observe_transition(self, transition: BreakerTransition) -> None:
-        if transition.to_state is BreakerState.OPEN:
-            self.count("breaker_opens")
-        elif transition.to_state is BreakerState.CLOSED:
-            self.count("breaker_closes")
-        elif transition.to_state is BreakerState.HALF_OPEN:
-            self.count("breaker_half_opens")
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -367,9 +359,6 @@ class ResilienceMetrics:
                 "timeouts": self.timeouts,
                 "failures": self.failures,
                 "fast_fails": self.fast_fails,
-                "breaker_opens": self.breaker_opens,
-                "breaker_closes": self.breaker_closes,
-                "breaker_half_opens": self.breaker_half_opens,
                 "degraded_static": self.degraded_static,
                 "failed_closed": self.failed_closed,
             }
@@ -436,10 +425,10 @@ class ResilientCallout:
                 failure = self._attempt(request, attempt, context)
                 if failure is None:
                     if self.breaker is not None:
-                        self._record_breaker(self.breaker.record_success)
+                        self.breaker.record_success()
                     return self._last_decision
                 if self.breaker is not None:
-                    self._record_breaker(self.breaker.record_failure)
+                    self.breaker.record_failure()
             if isinstance(failure, BreakerOpen):
                 # Retrying against an open breaker is pointless; the
                 # whole point of the breaker is to shed this load.
@@ -477,7 +466,7 @@ class ResilientCallout:
         if self.breaker is None:
             return None
         try:
-            self._record_breaker(self.breaker.before_call)
+            self.breaker.before_call()
         except BreakerOpen as exc:
             self.metrics.count("fast_fails")
             self._count(
@@ -574,16 +563,6 @@ class ResilientCallout:
                 detail=detail,
             )
 
-    def _record_breaker(self, operation: Callable[[], None]) -> None:
-        """Run a breaker operation, forwarding new transitions to metrics."""
-        assert self.breaker is not None
-        before = len(self.breaker.transitions)
-        try:
-            operation()
-        finally:
-            for transition in self.breaker.transitions[before:]:
-                self.metrics.observe_transition(transition)
-
     def _sleep(self, delay: float) -> None:
         if delay > 0 and self.clock is not None:
             self.clock.advance(delay)
@@ -605,9 +584,10 @@ class DegradationMode(enum.Enum):
 class ResilienceMiddleware:
     """Decision middleware applying the configured degradation mode.
 
-    Sits between the PEP's observability middlewares and the decision
-    cache.  An :class:`~repro.core.errors.AuthorizationSystemFailure`
-    escaping the inner stack is either re-raised (fail-closed) or — in
+    The outermost layer of the PEP's stack, in front of capability
+    grants and the decision cache.  An
+    :class:`~repro.core.errors.AuthorizationSystemFailure` escaping
+    the inner stack is either re-raised (fail-closed) or — in
     fail-static mode — replaced by the last-known-good decision for
     the request *if and only if* the *view* still reports the snapshot
     the decision was computed under.  Only fail-static records

@@ -39,6 +39,7 @@ from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.capability import default_capability_key
+from repro.core.resilience import ResilienceConfig
 from repro.core.store import PolicyBundle, PolicySnapshot
 from repro.gram.lifecycle import SharedGauge
 from repro.gram.spill import shard_spill_path
@@ -383,11 +384,7 @@ class ShardedGramService:
         if not self.config.health_slo:
             return None
         monitor = HealthMonitor(
-            window=self.config.health_window,
-            retain=self.config.health_retain,
-            specs=self.config.health_specs,
-            recorder_limit=self.config.flight_recorder_limit,
-            start=self.shards[0].clock.now,
+            window=self.config.health_window, start=self.shards[0].clock.now
         )
         monitor.add_scope("service", self.merged_snapshot)
         for index, shard in enumerate(self.shards):
@@ -399,10 +396,21 @@ class ShardedGramService:
             monitor.attach_tracer(f"shard{index}", shard.telemetry.tracer)
         return monitor
 
-    def harden(self, *args, **kwargs) -> None:
-        """Apply the resilience layer on every shard."""
+    def harden(self, resilience: Optional[ResilienceConfig] = None) -> None:
+        """Apply the resilience layer on every shard.
+
+        Each shard hardens its own copy of *resilience*, bound to its
+        own clock and registry and with its own circuit breakers, so
+        an outage on one shard never opens another shard's breaker.
+        The :class:`~repro.core.resilience.ResilienceMetrics` stay
+        shared.
+        """
+        if resilience is None:
+            resilience = ResilienceConfig()
         for shard in self.shards:
-            shard.harden(*args, **kwargs)
+            shard.harden(
+                replace(resilience, clock=None, registry=None, breakers={})
+            )
 
     def bump_policy_epoch(self) -> int:
         """Invalidate every shard's replayed decisions in one step.

@@ -132,7 +132,9 @@ class Gatekeeper:
         self._fast_deny_chain: Tuple[Optional[int], bool] = (None, False)
         self._published_evictions: Dict[str, int] = {}
 
-    # -- shard-state views (back-compat accessors) ----------------------------
+    # -- shard-state views ------------------------------------------------------
+    # The counters share their names with ShardedGatekeeper's cross-shard
+    # sums, so callers read either gatekeeper the same way.
 
     @property
     def completed(self) -> CompletedJobStore:

@@ -34,7 +34,7 @@ from repro.core.callout import (
 from repro.core.model import Policy
 from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.query import QueryEngine
-from repro.core.pipeline import DecisionCache, EpochView, TracingMiddleware
+from repro.core.pipeline import DecisionCache, EpochView
 from repro.core.resilience import ResilienceConfig
 from repro.core.store import (
     REJECT_SOURCES,
@@ -83,9 +83,6 @@ class ServiceConfig:
     #: identical checks (the job-monitoring poll loop) hit the cache
     #: until a policy source mutates.
     decision_cache: bool = False
-    #: Retain per-decision pipeline traces on the PEPs, exportable as
-    #: JSON lines (:class:`repro.core.pipeline.TracingMiddleware`).
-    trace_decisions: bool = False
     #: Unified telemetry (:mod:`repro.obs`): labeled metrics registry
     #: plus correlated span tracing across Gatekeeper → JMI → PEP →
     #: callout → policy-source.  Deterministic under the sim clock and
@@ -114,8 +111,6 @@ class ServiceConfig:
     #: served by validate-first (signature/TTL/epoch/scope) instead of
     #: re-deciding.  Fail-closed: any epoch bump revokes.
     capability_grants: bool = False
-    #: Capability lifetime in simulated seconds.
-    capability_ttl: float = 300.0
     #: Reverse-index admission fast-deny (:mod:`repro.core.query`):
     #: the Gatekeeper answers submissions whose (identity, start) is a
     #: *guaranteed* DENY straight from the epoch-guarded reverse
@@ -151,13 +146,6 @@ class ServiceConfig:
     health_slo: bool = False
     #: Window width in simulated seconds for health evaluation.
     health_window: float = 5.0
-    #: Closed windows retained per scope (the burn-rate history).
-    health_retain: int = 120
-    #: SLO specs to evaluate (None/() = the stock
-    #: :func:`repro.obs.health.default_slo_specs`).
-    health_specs: Tuple = ()
-    #: Decision entries the anomaly flight recorder retains.
-    flight_recorder_limit: int = 256
     #: Durable, versioned policy control plane
     #: (:class:`repro.core.store.VersionedPolicyStore`).  When set,
     #: the service serves the store's *active* snapshot (seeding the
@@ -238,7 +226,6 @@ class GramService:
         self.epoch_view = EpochView(
             [("callouts", self.registry), ("gridmap", self.gridmap)]
         )
-        obs_registry = self.telemetry.registry if self.telemetry else None
         #: The capability fast path on the Job Manager PEP (None when
         #: ``config.capability_grants`` is off).
         self.capability: Optional[CapabilityMiddleware] = (
@@ -253,11 +240,6 @@ class GramService:
         self.pep = EnforcementPoint(
             registry=self.registry,
             placement=PEPPlacement.JOB_MANAGER,
-            tracing=(
-                TracingMiddleware(registry=obs_registry)
-                if self.config.trace_decisions
-                else None
-            ),
             capability=self.capability,
             cache=self._build_decision_cache(),
             telemetry=self.telemetry,
@@ -267,11 +249,6 @@ class GramService:
                 registry=self.registry,
                 callout_type=GATEKEEPER_AUTHZ_CALLOUT,
                 placement=PEPPlacement.GATEKEEPER,
-                tracing=(
-                    TracingMiddleware(registry=obs_registry)
-                    if self.config.trace_decisions
-                    else None
-                ),
                 telemetry=self.telemetry,
             )
             if self.config.pep_in_gatekeeper
@@ -380,6 +357,11 @@ class GramService:
         whatever is configured at that moment (faulty or not) ends up
         behind the timeout/retry/breaker.
 
+        A config without a clock or registry is bound to this
+        service's: timeouts, retry backoff and breaker resets run on
+        the service clock, and the ``resilience_*``/``breaker_*``
+        series land in its registry.
+
         Hardening is applied at most once: a second call would stack
         another timeout/retry/breaker layer onto the already-wrapped
         callouts (doubling every retry budget and timing out twice),
@@ -391,7 +373,9 @@ class GramService:
                 "new GramService to change the resilience configuration"
             )
         if resilience is None:
-            resilience = ResilienceConfig(clock=self.clock)
+            resilience = ResilienceConfig()
+        if resilience.clock is None:
+            resilience.clock = self.clock
         if resilience.registry is None and self.telemetry is not None:
             resilience.registry = self.telemetry.registry
         self.resilience = resilience
@@ -549,11 +533,7 @@ class GramService:
         if self.telemetry is None:
             raise ValueError("health_slo requires telemetry")
         monitor = HealthMonitor(
-            window=self.config.health_window,
-            retain=self.config.health_retain,
-            specs=self.config.health_specs,
-            recorder_limit=self.config.flight_recorder_limit,
-            start=self.clock.now,
+            window=self.config.health_window, start=self.clock.now
         )
         monitor.add_scope("service", self.telemetry.registry.snapshot)
         monitor.attach_tracer("service", self.telemetry.tracer)
@@ -591,12 +571,7 @@ class GramService:
         key = self.config.capability_key
         if key is None:
             key = default_capability_key(self.config.host)
-        issuer = CapabilityIssuer(
-            key=key,
-            clock=self.clock,
-            ttl=self.config.capability_ttl,
-            view=self.epoch_view,
-        )
+        issuer = CapabilityIssuer(key=key, clock=self.clock, view=self.epoch_view)
         return CapabilityMiddleware(
             issuer,
             registry=self.telemetry.registry if self.telemetry else None,

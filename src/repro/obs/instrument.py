@@ -37,7 +37,6 @@ METRIC_HELP: Dict[str, str] = {
     "resilience_lkg_size": "Entries in the last-known-good store",
     "breaker_state": "Circuit-breaker state (0 closed, 1 half-open, 2 open)",
     "breaker_transitions_total": "Circuit-breaker transitions by target state",
-    "tracing_dropped_total": "Decision traces evicted by retention",
     "obs_traces_dropped_total": "Finished traces evicted by retention",
     "capability_mint_total": "Capabilities minted after full decisions",
     "capability_hit_total": "Fast-path decisions served by capability validation",

@@ -23,6 +23,7 @@ from repro.core.capability import (
 from repro.core.decision import Decision, Effect
 from repro.core.pep import EnforcementPoint
 from repro.core.pipeline import (
+    DecisionCache,
     DecisionContext,
     EpochCounter,
     EpochView,
@@ -330,18 +331,29 @@ class TestMiddlewareInThePEP:
         assert refreshed.context.capability.expires_at == 60.0
 
     def test_capability_sits_in_front_of_the_cache(self):
-        pep, _ = build_pep()
+        registry = CalloutRegistry()
+        registry.register(GRAM_AUTHZ_CALLOUT, permit_callout)
+        pep = EnforcementPoint(
+            registry=registry,
+            capability=CapabilityMiddleware(make_issuer()),
+            cache=DecisionCache(),
+        )
         names = [getattr(m, "name", "") for m in pep.middlewares]
-        assert "capability" in names
-        pep.use_cache()
-        names = [getattr(m, "name", "") for m in pep.middlewares]
-        assert names.index("capability") < names.index("decision-cache")
+        assert names == ["capability", "decision-cache"]
+        request = start()
+        pep.authorize(request)
+        assert pep.authorize(request).context.cache_status == CAPABILITY_HIT
+        assert pep.cache.hits == 0
 
     def test_use_capability_installs_on_a_plain_pep(self):
         registry = CalloutRegistry()
         registry.register(GRAM_AUTHZ_CALLOUT, permit_callout)
-        pep = EnforcementPoint(registry=registry)
-        pep.use_capability(CapabilityMiddleware(make_issuer()))
+        pep = EnforcementPoint(
+            registry=registry, capability=CapabilityMiddleware(make_issuer())
+        )
+        assert pep.cache is None
+        names = [getattr(m, "name", "") for m in pep.middlewares]
+        assert names == ["capability"]
         request = start()
         pep.authorize(request)
         assert pep.authorize(request).context.cache_status == CAPABILITY_HIT

@@ -10,6 +10,7 @@ from repro.core.builtin_callouts import (
     policy_callout,
 )
 from repro.core.callout import GRAM_AUTHZ_CALLOUT, CalloutRegistry
+from repro.core.capability import CapabilityIssuer, CapabilityMiddleware
 from repro.core.decision import Effect
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.evaluator import PolicyEvaluator
@@ -21,13 +22,14 @@ from repro.core.pipeline import (
     DecisionCache,
     EpochView,
     DecisionContext,
-    MetricsMiddleware,
-    TracingMiddleware,
     current_context,
 )
 from repro.core.request import AuthorizationRequest
+from repro.core.resilience import ResilienceMiddleware
 from repro.core.store import PolicyBundle, VersionedPolicyStore
+from repro.obs import Telemetry
 from repro.rsl.parser import parse_specification
+from repro.sim.clock import Clock
 
 ALICE = "/O=Grid/OU=org/CN=Alice"
 BOB = "/O=Grid/OU=org/CN=Bob"
@@ -135,64 +137,44 @@ class TestDecisionContext:
 
 
 class TestMetricsMiddleware:
+    """The PEP counts its own outcomes and feeds the ``authz_*`` series."""
+
     def test_counts_back_the_pep_counters(self):
-        pep = make_pep(permit_all)
+        telemetry = Telemetry(clock=Clock())
+        pep = make_pep(permit_all, telemetry=telemetry)
         pep.authorize(start_request())
         pep.authorize(start_request())
-        assert pep.metrics.permits == pep.permits == 2
-        assert pep.metrics.invocations == 2
+        assert pep.permits == pep.decisions_made == 2
+        assert telemetry.registry.value(
+            "authz_decisions_total", action="start", decision="permit"
+        ) == 2
+        assert telemetry.registry.value("authz_cache_total", status="bypass") == 2
 
     def test_outcome_classification(self):
-        metrics = MetricsMiddleware()
+        telemetry = Telemetry(clock=Clock())
+        peps = []
         for callout, exc in (
             (permit_all, None),
             (deny_all, AuthorizationDenied),
             (broken_callout, AuthorizationSystemFailure),
         ):
-            pep = make_pep(callout, metrics=metrics)
+            pep = make_pep(callout, telemetry=telemetry)
+            peps.append(pep)
             if exc is None:
                 pep.authorize(start_request())
             else:
                 with pytest.raises(exc):
                     pep.authorize(start_request())
-        assert (metrics.permits, metrics.denials, metrics.failures) == (1, 1, 1)
-        assert metrics.decisions == 3
-
-    def test_snapshot_shape(self):
-        pep = make_pep(permit_all)
-        pep.authorize(start_request())
-        snapshot = pep.metrics.snapshot()
-        assert snapshot["permits"] == 1
-
-
-class TestTracingMiddleware:
-    def test_traces_every_decision(self):
-        tracing = TracingMiddleware()
-        pep = make_pep(permit_all, tracing=tracing)
-        pep.authorize(start_request())
-        with pytest.raises(AuthorizationDenied):
-            pep.registry.register(GRAM_AUTHZ_CALLOUT, deny_all)
-            pep.authorize(start_request(BOB))
-        assert len(tracing) == 2
-        assert tracing.records[0].effect is Effect.PERMIT
-        assert tracing.records[1].effect is Effect.DENY
-
-    def test_jsonl_export(self, tmp_path):
-        tracing = TracingMiddleware()
-        pep = make_pep(permit_all, tracing=tracing)
-        pep.authorize(start_request())
-        path = tmp_path / "decisions.jsonl"
-        assert tracing.export(str(path)) == 1
-        line = path.read_text().strip()
-        assert '"effect": "permit"' in line or '"permit"' in line
-        assert tracing.to_jsonl().strip() == line
-
-    def test_bounded_retention(self):
-        tracing = TracingMiddleware(limit=3)
-        pep = make_pep(permit_all, tracing=tracing)
-        for _ in range(10):
-            pep.authorize(start_request())
-        assert len(tracing) == 3
+        assert [(p.permits, p.denials, p.failures) for p in peps] == [
+            (1, 0, 0),
+            (0, 1, 0),
+            (0, 0, 1),
+        ]
+        assert [p.decisions_made for p in peps] == [1, 1, 1]
+        for outcome in ("permit", "deny", "failure"):
+            assert telemetry.registry.value(
+                "authz_decisions_total", action="start", decision=outcome
+            ) == 1
 
 
 class TestDecisionCache:
@@ -258,7 +240,7 @@ class TestDecisionCache:
         pep = make_pep(permit_all, cache=DecisionCache())
         pep.authorize(start_request())
         pep.authorize(start_request())
-        assert pep.metrics.cache_hits == 1
+        assert pep.cache.hits == 1
         assert pep.permits == 2  # hits still count as decisions
 
 
@@ -318,31 +300,15 @@ class TestPolicyEpochInvalidation:
 
 
 class TestMiddlewareStack:
-    def test_custom_middleware_observes_decisions(self):
-        seen = []
-
-        def observer(request, context, call_next):
-            decision = call_next(request, context)
-            seen.append((context.requester, decision.effect))
-            return decision
-
-        pep = make_pep(permit_all, middlewares=(observer,))
-        pep.authorize(start_request())
-        assert seen == [(ALICE, Effect.PERMIT)]
-
     def test_stack_order(self):
+        assert make_pep(permit_all).middlewares == ()
         pep = make_pep(
-            permit_all, tracing=TracingMiddleware(), cache=DecisionCache()
+            permit_all,
+            resilience=ResilienceMiddleware(),
+            capability=CapabilityMiddleware(
+                CapabilityIssuer(key=b"k", clock=Clock())
+            ),
+            cache=DecisionCache(),
         )
-        names = [getattr(m, "name", "custom") for m in pep.middlewares]
-        assert names == ["metrics", "tracing", "decision-cache"]
-
-    def test_use_cache_and_use_tracing_enable_late(self):
-        pep = make_pep(permit_all)
-        pep.authorize(start_request())
-        cache = pep.use_cache()
-        tracing = pep.use_tracing()
-        pep.authorize(start_request())
-        pep.authorize(start_request())
-        assert cache.hits == 1
-        assert len(tracing) == 2
+        names = [m.name for m in pep.middlewares]
+        assert names == ["resilience", "capability", "decision-cache"]

@@ -195,10 +195,12 @@ class TestServiceDecisionCache:
         assert service.pep.cache.hits >= 1
 
     def test_tracing_retains_every_decision(self):
-        service = build_service(trace_decisions=True)
+        service = build_service()
         bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
         submitted = bo.submit(BO_START)
         bo.status(submitted.contact)
-        assert len(service.pep.tracing) >= 2
-        jsonl = service.pep.tracing.to_jsonl()
+        assert len(service.pep.audit_log) >= 2
+        jsonl = "\n".join(
+            record.context.to_json() for record in service.pep.audit_log
+        )
         assert '"start"' in jsonl and '"information"' in jsonl

@@ -5,8 +5,10 @@ import zlib
 
 import pytest
 
+from repro.core.callout import GRAM_AUTHZ_CALLOUT
 from repro.core.parser import parse_policy
 from repro.core.pipeline import DecisionCache, EpochView
+from repro.core.resilience import ResilienceConfig, RetryPolicy
 from repro.gram.client import GramClient
 from repro.gram.dispatch import (
     EpochBroadcast,
@@ -16,6 +18,7 @@ from repro.gram.dispatch import (
 from repro.gram.lifecycle import SharedGauge
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
+from repro.testing import ExceptionFault, inject
 
 PREFIX = "/O=Grid/O=Globus/OU=shard.example.org"
 
@@ -318,3 +321,56 @@ class TestPlacementReport:
         report = service.placement_report()
         assert report["total_routed"] == 0
         assert report["skew"] == 0.0
+
+
+def one_client_per_shard(service, count=16):
+    """A client homed on each of *service*'s shards, by shard index."""
+    homed = {}
+    for client in enroll(service, count):
+        homed.setdefault(service.shard_of(client.identity), client)
+    return [homed[index] for index in range(len(service.shards))]
+
+
+class TestShardedHardening:
+    """Each shard hardens its own copy of the resilience config."""
+
+    def harden_with_outage(self, faulted_shard):
+        service = build_sharded(shards=2)
+        clients = one_client_per_shard(service)
+        inject(
+            service.shards[faulted_shard].registry,
+            GRAM_AUTHZ_CALLOUT,
+            ExceptionFault(),
+        )
+        service.harden(
+            ResilienceConfig(
+                failure_threshold=1, retry=RetryPolicy(max_attempts=1)
+            )
+        )
+        return service, clients
+
+    def test_an_outage_on_one_shard_leaves_another_serving(self):
+        service, (shard0_user, shard1_user) = self.harden_with_outage(0)
+        failed = shard0_user.submit(RSL)
+        assert failed.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
+        assert shard0_user.submit(RSL).failure_kind == "breaker-open"
+
+        served = shard1_user.submit(RSL)
+        assert served.code is GramErrorCode.SUCCESS, served.message
+        first, second = (shard.resilience for shard in service.shards)
+        assert first.breakers["combined:vo"] is not second.breakers["combined:vo"]
+        assert first.metrics is second.metrics
+
+    def test_failures_are_counted_in_the_failing_shards_registry(self):
+        service, (_, shard1_user) = self.harden_with_outage(1)
+        assert (
+            shard1_user.submit(RSL).code
+            is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
+        )
+        shard0, shard1 = (shard.telemetry.registry for shard in service.shards)
+        labels = dict(source="combined:vo", failure_kind="error")
+        assert shard1.value("resilience_failures_total", **labels) == 1
+        assert shard0.value("resilience_failures_total", **labels) == 0
+        for shard in service.shards:
+            assert shard.resilience.clock is shard.clock
+            assert shard.resilience.registry is shard.telemetry.registry

@@ -14,7 +14,6 @@ from repro.core.decision import Decision
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.parser import parse_policy
 from repro.core.pep import EnforcementPoint
-from repro.core.pipeline import TracingMiddleware
 from repro.core.request import AuthorizationRequest
 from repro.core.resilience import DegradationMode, ResilienceConfig
 from repro.obs import Telemetry
@@ -195,23 +194,6 @@ class TestBreakerOpenPath:
         record = pep.audit_log[-1]
         assert record.failure_kind == "breaker-open"
         assert record.failure_source == "toggle"
-
-
-class TestTracingRetention:
-    def test_dropped_counter_surfaces_in_registry(self):
-        pep, telemetry = build_policy_pep()
-        tracing = TracingMiddleware(limit=2, registry=telemetry.registry)
-        pep.use_tracing(tracing)
-        for _ in range(3):
-            pep.authorize(start_request())
-        assert tracing.dropped == 1
-        assert len(tracing.records) == 2
-        assert telemetry.registry.value("tracing_dropped_total") == 1
-
-    def test_use_tracing_inherits_telemetry_registry(self):
-        pep, telemetry = build_policy_pep()
-        tracing = pep.use_tracing()
-        assert tracing.registry is telemetry.registry
 
 
 class TestTelemetryOptional:

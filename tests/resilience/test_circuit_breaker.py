@@ -176,12 +176,11 @@ class TestBreakerInsideResilientCallout:
         clock = Clock()
         source = _AlwaysFails()
         metrics = ResilienceMetrics()
+        breaker = CircuitBreaker(
+            "cas", clock=clock, failure_threshold=3, reset_timeout=60.0
+        )
         wrapped = ResilientCallout(
-            source, name="cas", clock=clock,
-            breaker=CircuitBreaker(
-                "cas", clock=clock, failure_threshold=3, reset_timeout=60.0
-            ),
-            metrics=metrics,
+            source, name="cas", clock=clock, breaker=breaker, metrics=metrics
         )
         for _ in range(3):
             with pytest.raises(AuthorizationSystemFailure):
@@ -191,7 +190,7 @@ class TestBreakerInsideResilientCallout:
             wrapped(REQUEST)
         assert source.calls == 3  # fast-fail: the source was not touched
         assert metrics.fast_fails == 1
-        assert metrics.breaker_opens == 1
+        assert [t.to_state for t in breaker.transitions] == [BreakerState.OPEN]
 
     def test_open_breaker_short_circuits_the_retry_loop(self):
         clock = Clock()
@@ -208,6 +207,40 @@ class TestBreakerInsideResilientCallout:
         # Attempt 1 failed and opened the breaker; retrying against an
         # open breaker is load-shedding's whole point, so no 5 attempts.
         assert source.calls == 1
+
+    def test_healthy_call_never_reads_the_transition_log(self, monkeypatch):
+        clock = Clock()
+        source = {"down": False}
+
+        def flapping(request):
+            if source["down"]:
+                raise ConnectionError("down")
+            return Decision.permit(reason="up", source="cas")
+
+        breaker = CircuitBreaker(
+            "cas", clock=clock, failure_threshold=1, reset_timeout=1.0
+        )
+        wrapped = ResilientCallout(flapping, name="cas", clock=clock, breaker=breaker)
+        for _ in range(50):
+            source["down"] = True
+            with pytest.raises(AuthorizationSystemFailure):
+                wrapped(REQUEST)
+            clock.advance(1.0)
+            source["down"] = False
+            assert wrapped(REQUEST).is_permit
+        # closed -> open, open -> half-open, half-open -> closed per flap.
+        assert len(breaker.transitions) == 150
+
+        reads = []
+        log = CircuitBreaker.transitions
+
+        def counted(self):
+            reads.append(self.name)
+            return log.fget(self)
+
+        monkeypatch.setattr(CircuitBreaker, "transitions", property(counted))
+        assert wrapped(REQUEST).is_permit
+        assert reads == []
 
     def test_recovery_after_reset_timeout(self):
         clock = Clock()
@@ -232,4 +265,7 @@ class TestBreakerInsideResilientCallout:
         clock.advance(10.0)
         assert wrapped(REQUEST).is_permit  # the half-open probe
         assert breaker.state is BreakerState.CLOSED
-        assert metrics.breaker_closes == 1
+        closes = [
+            t for t in breaker.transitions if t.to_state is BreakerState.CLOSED
+        ]
+        assert len(closes) == 1

@@ -91,7 +91,6 @@ class TestFailStatic:
             for record in degraded.context.sources
         )
         assert config.metrics.degraded_static == 1
-        assert pep.metrics.degraded == 1
 
     def test_denials_are_served_statically_too(self):
         pep, source, config, _ = build(DegradationMode.FAIL_STATIC)

@@ -252,3 +252,17 @@ class TestFailStaticAcrossEpochs:
         after_bump = scenario.client.submit(GOOD)
         assert after_bump.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
         assert resilience.metrics.degraded_static == 1  # not served again
+
+
+class TestHardenBindsTheService:
+    def test_clockless_config_still_times_out(self):
+        scenario = build_scenario("policy-store")
+        service = scenario.service
+        inject(service.registry, GRAM_AUTHZ_CALLOUT, LatencyFault(service.clock, latency=5.0))
+        resilience = service.harden(ResilienceConfig(timeout=1.0))
+
+        response = scenario.client.submit(GOOD)
+        assert response.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
+        assert response.failure_kind == "timeout"
+        assert response.failure_source == scenario.label
+        assert resilience.clock is service.clock
