@@ -38,7 +38,10 @@ the same one the interpreted scan would find.
 resolved, unresolved-variable failures and malformed ordering bounds
 become precomputed outcomes, and numeric bounds are parsed at compile
 time.  Guard/body splits — rebuilt per request by the interpreted
-requirement check — are computed once.
+requirement check — are computed once.  Lowered relations are cached
+on each assertion and compiled statements on each statement, so a
+statement that a new policy version keeps from the last one is not
+compiled again.
 
 Decision parity with the interpreted evaluator is exact (effects,
 reasons, source, NOT_APPLICABLE vs DENY) and pinned by the
@@ -85,6 +88,17 @@ DEFAULT_MEMO_CAP = 4096
 #: Attribute the compiled policy caches on its source ``Policy``
 #: instance (see :func:`compiled_for`).
 _CACHE_ATTR = "_compiled_policy_cache"
+
+#: Attribute each statement's :class:`CompiledStatement` is cached
+#: under on the (frozen, slot-less) :class:`PolicyStatement`, so a
+#: statement that several policies share is compiled once.
+_STATEMENT_ATTR = "_compiled_statement_cache"
+
+#: Attribute the per-assertion summary is cached under on the
+#: :class:`PolicyAssertion` instance — shared assertions are lowered
+#: once, which is what keeps index builds over very large generated
+#: policies cheap.
+_SUMMARY_ATTR = "_assertion_summary_cache"
 
 
 @dataclass(frozen=True)
@@ -166,12 +180,34 @@ def _indexable_action_keys(
 
 
 @dataclass(frozen=True)
+class _AssertionSummary:
+    """Request-independent facts about one grant/requirement assertion."""
+
+    assertion: PolicyAssertion
+    #: Lowered action values the assertion can match, or ``None`` when
+    #: its guard is not statically indexable (reachable for any action).
+    action_keys: Optional[Tuple[str, ...]]
+    #: Full conjunction, lowered once.
+    relations: Tuple[LoweredRelation, ...]
+
+
+def _summarise(assertion: PolicyAssertion) -> _AssertionSummary:
+    cached = assertion.__dict__.get(_SUMMARY_ATTR)
+    if cached is None:
+        cached = _AssertionSummary(
+            assertion=assertion,
+            action_keys=_indexable_action_keys(assertion),
+            relations=tuple(lower_relation(r) for r in assertion.spec),
+        )
+        object.__setattr__(assertion, _SUMMARY_ATTR, cached)
+    return cached
+
+
+@dataclass(frozen=True)
 class CompiledStatement:
     """A statement with compiled assertions and an action-bucket index."""
 
     statement: PolicyStatement
-    #: Position in the source policy (slices preserve this order).
-    order: int
     assertions: Tuple[CompiledAssertion, ...]
     #: Premerged candidate lists: action value -> assertions that can
     #: match it (bucketed ∪ catch-all, in original assertion order).
@@ -191,10 +227,15 @@ class CompiledStatement:
         return self.buckets.get(action_key, self.catch_all)
 
 
-def _compile_statement(statement: PolicyStatement, order: int) -> CompiledStatement:
+def _compile_statement(statement: PolicyStatement) -> CompiledStatement:
+    """The compiled form of *statement*, cached on the instance."""
+    cached = statement.__dict__.get(_STATEMENT_ATTR)
+    if cached is not None:
+        return cached
     compiled: List[CompiledAssertion] = []
     for assertion in statement.assertions:
-        relations = tuple(lower_relation(r) for r in assertion.spec)
+        summary = _summarise(assertion)
+        relations = summary.relations
         guard = tuple(r for r in relations if r.lookup == ACTION)
         body = tuple(r for r in relations if r.lookup != ACTION)
         compiled.append(
@@ -203,7 +244,7 @@ def _compile_statement(statement: PolicyStatement, order: int) -> CompiledStatem
                 relations=relations,
                 guard=guard,
                 body=body,
-                action_keys=_indexable_action_keys(assertion),
+                action_keys=summary.action_keys,
                 permit_reason=(
                     f"granted by {statement.subject}: {assertion}"
                 ),
@@ -219,14 +260,15 @@ def _compile_statement(statement: PolicyStatement, order: int) -> CompiledStatem
         )
         for key in keys
     }
-    return CompiledStatement(
+    cached = CompiledStatement(
         statement=statement,
-        order=order,
         assertions=tuple(compiled),
         buckets=buckets,
         catch_all=catch_all,
         violation_prefix=f"requirement {statement.subject} violated: ",
     )
+    object.__setattr__(statement, _STATEMENT_ATTR, cached)
+    return cached
 
 
 @dataclass
@@ -284,16 +326,15 @@ class CompiledPolicy:
         started = time.perf_counter()
         self.policy = policy
         self.statements: Tuple[CompiledStatement, ...] = tuple(
-            _compile_statement(statement, order)
-            for order, statement in enumerate(policy.statements)
+            _compile_statement(statement) for statement in policy.statements
         )
 
         exact: Dict[str, List[int]] = {}
         prefix_map: Dict[str, List[int]] = {}
-        for compiled in self.statements:
-            subject = compiled.statement.subject
+        for order, statement in enumerate(policy.statements):
+            subject = statement.subject
             target = exact if subject.exact else prefix_map
-            target.setdefault(subject.pattern, []).append(compiled.order)
+            target.setdefault(subject.pattern, []).append(order)
         self._exact: Dict[str, Tuple[int, ...]] = {
             pattern: tuple(orders) for pattern, orders in exact.items()
         }

@@ -30,7 +30,7 @@ The format is line-oriented::
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import PolicyParseError
 from repro.core.model import (
@@ -47,11 +47,30 @@ from repro.rsl.parser import parse_specification
 #: then the (possibly empty) start of the body.
 _SUBJECT_RE = re.compile(r"^(?P<marker>&?)\s*(?P<subject>/[^:]+):\s*(?P<rest>.*)$")
 
+#: The text a statement is parsed from: its subject, whether it is a
+#: requirement (``&``), and its body lines joined by single spaces.
+#: Comments, blank lines and line breaks inside the body do not count.
+StatementText = Tuple[str, bool, str]
 
-def parse_policy(text: str, name: str = "") -> Policy:
-    """Parse policy *text* into a :class:`Policy`."""
+
+def parse_policy(
+    text: str,
+    name: str = "",
+    reuse: Optional[Mapping[StatementText, PolicyStatement]] = None,
+    record: Optional[Dict[StatementText, PolicyStatement]] = None,
+) -> Policy:
+    """Parse policy *text* into a :class:`Policy`.
+
+    A statement whose text is a key of *reuse*, or of *record*, is not
+    parsed again: the mapped statement stands in for it.  Every
+    statement of *text* is entered in *record* under its text.  Both
+    maps must come from parses under the same *name*, which every
+    statement carries as its ``origin``.
+    """
     statements: List[PolicyStatement] = []
     current: Optional[_PendingStatement] = None
+    reuse = {} if reuse is None else reuse
+    record = {} if record is None else record
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
@@ -60,7 +79,7 @@ def parse_policy(text: str, name: str = "") -> Policy:
         match = _SUBJECT_RE.match(line)
         if match:
             if current is not None:
-                statements.append(current.finish(name))
+                statements.append(current.finish(name, reuse, record))
             current = _PendingStatement(
                 subject_text=match.group("subject").strip(),
                 requirement=match.group("marker") == "&",
@@ -77,7 +96,7 @@ def parse_policy(text: str, name: str = "") -> Policy:
             current.add_body(line, line_number)
 
     if current is not None:
-        statements.append(current.finish(name))
+        statements.append(current.finish(name, reuse, record))
     return Policy.make(statements, name=name)
 
 
@@ -93,6 +112,8 @@ def parse_policy_file(path: str) -> Policy:
 
 def _strip_comment(line: str) -> str:
     """Drop everything after an unquoted '#'."""
+    if "#" not in line:
+        return line
     in_quote = ""
     for index, ch in enumerate(line):
         if in_quote:
@@ -160,13 +181,24 @@ class _PendingStatement:
     def add_body(self, text: str, line_number: int) -> None:
         self.body_parts.append((text, line_number))
 
-    def finish(self, origin: str) -> PolicyStatement:
+    def finish(
+        self,
+        origin: str,
+        reuse: Mapping[StatementText, PolicyStatement],
+        record: Dict[StatementText, PolicyStatement],
+    ) -> PolicyStatement:
         if not self.body_parts:
             raise PolicyParseError(
                 f"statement for {self.subject_text!r} has no assertions",
                 self.line_number,
             )
         body = " ".join(part for part, _ in self.body_parts)
+        key = (self.subject_text, self.requirement, body)
+        statement = record.get(key) or reuse.get(key) or self._parse(body, origin)
+        record[key] = statement
+        return statement
+
+    def _parse(self, body: str, origin: str) -> PolicyStatement:
         assertions = []
         for chunk in split_assertions(body):
             try:

@@ -55,13 +55,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.combination import CombinationAlgorithm
-from repro.core.compiled import _indexable_action_keys, evaluation_view
-from repro.core.matching import (
-    LoweredRelation,
-    MatchContext,
-    lower_relation,
-    match_lowered_relation,
-)
+from repro.core.compiled import _AssertionSummary, _summarise, evaluation_view
+from repro.core.matching import MatchContext, match_lowered_relation
 from repro.core.model import (
     Policy,
     PolicyAssertion,
@@ -79,37 +74,6 @@ ANY_ACTION = "<any>"
 
 #: Default bound on the per-identity profile memo of a QueryIndex.
 DEFAULT_PROFILE_CAP = 4096
-
-#: Attribute the per-assertion summary is cached under on the
-#: (frozen, slot-less) :class:`PolicyAssertion` instance — shared
-#: assertions are summarised once, which is what keeps index builds
-#: over very large generated policies cheap.
-_SUMMARY_ATTR = "_query_summary_cache"
-
-
-@dataclass(frozen=True)
-class _AssertionSummary:
-    """Request-independent facts about one grant/requirement assertion."""
-
-    assertion: PolicyAssertion
-    #: Lowered action values the assertion can match, or ``None`` when
-    #: its guard is not statically indexable (reachable for any action).
-    action_keys: Optional[Tuple[str, ...]]
-    #: Full conjunction, lowered once (exactly the compiled engine's
-    #: matching input).
-    relations: Tuple[LoweredRelation, ...]
-
-
-def _summarise(assertion: PolicyAssertion) -> _AssertionSummary:
-    cached = assertion.__dict__.get(_SUMMARY_ATTR)
-    if cached is None:
-        cached = _AssertionSummary(
-            assertion=assertion,
-            action_keys=_indexable_action_keys(assertion),
-            relations=tuple(lower_relation(r) for r in assertion.spec),
-        )
-        object.__setattr__(assertion, _SUMMARY_ATTR, cached)
-    return cached
 
 
 class Reachability(enum.Enum):

@@ -25,7 +25,9 @@ This module adds the missing control plane:
   every policy (:func:`~repro.core.compiled.compiled_for` caches on
   the ``Policy`` object), the swap a subscriber performs is a pure
   reference flip — the first decision at the new epoch never pays
-  compilation.
+  compilation.  A publish parses and compiles only the statements
+  whose text the active snapshot lacks; every other statement is the
+  active snapshot's own object, compiled form included.
 * :class:`PolicyWatcher` — the hot-reload path: polls file
   mtimes/digests under the **sim clock** and publishes the diff.  The
   rejection guarantees above apply unchanged — a half-written or
@@ -58,8 +60,8 @@ from typing import (
 
 from repro.core.compiled import compiled_for
 from repro.core.errors import PolicyParseError
-from repro.core.model import Policy
-from repro.core.parser import parse_policy
+from repro.core.model import Policy, PolicyStatement
+from repro.core.parser import StatementText, parse_policy
 from repro.obs.spans import event as span_event
 
 #: Rejection-reason vocabulary of ``policy_reload_rejected_total``.
@@ -68,6 +70,10 @@ REJECT_EMPTY = "empty"
 REJECT_SOURCES = "sources"
 REJECT_IO = "io"
 REJECT_VALIDATOR = "validator"
+
+
+#: One source's statements by the text they were parsed from.
+StatementMap = Dict[StatementText, PolicyStatement]
 
 
 class PolicyStoreError(ValueError):
@@ -141,10 +147,25 @@ class PolicyBundle:
     def canonical_text(self) -> str:
         return _canonical_text(self.sources)
 
-    def parse(self) -> Tuple[Policy, ...]:
-        """Parse every source (raises :class:`PolicyParseError`)."""
+    def parse(
+        self,
+        reuse: Optional[Mapping[str, StatementMap]] = None,
+        record: Optional[Dict[str, StatementMap]] = None,
+    ) -> Tuple[Policy, ...]:
+        """Parse every source (raises :class:`PolicyParseError`).
+
+        *reuse* and *record* hold, per source name, the ``reuse`` and
+        ``record`` maps that :func:`parse_policy` takes for that source.
+        """
+        reuse = reuse or {}
         return tuple(
-            parse_policy(text, name=name) for name, text in self.sources
+            parse_policy(
+                text,
+                name=name,
+                reuse=reuse.get(name),
+                record=None if record is None else record.setdefault(name, {}),
+            )
+            for name, text in self.sources
         )
 
 
@@ -199,6 +220,10 @@ class VersionedPolicyStore:
         self._validators: List[
             Callable[[PolicyBundle, Tuple[Policy, ...]], None]
         ] = []
+        #: The active snapshot's statements, per source name.  A
+        #: publish parses and compiles only statements not in here;
+        #: only a committed publish replaces it.
+        self._statements: Dict[str, StatementMap] = {}
         self.published_total = 0
         self.noop_publishes = 0
         self.rejected_total = 0
@@ -231,6 +256,7 @@ class VersionedPolicyStore:
         self._m_epoch = registry.gauge(
             "policy_store_epoch", "Active policy-store epoch"
         )
+        self._export_epoch()
 
     # -- the epoch-source contract ----------------------------------------
 
@@ -297,13 +323,15 @@ class VersionedPolicyStore:
             return active
         if not bundle.sources:
             self._reject(REJECT_EMPTY, "bundle has no policy sources")
+        statements: Dict[str, StatementMap] = {}
         try:
-            policies = bundle.parse()
+            policies = bundle.parse(self._statements, statements)
         except PolicyParseError as exc:
             self._reject(REJECT_PARSE, str(exc))
         # Pre-compile into the engine cache now, so the subscriber-side
         # swap is a reference flip and the first decision at the new
-        # epoch pays no compilation.
+        # epoch pays no compilation.  Statements kept from the active
+        # snapshot bring their compiled form with them.
         for policy in policies:
             compiled_for(policy)
         for validator in self._validators:
@@ -323,6 +351,7 @@ class VersionedPolicyStore:
             origin=origin,
         )
         self._commit(snapshot)
+        self._statements = statements
         if self.log_path is not None:
             self._append_log(snapshot)
         for callback in self._subscribers:
@@ -366,13 +395,17 @@ class VersionedPolicyStore:
         self.published_total += 1
         if self._m_published is not None:
             self._m_published.labels(origin=snapshot.origin).inc()
-        if self._m_epoch is not None:
-            self._m_epoch.labels().set(float(snapshot.epoch))
+        self._export_epoch()
         span_event(
             "policy_published",
             f"epoch {snapshot.epoch} digest {snapshot.short_digest} "
             f"({snapshot.origin})",
         )
+
+    def _export_epoch(self) -> None:
+        active = self.active()
+        if self._m_epoch is not None and active is not None:
+            self._m_epoch.labels().set(float(active.epoch))
 
     def _reject(self, reason: str, detail: str) -> None:
         self.rejected_total += 1
@@ -401,6 +434,7 @@ class VersionedPolicyStore:
             raw = raw.strip()
             if not raw:
                 continue
+            statements: Dict[str, StatementMap] = {}
             try:
                 record = json.loads(raw)
                 bundle = PolicyBundle(
@@ -413,7 +447,7 @@ class VersionedPolicyStore:
                     epoch=int(record["epoch"]),
                     digest=bundle.digest,
                     bundle=bundle,
-                    policies=bundle.parse(),
+                    policies=bundle.parse(self._statements, statements),
                     published_at=float(record.get("published_at", 0.0)),
                     parent=str(record.get("parent", "")),
                     origin=str(record.get("origin", "api")),
@@ -425,6 +459,8 @@ class VersionedPolicyStore:
                 continue
             self._log.append(snapshot)
             self._by_digest[snapshot.digest] = snapshot
+            self._statements = statements
+        self._export_epoch()
 
 
 class PolicyWatcher:

@@ -26,10 +26,10 @@ class Relop(enum.Enum):
 
     @classmethod
     def from_symbol(cls, symbol: str) -> "Relop":
-        for op in cls:
-            if op.value == symbol:
-                return op
-        raise ValueError(f"unknown RSL operator: {symbol!r}")
+        try:
+            return cls(symbol)
+        except ValueError:
+            raise ValueError(f"unknown RSL operator: {symbol!r}") from None
 
     @property
     def is_ordering(self) -> bool:

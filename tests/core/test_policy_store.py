@@ -19,6 +19,7 @@ from repro.core.store import (
 from repro.gram.client import GramClient
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
+from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import Clock
 
 ORG = "/O=Grid/OU=store.example.org"
@@ -176,6 +177,17 @@ class TestDurableLog:
         assert replica.active().digest == store.active().digest
         assert [s.epoch for s in replica.log_entries()] == [1, 2]
 
+    def test_replayed_store_exports_its_epoch(self, tmp_path):
+        log = str(tmp_path / "policies.jsonl")
+        store = VersionedPolicyStore(log_path=log)
+        for text in (VO_TEXT, VO_TEXT_V2, VO_TEXT):
+            store.publish(bundle(text))
+
+        registry = MetricsRegistry()
+        replica = VersionedPolicyStore(registry=registry, log_path=log)
+        assert replica.policy_epoch == 3
+        assert registry.value("policy_store_epoch") == 3.0
+
     def test_truncated_trailing_line_is_skipped_not_fatal(self, tmp_path):
         log = str(tmp_path / "policies.jsonl")
         store = VersionedPolicyStore(log_path=log)
@@ -326,6 +338,17 @@ class TestServiceIntegration:
         bob = GramClient(service.add_user(BOB, "bob"), service.gatekeeper)
         contact = alice.submit(RSL).contact
         assert bob.cancel(contact).code is GramErrorCode.SUCCESS
+
+    def test_adopted_store_exports_its_epoch(self):
+        store = VersionedPolicyStore()
+        store.publish(bundle(VO_TEXT_V2))
+        service = GramService(
+            ServiceConfig(
+                policies=(parse_policy(VO_TEXT, name="vo"),),
+                policy_store=store,
+            )
+        )
+        assert service.telemetry.registry.value("policy_store_epoch") == 1.0
 
     def test_publish_swaps_decisions_atomically(self):
         service, store = build_store_service()
