@@ -53,9 +53,7 @@ def emit(title: str, lines, data=None, key: str = "") -> None:
     When *data* is given, it is also merged into the consolidated
     JSON artifact at :data:`ARTIFACT_PATH` under *key* (default: a
     slug of *title*), so one bench run accumulates every emitted
-    series into a single machine-readable document.  The write is
-    atomic (tmp file + rename) so a crashed bench never leaves a
-    half-written artifact behind.
+    series into a single machine-readable document.
     """
     print(f"\n===== {title} =====", file=sys.stderr)
     for line in lines:
@@ -67,16 +65,27 @@ def emit(title: str, lines, data=None, key: str = "") -> None:
             ch.lower() if ch.isalnum() else " " for ch in title
         ).split()
     )
+    write_artifact(ARTIFACT_PATH, slug, data)
+
+
+def write_artifact(path: str, key: str, data) -> None:
+    """Merge *data* under *key* into the JSON artifact at *path*.
+
+    Every ``BENCH_*.json`` is written here: the other keys of an
+    existing document are kept, the file ends with a newline, and the
+    write is atomic (tmp file + rename), so a crashed bench never
+    leaves a half-written artifact behind.
+    """
     try:
-        with open(ARTIFACT_PATH, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
         if not isinstance(document, dict):
             document = {}
     except (OSError, ValueError):
         document = {}
-    document[slug] = data
-    tmp_path = ARTIFACT_PATH + ".tmp"
+    document[key] = data
+    tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    os.replace(tmp_path, ARTIFACT_PATH)
+    os.replace(tmp_path, path)

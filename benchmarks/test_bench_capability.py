@@ -21,7 +21,6 @@ looping, so the bench runs identically under ``--benchmark-disable``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -33,7 +32,7 @@ from repro.workloads.capability_audit import (
 )
 from repro.workloads.generator import PolicyShape, WorkloadGenerator, generate_users
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_artifact
 
 ARTIFACT_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_capability_grants.json"
@@ -59,23 +58,6 @@ ROUNDS = 4000
 REQUIRED_SPEEDUP = 10.0
 #: The differential-audit floor from the acceptance criteria.
 AUDIT_CASES = 10_000
-
-
-def _emit_artifact(key: str, data) -> None:
-    """Merge *data* under *key* into the capability artifact (atomic)."""
-    try:
-        with open(ARTIFACT_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            document = {}
-    except (OSError, ValueError):
-        document = {}
-    document[key] = data
-    tmp_path = ARTIFACT_PATH + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp_path, ARTIFACT_PATH)
 
 
 def _build_repeat_stream():
@@ -172,7 +154,7 @@ def test_capability_validation_beats_fresh_evaluation_10x():
     }
     emit("B-CAPABILITY — repeat decisions via capability validation",
          lines, data=data, key="capability_grants")
-    _emit_artifact("repeat_decision_rate", data)
+    write_artifact(ARTIFACT_PATH, "repeat_decision_rate", data)
 
     assert speedup >= REQUIRED_SPEEDUP, (
         f"capability validation only {speedup:.1f}x faster than fresh "
@@ -185,7 +167,7 @@ def test_differential_audit_embedded_in_artifact():
     the speed: >= 10k randomized differential cases, zero exceeds."""
     result = run_capability_audit(AuditConfig(cases=AUDIT_CASES))
     data = result.to_dict()
-    _emit_artifact("differential_audit", data)
+    write_artifact(ARTIFACT_PATH, "differential_audit", data)
 
     lines = [
         f"cases={result.cases} exceeded={result.exceeded} "

@@ -23,7 +23,6 @@ jitter cannot fail the bound spuriously.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -34,7 +33,7 @@ from repro.testing import ExceptionFault, inject
 from repro.vo.federation import FederatedDeployment, VOBroker
 from repro.workloads.churn import ChurnConfig, build_churn_service, run_churn
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_artifact
 
 ARTIFACT_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_health_slo.json"
@@ -50,22 +49,6 @@ VO_TEXT = f"""
     &(action=information)(jobowner=self)
 """
 JOB = "&(executable=TRANSP)(count=2)(jobtag=NFC)(runtime=6)"
-
-
-def _emit_artifact(key: str, data) -> None:
-    """Merge *data* under *key* into the health artifact (atomic)."""
-    try:
-        with open(ARTIFACT_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            document = {}
-    except (OSError, ValueError):
-        document = {}
-    document[key] = data
-    tmp_path = ARTIFACT_PATH + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    os.replace(tmp_path, ARTIFACT_PATH)
 
 
 # -- cost: churn overhead with the monitor on --------------------------------
@@ -134,7 +117,7 @@ def test_health_overhead_under_churn_within_bound():
             f"overhead: {ratio:.3f}x median (bound {MAX_OVERHEAD}x)",
         ],
     )
-    _emit_artifact("churn-overhead", data)
+    write_artifact(ARTIFACT_PATH, "churn-overhead", data)
     assert ratio <= MAX_OVERHEAD, (
         f"health engine costs {ratio:.3f}x under churn, "
         f"over the {MAX_OVERHEAD}x bound"
@@ -197,7 +180,7 @@ def test_health_aware_broker_places_with_fewer_round_trips():
             f"attempts/job ({aware['total_attempts']} total)",
         ],
     )
-    _emit_artifact("faulted-federation-placement", data)
+    write_artifact(ARTIFACT_PATH, "faulted-federation-placement", data)
     assert aware["total_attempts"] < naive["total_attempts"], (
         "health-aware placement should knock on fewer doors: "
         f"{aware['total_attempts']} vs {naive['total_attempts']}"

@@ -28,7 +28,6 @@ looping, so the bench runs identically under ``--benchmark-disable``.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -48,7 +47,7 @@ from repro.workloads.recovery import (
     run_recovery_differential,
 )
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_artifact
 
 ARTIFACT_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_policy_store.json"
@@ -98,23 +97,6 @@ MIN_PUBLISH_SCALING = 10.0
 #: magnitude jumps, not percent-level jitter, so the bars are generous.
 MAX_FIRST_DECISION_MS = 50.0
 MAX_RECOVERY_SECONDS_AT_5K = 10.0
-
-
-def _emit_artifact(key: str, data) -> None:
-    """Merge *data* under *key* into the policy-store artifact (atomic)."""
-    try:
-        with open(ARTIFACT_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            document = {}
-    except (OSError, ValueError):
-        document = {}
-    document[key] = data
-    tmp_path = ARTIFACT_PATH + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp_path, ARTIFACT_PATH)
 
 
 def test_publish_to_first_decision_latency():
@@ -176,7 +158,7 @@ def test_publish_to_first_decision_latency():
     ]
     emit("B-POLICY-STORE — publish-to-first-decision latency", lines,
          data=data, key="policy_store_publish")
-    _emit_artifact("publish_latency", data)
+    write_artifact(ARTIFACT_PATH, "publish_latency", data)
 
     assert first_decision_best * 1e3 < MAX_FIRST_DECISION_MS, (
         f"first decision after publish took "
@@ -232,7 +214,7 @@ def test_publish_cost_scales_with_the_change():
         data=data,
         key="policy_store_publish_scaling",
     )
-    _emit_artifact("publish_scaling", data)
+    write_artifact(ARTIFACT_PATH, "publish_scaling", data)
 
     assert ratio >= MIN_PUBLISH_SCALING, (
         f"a 1% churn publish cost {churn_best * 1e3:.1f} ms against "
@@ -291,7 +273,7 @@ def test_recovery_time_scales_with_store_size(tmp_path):
 
     emit("B-POLICY-STORE — recovery time vs store size", lines,
          data={"points": points}, key="policy_store_recovery")
-    _emit_artifact("recovery_scaling", {"points": points})
+    write_artifact(ARTIFACT_PATH, "recovery_scaling", {"points": points})
 
 
 def test_restart_differential_embedded_in_artifact(tmp_path):
@@ -313,7 +295,7 @@ def test_restart_differential_embedded_in_artifact(tmp_path):
         "capability_divergences": stats.capability_divergences,
         "skipped_lines": stats.skipped_lines,
     }
-    _emit_artifact("restart_differential", data)
+    write_artifact(ARTIFACT_PATH, "restart_differential", data)
     emit(
         "B-POLICY-STORE — restart-recovery differential",
         [

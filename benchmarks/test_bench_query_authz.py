@@ -23,7 +23,6 @@ million statements reference it.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -38,7 +37,7 @@ from repro.core.parser import parse_policy
 from repro.core.query import QueryIndex
 from repro.vo.federation import FederatedDeployment, VOBroker
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_artifact
 
 ARTIFACT_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_query_authz.json"
@@ -55,23 +54,6 @@ MIN_SCAN_BLOWUP = 50.0
 SIZES = (1_000, 100_000, 1_000_000)
 PROBES = 1_000
 ROUNDS = 7
-
-
-def _emit_artifact(key: str, data) -> None:
-    """Merge *data* under *key* into the query artifact (atomic)."""
-    try:
-        with open(ARTIFACT_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            document = {}
-    except (OSError, ValueError):
-        document = {}
-    document[key] = data
-    tmp_path = ARTIFACT_PATH + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp_path, ARTIFACT_PATH)
 
 
 # -- scaling: flat reverse queries vs linear full scan -----------------------
@@ -152,7 +134,7 @@ def test_reverse_query_cost_is_flat_in_store_size():
         "full_scan_ratio_1k_to_1m": scan_ratio,
         "flat_bound": MAX_FLAT_RATIO,
     }
-    _emit_artifact("reverse-query-scaling", data)
+    write_artifact(ARTIFACT_PATH, "reverse-query-scaling", data)
     emit(
         "B-QUERY — per-subject query cost vs store size",
         [
@@ -244,7 +226,7 @@ def test_prefilter_saves_round_trips_without_losing_placements():
         "prefiltered": filtered,
         "round_trips_saved": naive["round_trips"] - filtered["round_trips"],
     }
-    _emit_artifact("federation-churn-delta", data)
+    write_artifact(ARTIFACT_PATH, "federation-churn-delta", data)
     emit(
         "B-QUERY — federation churn with the broker prefilter",
         [

@@ -17,7 +17,6 @@ it alongside the policy-engine artifact.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
@@ -33,7 +32,7 @@ from repro.workloads.churn import (
     run_churn,
 )
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_artifact
 
 ARTIFACT_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_service_lifecycle.json"
@@ -45,22 +44,6 @@ STAGE_CYCLES = 120
 #: Completed-record retention used by the bench (intentionally smaller
 #: than the total so eviction provably bounds the store).
 RETENTION = 256
-
-
-def _emit_artifact(key: str, data) -> None:
-    """Merge *data* under *key* into the lifecycle artifact (atomic)."""
-    try:
-        with open(ARTIFACT_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            document = {}
-    except (OSError, ValueError):
-        document = {}
-    document[key] = data
-    tmp_path = ARTIFACT_PATH + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    os.replace(tmp_path, ARTIFACT_PATH)
 
 
 def test_live_state_bounded_and_cost_flat_under_10x_growth():
@@ -133,7 +116,7 @@ def test_live_state_bounded_and_cost_flat_under_10x_growth():
         "reaped": gatekeeper.reaped,
         "evicted": gatekeeper.completed.evicted,
     }
-    _emit_artifact("service-lifecycle-churn", data)
+    write_artifact(ARTIFACT_PATH, "service-lifecycle-churn", data)
     emit(
         "B-LIFECYCLE churn (10x cumulative growth)",
         [
@@ -210,7 +193,8 @@ def test_admission_control_returns_resource_busy_at_caps():
     service2.run(600.0)
     assert clients2[0].submit(churn_rsl(config)).ok
 
-    _emit_artifact(
+    write_artifact(
+        ARTIFACT_PATH,
         "service-lifecycle-admission",
         {
             "global_ceiling": global_ceiling,

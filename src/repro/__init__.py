@@ -58,7 +58,6 @@ from repro.gram import (
     GridMapFile,
     JobManagerInstance,
     ServiceConfig,
-    ShardedGramService,
 )
 from repro.gsi import (
     CertificateAuthority,
@@ -100,7 +99,6 @@ __all__ = [
     "GridMapFile",
     "JobManagerInstance",
     "ServiceConfig",
-    "ShardedGramService",
     # gsi
     "CertificateAuthority",
     "Credential",

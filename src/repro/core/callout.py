@@ -103,13 +103,14 @@ class CalloutRegistry:
         self._callouts: Dict[str, List[Tuple[str, AuthorizationCallout]]] = {}
         self._types: Dict[str, CalloutType] = {}
         self.invocations = 0
-        #: Bumped whenever a *configuration event* changes what is
-        #: configured (:meth:`configure`, :meth:`configure_from_file`
-        #: with changed content) — never on a no-op republish of
-        #: byte-identical file content.  Construction-time
-        #: :meth:`register` calls and :meth:`wrap` layering do not
-        #: bump: they assemble, they don't reconfigure.  Part of
-        #: :attr:`policy_epoch`.
+        #: Bumped once by every call that changes which callouts are
+        #: configured (:meth:`register`, :meth:`clear`,
+        #: :meth:`configure`, :meth:`configure_from_file` with changed
+        #: content) — never by a no-op republish of byte-identical
+        #: file content, and never by :meth:`wrap`, which layers
+        #: behaviour onto a callout without changing what it decides.
+        #: Part of :attr:`policy_epoch`, so a replayed decision never
+        #: outlives the chain that made it.
         self.configuration_epoch = 0
         #: Bumped on every change to a configured chain; the epoch
         #: sources of the configured callouts are re-collected only
@@ -174,6 +175,12 @@ class CalloutRegistry:
         label: str = "",
     ) -> None:
         """Configure a callout via the API path."""
+        self._append(type_name, callout, label)
+        self.configuration_epoch += 1
+
+    def _append(
+        self, type_name: str, callout: AuthorizationCallout, label: str
+    ) -> None:
         if not callable(callout):
             raise TypeError(f"callout for {type_name!r} must be callable")
         self._callouts.setdefault(type_name, []).append(
@@ -183,13 +190,11 @@ class CalloutRegistry:
 
     def configure(self, configuration: CalloutConfiguration) -> None:
         """Configure a callout by module/symbol (the dlopen path)."""
-        callout = configuration.load()
         self.register(
             configuration.type_name,
-            callout,
+            configuration.load(),
             label=f"{configuration.module}:{configuration.symbol}",
         )
-        self.configuration_epoch += 1
 
     def configure_from_file(self, path: str, reload: bool = False) -> int:
         """Parse a callout configuration file; returns callouts loaded.
@@ -243,7 +248,7 @@ class CalloutRegistry:
         if reload:
             self._drop_file_entries(path)
         for type_name, callout, label in staged:
-            self.register(type_name, callout, label=label)
+            self._append(type_name, callout, label)
         self._file_digests[path] = digest
         self._file_entries[path] = [
             (type_name, label) for type_name, _, label in staged
@@ -303,6 +308,7 @@ class CalloutRegistry:
         else:
             self._callouts.pop(type_name, None)
         self._chain_version += 1
+        self.configuration_epoch += 1
 
     def configured(self, type_name: str) -> bool:
         return bool(self._callouts.get(type_name))

@@ -12,16 +12,16 @@ machinery:
   :class:`CapabilityToken` — an HMAC-signed artifact scoped to
   (subject DN × action set × jobtag/jobowner constraint × job-spec
   digest), bound to the service's :class:`~repro.core.pipeline.EpochView`
-  snapshot (callout chain, grid-mapfile, cross-shard broadcast) that
-  produced the decision, with a sim-clock TTL.
+  snapshot (callout chain, grid-mapfile) that produced the decision,
+  with a sim-clock TTL.
 * The PEP gains a **validate-first fast path**
   (:class:`CapabilityMiddleware`): signature, expiry, scope and epoch
   check in O(HMAC) — independent of policy size — falling back to
   fresh evaluation (and a re-mint) on any miss.
 * Revocation is **fail-closed**: when any bound epoch has been bumped
   (a policy was replaced, a VO member enrolled, a grid-mapfile line
-  changed, a sharded ``bump_policy_epoch`` broadcast), the capability
-  is revoked and the request re-decided — a stale capability can
+  changed, a callout registered or cleared), the capability is
+  revoked and the request re-decided — a stale capability can
   *revoke*, never *grant*.
 
 A capability that outlives or outgrows the policy that minted it is a
@@ -90,8 +90,8 @@ def default_capability_key(host: str) -> bytes:
     """The deterministic per-resource HMAC key.
 
     A real deployment provisions the key out of band; the simulation
-    derives one from the resource host so every run (and every shard
-    of one resource) signs and verifies with the same key.
+    derives one from the resource host so every run of one resource
+    signs and verifies with the same key.
     """
     return hashlib.sha256(f"repro-capability-key:{host}".encode("utf-8")).digest()
 

@@ -445,11 +445,6 @@ class EpochView:
         # one call's raw epochs with another call's snapshot.
         self._memo: Tuple[Any, EpochSnapshot] = (None, ())
 
-    def add(self, name: str, source: Any) -> None:
-        """Make *source* a member (e.g. a cross-shard broadcast)."""
-        self._members.append((name, source))
-        self._memo = (None, ())
-
     def snapshot(self) -> EpochSnapshot:
         """The members' current ``(name, repr(epoch))`` pairs."""
         raw = tuple([epoch_of(source) for _, source in self._members])

@@ -18,11 +18,10 @@ questions cost O(the subject's statements), not O(total policy size):
   deny are honoured exactly).
 * :class:`QueryEngine` — the *epoch-guarded* production wrapper over
   one or more live :class:`~repro.core.evaluator.PolicyEvaluator`
-  sources.  Every answer first compares the watched policy epochs
-  (including a sharded service's
-  :class:`~repro.gram.dispatch.EpochBroadcast`) and atomically
-  rebuilds the indexes on any change, so a stale index never serves a
-  decision — the same fail-closed discipline as capability grants.
+  sources.  Every answer first compares the watched policy epochs and
+  atomically rebuilds the indexes on any change, so a stale index
+  never serves a decision — the same fail-closed discipline as
+  capability grants.
 
 **Deny-safety.**  The engine's :meth:`QueryEngine.check_request` /
 :meth:`QueryEngine.check_action` answer a *pre-decision*: either
@@ -516,8 +515,7 @@ class QueryEngine:
     """Epoch-guarded reverse index over live policy sources.
 
     Wraps the :class:`~repro.core.evaluator.PolicyEvaluator` members
-    of a combined evaluator (plus any extra epoch sources, e.g. a
-    sharded service's broadcast).  Every answer calls
+    of a combined evaluator.  Every answer calls
     :meth:`ensure_fresh` first: the watched epoch tuple is compared
     and, on any change, every index is rebuilt before the answer is
     produced — a policy bump atomically invalidates the reverse index,
@@ -528,7 +526,6 @@ class QueryEngine:
         self,
         evaluators: Sequence,
         algorithm: CombinationAlgorithm = CombinationAlgorithm.ALL_MUST_PERMIT,
-        epoch_sources: Sequence = (),
         registry=None,
         consumer: str = "engine",
     ) -> None:
@@ -540,7 +537,6 @@ class QueryEngine:
         #: by :meth:`from_combined`.
         self.combined = None
         self.consumer = consumer
-        self._extra_epochs = list(epoch_sources)
         self._indexes: Optional[Tuple[QueryIndex, ...]] = None
         self._built_epoch: Optional[Tuple] = None
         self._lock = threading.Lock()
@@ -556,18 +552,8 @@ class QueryEngine:
         engine.combined = combined
         return engine
 
-    def add_epoch_source(self, source) -> None:
-        """Watch another epoch source (e.g. a cross-shard broadcast)."""
-        with self._lock:
-            self._extra_epochs.append(source)
-            # Force a rebuild on the next answer: the new source's
-            # current epoch joins the watched tuple.
-            self._built_epoch = None
-
     def _epoch(self) -> Tuple:
-        return tuple(epoch_of(e) for e in self.evaluators) + tuple(
-            source.policy_epoch for source in self._extra_epochs
-        )
+        return tuple(epoch_of(e) for e in self.evaluators)
 
     @property
     def watched_epoch(self) -> Tuple:

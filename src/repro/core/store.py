@@ -76,6 +76,23 @@ REJECT_VALIDATOR = "validator"
 StatementMap = Dict[StatementText, PolicyStatement]
 
 
+def end_torn_line(path: str) -> None:
+    """End an append-only JSONL file whose last line lacks a newline.
+
+    A crash mid-append leaves a torn last line, which a replay skips.
+    Without the newline the next append would be glued onto it and
+    skipped by the next replay too.  Nothing is truncated: a record
+    that lost only its newline still replays.  Both JSONL logs (this
+    store's and the completed-job spill) call it before they replay.
+    """
+    with open(path, "rb+") as handle:
+        if handle.seek(0, os.SEEK_END) == 0:
+            return
+        handle.seek(-1, os.SEEK_END)
+        if handle.read(1) != b"\n":
+            handle.write(b"\n")
+
+
 class PolicyStoreError(ValueError):
     """A policy-store operation could not be performed."""
 
@@ -428,6 +445,7 @@ class VersionedPolicyStore:
             handle.write(line + "\n")
 
     def _replay(self, log_path: str) -> None:
+        end_torn_line(log_path)
         with open(log_path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
         for raw in lines:

@@ -21,9 +21,6 @@ extensions (§5):
 * :mod:`repro.gram.gridmap` — the grid-mapfile access-control list.
 * :mod:`repro.gram.service` — glue assembling a whole resource
   (gatekeeper + scheduler + accounts + PEP) for examples and benches.
-* :mod:`repro.gram.dispatch` — the sharded service core: N complete
-  stacks hashed on requester DN behind the same synchronous API, each
-  request served on the caller's thread by its owning shard.
 """
 
 from repro.gram.protocol import (
@@ -45,13 +42,6 @@ from repro.gram.jobmanager import AuthorizationMode, JobManagerInstance
 from repro.gram.gatekeeper import Gatekeeper
 from repro.gram.client import GramClient
 from repro.gram.service import GramService, ServiceConfig
-from repro.gram.dispatch import (
-    EpochBroadcast,
-    ShardRouter,
-    ShardedGatekeeper,
-    ShardedGramService,
-)
-from repro.gram.lifecycle import ShardState, SharedGauge
 
 __all__ = [
     "GramErrorCode",
@@ -68,12 +58,6 @@ __all__ = [
     "GramClient",
     "GramService",
     "ServiceConfig",
-    "EpochBroadcast",
-    "ShardRouter",
-    "ShardedGatekeeper",
-    "ShardedGramService",
-    "ShardState",
-    "SharedGauge",
     "InformationService",
     "ResourceRecord",
     "vo_usage",

@@ -34,7 +34,6 @@ from repro.gram.lifecycle import (
     CompletedJobRecord,
     CompletedJobStore,
     LifecycleConfig,
-    ShardState,
 )
 from repro.gram.protocol import (
     GramErrorCode,
@@ -74,8 +73,7 @@ class Gatekeeper:
         gt3_account_setup: bool = False,
         telemetry=None,
         lifecycle: Optional[LifecycleConfig] = None,
-        state: Optional[ShardState] = None,
-        service_time: float = 0.0,
+        spill=None,
         query_engine=None,
     ) -> None:
         self.host = host
@@ -102,23 +100,22 @@ class Gatekeeper:
         #: (untrusted) JMI ever runs.
         self.gt3_account_setup = gt3_account_setup
         #: Lifecycle layer: JMI reaping + admission control (see
-        #: :mod:`repro.gram.lifecycle`).  All of it — live JMIs,
-        #: the bounded ``completed`` store, admission counters — lives
-        #: in one :class:`ShardState` bundle, owned by this Gatekeeper
-        #: in the single-service configuration or handed in by the
-        #: sharded dispatcher (:mod:`repro.gram.dispatch`).
-        if state is None:
-            state = ShardState(lifecycle or LifecycleConfig(), clock)
-        elif lifecycle is not None and state.lifecycle is not lifecycle:
-            raise ValueError("pass lifecycle via the ShardState, not both")
-        self.state = state
-        self.lifecycle = state.lifecycle
-        #: Simulated seconds this Gatekeeper's interpreter loop spends
-        #: per request (0 = free, the stock behaviour).  The throughput
-        #: benchmark sets it so each shard's clock advances as requests
-        #: are served, making per-shard parallelism measurable in
-        #: simulated time.
-        self.service_time = service_time
+        #: :mod:`repro.gram.lifecycle`).
+        self.lifecycle = lifecycle or LifecycleConfig()
+        #: Final state of reaped jobs, for post-completion management
+        #: requests; durable across restarts when *spill* (a
+        #: :class:`~repro.gram.spill.CompletedJobSpill`) is given.
+        self.completed = CompletedJobStore(
+            retention=self.lifecycle.completed_retention,
+            retention_age=self.lifecycle.completed_retention_age,
+            clock=clock,
+            spill=spill,
+        )
+        self.admission = AdmissionControl(self.lifecycle)
+        self._job_managers: Dict[str, JobManagerInstance] = {}
+        self.submissions = 0
+        self.authentications_failed = 0
+        self.reaped = 0
         #: Optional :class:`repro.core.query.QueryEngine` — the
         #: epoch-guarded reverse authorization index.  When set, a
         #: submission whose (identity, start) is a *guaranteed* DENY
@@ -131,34 +128,6 @@ class Gatekeeper:
         #: ``(chain version, live)`` memo of :meth:`_fast_deny_live`.
         self._fast_deny_chain: Tuple[Optional[int], bool] = (None, False)
         self._published_evictions: Dict[str, int] = {}
-
-    # -- shard-state views ------------------------------------------------------
-    # The counters share their names with ShardedGatekeeper's cross-shard
-    # sums, so callers read either gatekeeper the same way.
-
-    @property
-    def completed(self) -> CompletedJobStore:
-        return self.state.completed
-
-    @property
-    def admission(self) -> AdmissionControl:
-        return self.state.admission
-
-    @property
-    def _job_managers(self) -> Dict[str, JobManagerInstance]:
-        return self.state.job_managers
-
-    @property
-    def submissions(self) -> int:
-        return self.state.submissions
-
-    @property
-    def authentications_failed(self) -> int:
-        return self.state.authentications_failed
-
-    @property
-    def reaped(self) -> int:
-        return self.state.reaped
 
     # -- the request path -----------------------------------------------------
 
@@ -174,18 +143,16 @@ class Gatekeeper:
                     kind="submit",
                     code=response.code.name,
                 )
-            if self.service_time:
-                self.clock.advance(self.service_time)
             return response
 
     def _submit(self, credential: Credential, rsl_text: str) -> GramResponse:
-        self.state.submissions += 1
+        self.submissions += 1
         self._trace("client", "gatekeeper", "submit job request")
 
         # 0. Service-wide backpressure, before any expensive work —
         # an overloaded front door sheds load without paying for
         # credential verification first.
-        active = self.state.global_active_jmis()
+        active = len(self._job_managers)
         rejection = self.admission.check_global(active)
         if rejection is not None:
             return self._admission_rejected(
@@ -202,7 +169,7 @@ class Gatekeeper:
                 credential, self.trust_anchors, at_time=self.clock.now
             )
         except GSIError as exc:
-            self.state.authentications_failed += 1
+            self.authentications_failed += 1
             return GramResponse(
                 code=GramErrorCode.AUTHENTICATION_FAILED, message=str(exc)
             )
@@ -313,7 +280,7 @@ class Gatekeeper:
         response = jmi.start(rsl_text)
         if response.ok:
             if not jmi.finished:
-                self.state.add_jmi(contact.job_id, jmi)
+                self._job_managers[contact.job_id] = jmi
             self._publish_lifecycle_gauges()
         else:
             self.admission.release(str(identity))
@@ -356,8 +323,6 @@ class Gatekeeper:
                     kind="manage",
                     code=response.code.name,
                 )
-            if self.service_time:
-                self.clock.advance(self.service_time)
             return response
 
     @property
@@ -414,7 +379,7 @@ class Gatekeeper:
         self._publish_lifecycle_gauges()
 
     def _reap(self, jmi: JobManagerInstance, job) -> None:
-        self.state.pop_jmi(jmi.contact.job_id)
+        self._job_managers.pop(jmi.contact.job_id, None)
         state = jmi.state()
         assert state is not None and jmi.description is not None
         self.completed.add(
@@ -429,7 +394,7 @@ class Gatekeeper:
                 capability=jmi.capability,
             )
         )
-        self.state.reaped += 1
+        self.reaped += 1
         # Drop the LRM-side record too: the whole serving path stays
         # O(active jobs), not O(jobs ever run).
         try:

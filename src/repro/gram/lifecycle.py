@@ -15,33 +15,22 @@ sustained churn:
 * :class:`AdmissionControl` — per-user in-flight caps and a
   service-wide active-JMI ceiling, rejected up front with
   ``RESOURCE_BUSY`` so overload sheds load instead of leaking it.
-* :class:`ShardState` — *all* of the Gatekeeper's per-request mutable
-  state (live JMIs, completed store, admission counters, request
-  counters) in one bundle, so a sharded service
-  (:mod:`repro.gram.dispatch`) can give every shard its own.  The
-  only cross-shard touch point is an optional :class:`SharedGauge`
-  carrying the service-wide active-JMI count for the global admission
-  ceiling.
 
-:class:`LifecycleConfig` bundles the knobs; the Gatekeeper owns one
-:class:`ShardState` and the
+:class:`LifecycleConfig` bundles the knobs; the Gatekeeper builds its
+completed-job store and admission control from one, and the
 :class:`~repro.gram.service.ServiceConfig` exposes the knobs.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.gram.protocol import GramJobState, JobContact
 from repro.gsi.names import DistinguishedName
 from repro.rsl.ast import Specification
 from repro.sim.clock import Clock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.gram.jobmanager import JobManagerInstance
 
 
 @dataclass(frozen=True)
@@ -337,86 +326,3 @@ class AdmissionControl:
     @property
     def tracked_identities(self) -> int:
         return len(self._in_flight)
-
-
-class SharedGauge:
-    """A lock-protected integer shared by every shard of a service.
-
-    The one cross-shard mutable value: the service-wide active-JMI
-    count that the global admission ceiling (``max_active_jmis``)
-    compares against.  Callers may drive a sharded service from
-    several threads, so the read-modify-write is guarded by a lock —
-    under CPython's memory model a bare ``+=`` from two threads can
-    lose updates.
-    """
-
-    def __init__(self, value: int = 0) -> None:
-        self._value = value
-        self._lock = threading.Lock()
-
-    def adjust(self, delta: int) -> int:
-        """Atomically add *delta*; returns the new value."""
-        with self._lock:
-            self._value += delta
-            return self._value
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-@dataclass
-class ShardState:
-    """All of one shard's per-request mutable Gatekeeper state.
-
-    The sharded service (:mod:`repro.gram.dispatch`) gives every shard
-    its own ``ShardState`` — nothing here is shared across shards.
-    The single-service configuration owns exactly one, so behaviour is
-    identical to the pre-shard code.
-
-    ``shared_active_jmis`` is the optional cross-shard
-    :class:`SharedGauge`; when absent (single shard) the global
-    active-JMI count is simply the local map's size.
-    """
-
-    lifecycle: LifecycleConfig
-    clock: Clock
-    shard_index: int = 0
-    shared_active_jmis: Optional[SharedGauge] = None
-    #: Optional :class:`~repro.gram.spill.CompletedJobSpill` making the
-    #: completed-job store durable across restarts.
-    spill: Any = None
-    completed: CompletedJobStore = field(init=False)
-    job_managers: Dict[str, "JobManagerInstance"] = field(default_factory=dict)
-    submissions: int = 0
-    authentications_failed: int = 0
-    reaped: int = 0
-
-    def __post_init__(self) -> None:
-        self.completed = CompletedJobStore(
-            retention=self.lifecycle.completed_retention,
-            retention_age=self.lifecycle.completed_retention_age,
-            clock=self.clock,
-            spill=self.spill,
-        )
-        self.admission = AdmissionControl(self.lifecycle)
-
-    # -- live-JMI bookkeeping ------------------------------------------------
-
-    def add_jmi(self, job_id: str, jmi: "JobManagerInstance") -> None:
-        self.job_managers[job_id] = jmi
-        if self.shared_active_jmis is not None:
-            self.shared_active_jmis.adjust(+1)
-
-    def pop_jmi(self, job_id: str) -> Optional["JobManagerInstance"]:
-        jmi = self.job_managers.pop(job_id, None)
-        if jmi is not None and self.shared_active_jmis is not None:
-            self.shared_active_jmis.adjust(-1)
-        return jmi
-
-    def global_active_jmis(self) -> int:
-        """The service-wide active-JMI count the global ceiling sees."""
-        if self.shared_active_jmis is not None:
-            return self.shared_active_jmis.value
-        return len(self.job_managers)

@@ -9,7 +9,7 @@ registry, PEP, Gatekeeper.  :class:`GramService` assembles it from a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.accounts.dynamic import DynamicAccountPool
 from repro.accounts.enforcement import (
@@ -46,7 +46,7 @@ from repro.core.store import (
 from repro.gram.gatekeeper import Gatekeeper
 from repro.gram.gridmap import GridMapFile
 from repro.gram.jobmanager import AuthorizationMode
-from repro.gram.lifecycle import LifecycleConfig, ShardState, SharedGauge
+from repro.gram.lifecycle import LifecycleConfig
 from repro.gram.spill import CompletedJobSpill, RecoveryResult
 from repro.gram.protocol import TraceRecorder
 from repro.gsi.credentials import CertificateAuthority
@@ -102,8 +102,6 @@ class ServiceConfig:
     #: Admission control: per-user in-flight job cap (None = off).
     max_jobs_per_user: Optional[int] = None
     #: Admission control: service-wide active-JMI ceiling (None = off).
-    #: Under a sharded service the ceiling is enforced against the
-    #: cross-shard :class:`~repro.gram.lifecycle.SharedGauge`.
     max_active_jmis: Optional[int] = None
     #: Signed capability grants (:mod:`repro.core.capability`): after
     #: a full combined PERMIT the PEP mints an HMAC-signed token bound
@@ -116,28 +114,11 @@ class ServiceConfig:
     #: *guaranteed* DENY straight from the epoch-guarded reverse
     #: authorization index — after the grid-mapfile lookup, before
     #: account mapping, JMI spawn or any pipeline invocation.
-    #: Deny-safe only: undecided requests take the full path.  A
-    #: sharded service watches the cross-shard epoch broadcast too, so
-    #: ``bump_policy_epoch()`` invalidates the index service-wide.
+    #: Deny-safe only: undecided requests take the full path.
     query_fast_deny: bool = False
     #: HMAC key for capability signing (None = derive one
-    #: deterministically from the host; a sharded service shares the
-    #: base host's key across every shard).
+    #: deterministically from the host).
     capability_key: Optional[bytes] = None
-    #: Number of request-handling shards.  ``1`` is the plain single
-    #: service; ``> 1`` requires building through
-    #: :class:`repro.gram.dispatch.ShardedGramService`, which hashes
-    #: each requester DN to a shard with its own full service stack.
-    shards: int = 1
-    #: VO-aware shard-key override: maps a requester DN string to the
-    #: string actually hashed for shard selection (None = hash the DN
-    #: itself).  Lets a deployment pin a whole VO subtree to one shard.
-    shard_key: Optional[Callable[[str], str]] = None
-    #: Simulated seconds of Gatekeeper interpreter-loop work per
-    #: request (0 = free).  The throughput benchmark sets this so each
-    #: shard's clock advances as it serves, making shard parallelism
-    #: measurable in simulated time.
-    request_service_time: float = 0.0
     #: Health & SLO engine (:mod:`repro.obs.health`): windowed
     #: burn-rate evaluation of the service's telemetry into
     #: healthy/degraded/critical reports, with a flight recorder that
@@ -160,8 +141,7 @@ class ServiceConfig:
     #: (:mod:`repro.gram.spill`).  Inserts/evictions append; a service
     #: (re)built with the same path recovers the records and
     #: re-authorizes post-reap requests identically to the
-    #: pre-restart service.  A sharded service derives one file per
-    #: shard from this base path.
+    #: pre-restart service.
     spill_path: Optional[str] = None
 
 
@@ -172,18 +152,8 @@ class GramService:
         self,
         config: Optional[ServiceConfig] = None,
         ca: Optional[CertificateAuthority] = None,
-        shard_index: int = 0,
-        shared_active_jmis: Optional[SharedGauge] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        if self.config.shards > 1 and shared_active_jmis is None:
-            raise ValueError(
-                "shards > 1 needs the sharded assembly — build a "
-                "repro.gram.dispatch.ShardedGramService instead"
-            )
-        #: Which shard of a sharded service this stack is (0 for the
-        #: plain single service).
-        self.shard_index = shard_index
         self.clock = Clock()
         self.ca = ca or CertificateAuthority("/O=Grid/CN=Reproduction CA")
         self.cluster = Cluster.homogeneous(
@@ -269,8 +239,8 @@ class GramService:
         )
 
         #: JSONL durability for the completed-job store (None unless
-        #: ``config.spill_path``); recovery happens below, after the
-        #: state bundle exists to load into.
+        #: ``config.spill_path``); recovery happens below, once the
+        #: Gatekeeper's store exists to load into.
         self.spill = (
             CompletedJobSpill(self.config.spill_path)
             if self.config.spill_path
@@ -280,24 +250,6 @@ class GramService:
         #: service's restart recovery (None when no spill configured).
         self.recovery: Optional[RecoveryResult] = None
 
-        #: This stack's per-request mutable state, bundled so a
-        #: sharded service can hold one per shard (the dispatch layer
-        #: reads it for merged snapshots; see ``repro.gram.dispatch``).
-        self.shard_state = ShardState(
-            LifecycleConfig(
-                reap=self.config.reap_jmis,
-                completed_retention=self.config.completed_retention,
-                completed_retention_age=self.config.completed_retention_age,
-                max_jobs_per_user=self.config.max_jobs_per_user,
-                max_active_jmis=self.config.max_active_jmis,
-            ),
-            self.clock,
-            shard_index=shard_index,
-            shared_active_jmis=shared_active_jmis,
-            spill=self.spill,
-        )
-        if self.spill is not None:
-            self._recover_completed_jobs()
         self.gatekeeper = Gatekeeper(
             host=self.config.host,
             trust_anchors=[self.ca],
@@ -313,10 +265,18 @@ class GramService:
             trace=self.trace,
             gt3_account_setup=self.config.gt3_account_setup,
             telemetry=self.telemetry,
-            state=self.shard_state,
-            service_time=self.config.request_service_time,
+            lifecycle=LifecycleConfig(
+                reap=self.config.reap_jmis,
+                completed_retention=self.config.completed_retention,
+                completed_retention_age=self.config.completed_retention_age,
+                max_jobs_per_user=self.config.max_jobs_per_user,
+                max_active_jmis=self.config.max_active_jmis,
+            ),
+            spill=self.spill,
             query_engine=self.query_engine,
         )
+        if self.spill is not None:
+            self._recover_completed_jobs()
 
         #: Health & SLO monitor over this stack's telemetry (None
         #: unless ``config.health_slo``); ticked from :meth:`run`.
@@ -511,7 +471,7 @@ class GramService:
         if result.last_at > self.clock.now:
             self.clock.advance(result.last_at - self.clock.now)
         if result.records:
-            self.shard_state.completed.preload(result.records)
+            self.gatekeeper.completed.preload(result.records)
         self.recovery = result
         if self.telemetry is not None and (
             result.replayed_lines or result.skipped_lines

@@ -12,7 +12,9 @@ authorized against lived only in memory.  This module makes the
 * :meth:`CompletedJobSpill.recover` replays the file back into
   records, dropping tombstoned ids.  A truncated or garbled line is
   **skipped with a counter**, never an abort — losing one record to a
-  crash mid-append must not lose the other ten thousand;
+  crash mid-append must not lose the other ten thousand.  Recovery
+  first ends a torn last line with a newline, so the next append
+  starts a line of its own;
 * when tombstones outnumber live records
   (:attr:`CompletedJobSpill.compact_ratio`), the file is compacted:
   rewritten atomically (``os.replace``) with only the live inserts.
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from repro.core.capability import CapabilityToken
+from repro.core.store import end_torn_line
 from repro.gram.protocol import GramJobState, JobContact
 from repro.gsi.names import DistinguishedName
 from repro.rsl.parser import parse_specification
@@ -97,7 +100,7 @@ class RecoveryResult:
 
 
 class CompletedJobSpill:
-    """Append-only JSONL durability for one shard's completed-job store."""
+    """Append-only JSONL durability for the completed-job store."""
 
     def __init__(
         self,
@@ -142,6 +145,7 @@ class CompletedJobSpill:
         if not os.path.exists(self.path):
             self.lines = 0
             return result
+        end_torn_line(self.path)
         with open(self.path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
         alive: "Dict[str, Any]" = {}
@@ -209,15 +213,3 @@ class CompletedJobSpill:
         self.compact(live_records)
         return True
 
-
-def shard_spill_path(base_path: str, shard_index: int, shards: int) -> str:
-    """Deterministic per-shard spill file under one configured base.
-
-    A single-shard service uses the base path unchanged (so flat and
-    one-shard deployments share files byte-for-byte); a sharded one
-    suffixes the shard index — the same derivation on restart finds
-    the same files.
-    """
-    if shards <= 1:
-        return base_path
-    return f"{base_path}.shard{shard_index}"

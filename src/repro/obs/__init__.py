@@ -35,7 +35,6 @@ from repro.obs.exporters import (
     histogram_quantile,
     load_snapshot,
     load_spans,
-    merge_snapshots,
     prometheus_text,
     render_trace_tree,
     snapshot_jsonl,
@@ -100,7 +99,6 @@ __all__ = [
     "load_flight_dump",
     "load_snapshot",
     "load_spans",
-    "merge_snapshots",
     "prometheus_text",
     "render_flight_dump",
     "render_trace_tree",

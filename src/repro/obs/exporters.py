@@ -173,91 +173,6 @@ def diff_snapshots(
     return out
 
 
-def merge_snapshots(
-    snapshots: Sequence[Sequence[Mapping[str, Any]]],
-) -> List[Dict[str, Any]]:
-    """Merge per-shard registry snapshots into one service-wide view.
-
-    Counters and histogram series with the same name and label set
-    add (per bucket for histograms — cumulative counts sum cleanly);
-    gauges add too, which is the right semantics for every gauge this
-    codebase exports (store sizes, live-JMI counts: the service-wide
-    value is the sum of the shard values).  Families are re-sorted by
-    name and series by label values, so merging one snapshot is the
-    identity and the output is valid input for
-    :func:`prometheus_text`, :func:`snapshot_jsonl` and
-    :func:`diff_snapshots`.  Conflicting family types for one name
-    raise — that means two registries with different schemas, not two
-    shards of one service.
-    """
-
-    def series_key(series: Mapping[str, Any]) -> Tuple:
-        return tuple(sorted(dict(series.get("labels", {})).items()))
-
-    merged: Dict[str, Dict[str, Any]] = {}
-    for snapshot in snapshots:
-        for family in snapshot:
-            name = family["name"]
-            target = merged.get(name)
-            if target is None:
-                target = {
-                    "name": name,
-                    "type": family["type"],
-                    "help": family.get("help", ""),
-                    "series": {},
-                    "overflowed": 0,
-                }
-                merged[name] = target
-            elif target["type"] != family["type"]:
-                raise ValueError(
-                    f"cannot merge {name!r}: {target['type']} vs "
-                    f"{family['type']}"
-                )
-            target["overflowed"] += family.get("overflowed", 0)
-            for series in family.get("series", ()):
-                key = series_key(series)
-                existing = target["series"].get(key)
-                if existing is None:
-                    entry = {"labels": dict(series.get("labels", {}))}
-                    if family["type"] == "histogram":
-                        entry["buckets"] = [
-                            [bound, count] for bound, count in series["buckets"]
-                        ]
-                        entry["sum"] = series["sum"]
-                        entry["count"] = series["count"]
-                    else:
-                        entry["value"] = series["value"]
-                    target["series"][key] = entry
-                elif family["type"] == "histogram":
-                    incoming = {
-                        bound: count for bound, count in series["buckets"]
-                    }
-                    existing["buckets"] = [
-                        [bound, count + incoming.get(bound, 0)]
-                        for bound, count in existing["buckets"]
-                    ]
-                    existing["sum"] += series["sum"]
-                    existing["count"] += series["count"]
-                else:
-                    existing["value"] += series["value"]
-
-    out: List[Dict[str, Any]] = []
-    for name in sorted(merged):
-        family = merged[name]
-        data: Dict[str, Any] = {
-            "name": name,
-            "type": family["type"],
-            "help": family["help"],
-            "series": [
-                family["series"][key] for key in sorted(family["series"])
-            ],
-        }
-        if family["overflowed"]:
-            data["overflowed"] = family["overflowed"]
-        out.append(data)
-    return out
-
-
 def histogram_quantile(
     buckets: Sequence[Sequence[float]], q: float
 ) -> float:

@@ -7,7 +7,7 @@ classic *multiwindow, multi-burn-rate* method: an objective's error
 budget must be burning fast over a short window **and** a long window
 before anything alerts, so a single bad request can't page and a slow
 leak can't hide.  Every evaluation scores each registered scope (the
-service, each shard, each federated site — any
+service, each federated site — any
 :class:`~repro.obs.windows.WindowedAggregator`) and each
 ``target_label`` expansion (per policy source) into
 ``healthy / degraded / critical``, moving one level per evaluation in

@@ -164,7 +164,7 @@ class FlightRecorder:
     path; ``note_window`` from the health monitor's window ticks.
     :meth:`freeze` snapshots the current ring into a
     :class:`FlightDump`, optionally filtered to one scope (the sick
-    site or shard), without disturbing ongoing recording.
+    site), without disturbing ongoing recording.
     """
 
     def __init__(self, limit: int = 256) -> None:

@@ -10,12 +10,11 @@ deterministic run to run.
 
 Everything operates on *plain exported data* (the structure
 :meth:`~repro.obs.registry.MetricsRegistry.snapshot` produces), so an
-aggregator works equally over a flat registry, a
-:func:`~repro.obs.exporters.merge_snapshots`-merged sharded service,
-or a snapshot re-loaded from disk.  Series folded into the
+aggregator works equally over a live registry or a snapshot re-loaded
+from disk.  Series folded into the
 cardinality-overflow bucket (:data:`~repro.obs.registry.OVERFLOW_LABEL`)
 are excluded from label-filtered queries by default, so truncated
-label sets can never masquerade as a real policy source or shard.
+label sets can never masquerade as a real policy source or site.
 """
 
 from __future__ import annotations
@@ -214,8 +213,8 @@ class WindowedAggregator:
     """Ring-buffered window series over one snapshot source.
 
     ``snapshot_fn`` is any zero-arg callable returning a plain
-    snapshot — a live registry's bound ``snapshot`` method, a sharded
-    service's ``merged_snapshot``, or a lambda replaying exports.
+    snapshot — a live registry's bound ``snapshot`` method or a lambda
+    replaying exports.
     :meth:`tick` closes the window ending *now*; :meth:`maybe_tick`
     closes one only when at least ``window`` simulated seconds have
     elapsed, so a driver can call it every step.  Windows may be wider

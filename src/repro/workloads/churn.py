@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.gram.client import GramClient
-from repro.gram.dispatch import ShardedGramService
 from repro.gram.protocol import GramErrorCode, JobContact
 from repro.gram.service import GramService, ServiceConfig
 
@@ -156,103 +155,6 @@ def run_churn(
     stats.final_scheduler_jobs = len(scheduler.jobs())
     stats.running_jobs_after = sum(
         account.running_jobs for account in service.accounts.accounts()
-    )
-    return stats
-
-
-def build_sharded_churn(
-    config: ChurnConfig,
-    service_config: Optional[ServiceConfig] = None,
-) -> Tuple[ShardedGramService, List[GramClient]]:
-    """A sharded service plus one enrolled client per churn user.
-
-    The sharded sibling of :func:`build_churn_service`: same user
-    population, same defaults, but the service is a
-    :class:`~repro.gram.dispatch.ShardedGramService` built from
-    ``service_config.shards``.
-    """
-    service = ShardedGramService(
-        service_config
-        or ServiceConfig(host="churn.example.org", node_count=16, cpus_per_node=4)
-    )
-    clients: List[GramClient] = []
-    for index in range(config.users):
-        identity = f"{CHURN_PREFIX}/CN=User {index:05d}"
-        credential = service.add_user(identity, f"churn{index:05d}")
-        clients.append(GramClient(credential, service.gatekeeper))
-    return service, clients
-
-
-def run_sharded_churn(
-    service: ShardedGramService,
-    clients: List[GramClient],
-    config: ChurnConfig,
-    stats: Optional[ChurnStats] = None,
-) -> ChurnStats:
-    """Drive the churn loop against a sharded service, in waves.
-
-    Each wave submits one job per shard-pool slot, then polls and
-    cancels the started jobs, every request on the caller's thread.
-    The wave order and the cancel lottery are seeded exactly like
-    :func:`run_churn`, so a one-shard run observes the same request
-    stream the plain driver would issue.
-    """
-    rng = random.Random(config.seed)
-    stats = stats if stats is not None else ChurnStats()
-    gatekeeper = service.gatekeeper
-    rsl = churn_rsl(config)
-    wave_size = max(1, len(service.shards))
-
-    cycle = 0
-    while cycle < config.cycles:
-        wave = [
-            clients[(cycle + offset) % len(clients)]
-            for offset in range(min(wave_size, config.cycles - cycle))
-        ]
-        cycle += len(wave)
-        started: List[Tuple[GramClient, JobContact]] = []
-        for client in wave:
-            response = gatekeeper.submit(client.credential, rsl)
-            stats.submitted += 1
-            if response.code is GramErrorCode.RESOURCE_BUSY:
-                stats.rejected_busy += 1
-            elif response.ok:
-                stats.started += 1
-                assert response.contact is not None
-                stats.contacts.append((cycle, response.contact))
-                started.append((client, response.contact))
-            else:
-                stats.errors += 1
-        for _ in range(config.polls_per_job):
-            for client, contact in started:
-                gatekeeper.manage(client.credential, contact, "information")
-                stats.polls += 1
-        for client, contact in started:
-            if rng.random() < config.cancel_fraction:
-                if gatekeeper.manage(client.credential, contact, "cancel").ok:
-                    stats.cancelled += 1
-        stats.max_live_jmis = max(
-            stats.max_live_jmis, gatekeeper.active_job_managers
-        )
-        stats.max_terminal_callbacks = max(
-            stats.max_terminal_callbacks,
-            sum(s.scheduler.terminal_callback_count for s in service.shards),
-        )
-        service.run(config.step)
-
-    service.run(config.runtime * 2 + config.step)
-    stats.final_live_jmis = gatekeeper.active_job_managers
-    stats.final_terminal_callbacks = sum(
-        s.scheduler.terminal_callback_count for s in service.shards
-    )
-    stats.final_completed_records = gatekeeper.completed_jobs
-    stats.final_scheduler_jobs = sum(
-        len(s.scheduler.jobs()) for s in service.shards
-    )
-    stats.running_jobs_after = sum(
-        account.running_jobs
-        for shard in service.shards
-        for account in shard.accounts.accounts()
     )
     return stats
 

@@ -1,16 +1,18 @@
 """Restart-recovery differential: a recovered service must not drift.
 
 The durable control plane claims that a :class:`~repro.gram.service
-.GramService` (or its sharded sibling) restarted over a completed-job
-spill answers post-completion management requests *identically* to the
-service that never died.  This module pins that claim the way the
+.GramService` restarted over a completed-job spill answers
+post-completion management requests *identically* to the service that
+never died.  This module pins that claim the way the
 other differential suites pin theirs: build service A with a JSONL
 spill, complete a population of jobs against it, build service B from
 nothing but the same configuration and the spill file, then drive the
 same randomized stream of ``information``/``cancel`` requests — owners
 and peers, permits and denials — at both and compare every response
 on the wire.  Capability tokens reaped with the jobs are re-validated
-on both sides too.
+on both sides too.  :func:`run_torn_tail_differential` restarts over
+a spill whose last line a crash tore, keeps serving, and restarts
+again: nothing written after the torn line may be lost.
 
 Everything runs on simulated time with seeded randomness, so a run is
 deterministic end to end and a single divergence is a hard failure,
@@ -26,15 +28,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
-from repro.gram.dispatch import ShardedGramService
 from repro.gram.service import GramService, ServiceConfig
 from repro.gsi.credentials import CertificateAuthority
 
 #: DN root of the generated recovery population.
 RECOVERY_PREFIX = "/O=Grid/O=Recovery/OU=durable.example.org"
 
-#: Grants mirroring the sharded differential: starts bounded by count,
-#: cancel only by the owner, information open to the jobtag community.
+#: Starts bounded by count, cancel only by the owner, information open
+#: to the jobtag community.
 RECOVERY_POLICY = f"""
 {RECOVERY_PREFIX}:
     &(action=start)(executable=sim)(count<4)
@@ -58,9 +59,6 @@ class RecoveryDifferentialConfig:
     #: Declared runtime of every job, in simulated seconds.
     runtime: float = 4.0
     seed: int = 2026
-    #: ``shards > 1`` runs the differential through the sharded
-    #: service (spill files per shard, recovery per shard).
-    shards: int = 1
 
 
 @dataclass
@@ -107,7 +105,6 @@ def build_recovery_config(config: RecoveryDifferentialConfig, **overrides):
         capability_grants=True,
         decision_cache=True,
         spill_path=config.spill_path,
-        shards=config.shards,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -117,18 +114,17 @@ def build_recovery_service(
     config: RecoveryDifferentialConfig,
     ca: CertificateAuthority,
     service_config: Optional[ServiceConfig] = None,
-):
-    """One wired service over the spill path, flat or sharded.
+) -> GramService:
+    """One wired service over the spill path.
 
     The certificate authority is passed in rather than created, for
     the same reason the spill file is: trust anchors survive a
     restart on disk, so service B must be built over the *same* CA
     that signed service A's user credentials.
     """
-    service_config = service_config or build_recovery_config(config)
-    if config.shards > 1:
-        return ShardedGramService(service_config, ca=ca)
-    return GramService(service_config, ca=ca)
+    return GramService(
+        service_config or build_recovery_config(config), ca=ca
+    )
 
 
 def enroll(service, config: RecoveryDifferentialConfig) -> List[GramClient]:
@@ -189,37 +185,105 @@ def normalized_wire(response) -> Dict[str, Any]:
     return wire
 
 
-def _sync_clock(service, target_now: float) -> None:
-    """Advance a (possibly sharded) service's clock(s) to *target_now*.
+def _sync_clock(service: GramService, target_now: float) -> None:
+    """Advance *service*'s clock to *target_now*.
 
     Recovery restores the clock to the spill's last timestamp; the
     uninterrupted service kept running past that point while its jobs
     drained.  Age-based answers must be compared at the same instant.
     """
-    shards = getattr(service, "shards", None) or (service,)
-    for shard in shards:
-        if shard.clock.now < target_now:
-            shard.clock.advance(target_now - shard.clock.now)
+    if service.clock.now < target_now:
+        service.clock.advance(target_now - service.clock.now)
 
 
-def _completed_records(service) -> Dict[str, Any]:
-    """job id -> completed record, merged across shards."""
-    shards = getattr(service, "shards", None) or (service,)
-    merged: Dict[str, Any] = {}
-    for shard in shards:
-        for record in shard.gatekeeper.completed.live_records():
-            merged[record.job_id] = record
-    return merged
+def _completed_records(service: GramService) -> Dict[str, Any]:
+    """job id -> completed record."""
+    return {
+        record.job_id: record
+        for record in service.gatekeeper.completed.live_records()
+    }
 
 
-def _issuer_for(service, contact, identity: str):
-    """The capability issuer owning *contact*'s job on *service*."""
-    shards = getattr(service, "shards", None)
-    if shards is None:
-        return service.capability.issuer if service.capability else None
-    index = service.shard_of_contact(contact, identity)
-    shard = shards[index]
-    return shard.capability.issuer if shard.capability else None
+def _restart(
+    before: GramService,
+    config: RecoveryDifferentialConfig,
+    ca: CertificateAuthority,
+    stats: RecoveryDifferentialStats,
+) -> Tuple[GramService, List[GramClient]]:
+    """A fresh service over *before*'s spill, at *before*'s instant,
+    with the population enrolled again."""
+    after = build_recovery_service(config, ca)
+    clients = enroll(after, config)
+    stats.recovered_records = len(after.recovery.records)
+    stats.skipped_lines += after.recovery.skipped_lines
+    _sync_clock(after, before.clock.now)
+    return after, clients
+
+
+def _compare(
+    reference: GramService,
+    candidate: GramService,
+    clients: List[GramClient],
+    contacts: List[Tuple[int, Any]],
+    config: RecoveryDifferentialConfig,
+    stats: RecoveryDifferentialStats,
+) -> None:
+    """Drive the randomized request stream at both; count mismatches."""
+    rng = random.Random(config.seed)
+    for index in range(config.requests):
+        owner, contact = contacts[rng.randrange(len(contacts))]
+        requester = owner
+        if rng.random() < 0.5:
+            requester = (owner + 1 + rng.randrange(config.users - 1)) % (
+                config.users
+            )
+        action = rng.choice(("information", "cancel"))
+        credential = clients[requester].credential
+        expected = normalized_wire(
+            reference.gatekeeper.manage(credential, contact, action)
+        )
+        answer = normalized_wire(
+            candidate.gatekeeper.manage(credential, contact, action)
+        )
+        stats.requests += 1
+        if expected != answer:
+            stats.record_divergence(index, action, expected, answer)
+
+    # Reaped capability tokens validate identically.
+    if reference.capability is None or candidate.capability is None:
+        return
+    records = _completed_records(reference)
+    recovered = _completed_records(candidate)
+    for _, contact in contacts:
+        record = records.get(contact.job_id)
+        if record is None or record.capability is None:
+            continue
+        copy = recovered.get(contact.job_id)
+        verdict = reference.capability.issuer.validate(record.capability)
+        answer = (
+            candidate.capability.issuer.validate(copy.capability)
+            if copy is not None and copy.capability is not None
+            else "missing"
+        )
+        stats.capability_checks += 1
+        if verdict != answer:
+            stats.record_divergence(-1, "capability", verdict, answer)
+
+
+def _populated(
+    config: RecoveryDifferentialConfig,
+    ca: CertificateAuthority,
+    stats: RecoveryDifferentialStats,
+):
+    """Service A with ``config.jobs`` jobs completed into its spill."""
+    service = build_recovery_service(config, ca)
+    clients = enroll(service, config)
+    contacts = populate(service, clients, config)
+    stats.completed = len(_completed_records(service))
+    assert stats.completed == config.jobs, (
+        f"populate left {stats.completed}/{config.jobs} completed records"
+    )
+    return service, clients, contacts
 
 
 def run_recovery_differential(
@@ -232,71 +296,39 @@ def run_recovery_differential(
     """
     stats = RecoveryDifferentialStats()
     ca = CertificateAuthority("/O=Grid/CN=Recovery CA")
+    service_a, clients, contacts = _populated(config, ca, stats)
+    service_b, _ = _restart(service_a, config, ca, stats)
+    _compare(service_a, service_b, clients, contacts, config, stats)
+    return stats
 
-    # -- phase 1: service A completes the job population ---------------
-    service_a = build_recovery_service(config, ca)
-    clients_a = enroll(service_a, config)
-    contacts = populate(service_a, clients_a, config)
-    records_a = _completed_records(service_a)
-    stats.completed = len(records_a)
-    assert stats.completed == config.jobs, (
-        f"populate left {stats.completed}/{config.jobs} completed records"
-    )
 
-    # -- phase 2: service B rises from the spill alone ------------------
-    service_b = build_recovery_service(config, ca)
-    enroll(service_b, config)
-    recoveries = getattr(service_b, "recovery", None)
-    if not isinstance(recoveries, tuple):
-        recoveries = (recoveries,) if recoveries is not None else ()
-    stats.recovered_records = sum(len(r.records) for r in recoveries)
-    stats.skipped_lines = sum(r.skipped_lines for r in recoveries)
-    clock_a = getattr(service_a, "shards", None)
-    now_a = (clock_a[0] if clock_a else service_a).clock.now
-    _sync_clock(service_b, now_a)
+def _tear_tail(path: str) -> None:
+    """Leave *path* the way a crash mid-append does: the first half of
+    a record line, with no newline after it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        last = handle.read().splitlines()[-1]
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(last[: len(last) // 2])
 
-    # -- phase 3: the randomized request stream, A vs B ------------------
-    rng = random.Random(config.seed)
-    for index in range(config.requests):
-        owner, contact = contacts[rng.randrange(len(contacts))]
-        requester = owner
-        if rng.random() < 0.5:
-            requester = (owner + 1 + rng.randrange(config.users - 1)) % (
-                config.users
-            )
-        action = rng.choice(("information", "cancel"))
-        credential = clients_a[requester].credential
-        answer_a = normalized_wire(
-            service_a.gatekeeper.manage(credential, contact, action)
-        )
-        answer_b = normalized_wire(
-            service_b.gatekeeper.manage(credential, contact, action)
-        )
-        stats.requests += 1
-        if answer_a != answer_b:
-            stats.record_divergence(index, action, answer_a, answer_b)
 
-    # -- phase 4: reaped capability tokens validate identically -----------
-    records_b = _completed_records(service_b)
-    for owner, contact in contacts:
-        record = records_a.get(contact.job_id)
-        recovered = records_b.get(contact.job_id)
-        if record is None or record.capability is None:
-            continue
-        identity = clients_a[owner].identity
-        issuer_a = _issuer_for(service_a, contact, identity)
-        issuer_b = _issuer_for(service_b, contact, identity)
-        if issuer_a is None or issuer_b is None:
-            continue
-        token_b = recovered.capability if recovered is not None else None
-        verdict_a = issuer_a.validate(record.capability)
-        verdict_b = (
-            issuer_b.validate(token_b) if token_b is not None else "missing"
-        )
-        stats.capability_checks += 1
-        if verdict_a != verdict_b:
-            stats.record_divergence(
-                -1, "capability", verdict_a, verdict_b
-            )
+def run_torn_tail_differential(
+    config: RecoveryDifferentialConfig,
+) -> RecoveryDifferentialStats:
+    """A restart over a torn spill tail must lose nothing written after.
 
+    Service A completes ``config.jobs`` jobs and the spill's tail is
+    torn.  Service B recovers them all (skipping the torn line),
+    completes ``config.jobs`` more, and service C restarts over the
+    same file.  C must answer every job of both populations exactly
+    like B.  ``stats.completed`` counts B's records.
+    """
+    stats = RecoveryDifferentialStats()
+    ca = CertificateAuthority("/O=Grid/CN=Recovery CA")
+    service_a, clients, contacts = _populated(config, ca, stats)
+    _tear_tail(config.spill_path)
+    service_b, clients_b = _restart(service_a, config, ca, stats)
+    contacts = contacts + populate(service_b, clients_b, config)
+    stats.completed = len(_completed_records(service_b))
+    service_c, _ = _restart(service_b, config, ca, stats)
+    _compare(service_b, service_c, clients, contacts, config, stats)
     return stats

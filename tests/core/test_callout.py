@@ -79,6 +79,42 @@ class TestRegistration:
         assert not registry.configured(GRAM_AUTHZ_CALLOUT)
 
 
+class TestConfigurationEpoch:
+    """Every call that changes the configured chains moves the epoch
+    once, so a decision replayed under the old epoch is never served
+    for the new chain."""
+
+    def test_register_and_clear_each_bump_once(self):
+        registry = CalloutRegistry()
+        registry.register(GRAM_AUTHZ_CALLOUT, permit_all)
+        assert registry.policy_epoch == 1
+        registry.register(GRAM_AUTHZ_CALLOUT, deny_all)
+        assert registry.policy_epoch == 2
+        registry.clear(GRAM_AUTHZ_CALLOUT)
+        assert registry.policy_epoch == 3
+        registry.clear()
+        assert registry.policy_epoch == 4
+
+    def test_configure_bumps_once(self):
+        registry = CalloutRegistry()
+        registry.configure(
+            CalloutConfiguration(
+                type_name=GRAM_AUTHZ_CALLOUT,
+                module="repro.core.builtin_callouts",
+                symbol="permit_all",
+            )
+        )
+        assert registry.policy_epoch == 1
+
+    def test_wrap_and_a_rejected_register_do_not_bump(self):
+        registry = CalloutRegistry()
+        registry.register(GRAM_AUTHZ_CALLOUT, permit_all)
+        registry.wrap(GRAM_AUTHZ_CALLOUT, lambda label, callout: callout)
+        with pytest.raises(TypeError):
+            registry.register(GRAM_AUTHZ_CALLOUT, "not callable")
+        assert registry.policy_epoch == 1
+
+
 class TestConfigurationFile:
     def test_load_from_file(self, tmp_path, request_):
         config = tmp_path / "callouts.conf"

@@ -33,7 +33,7 @@ from repro.core.pipeline import (
 )
 from repro.core.request import AuthorizationRequest
 from repro.rsl.parser import parse_specification
-from repro.sim.clock import Clock, SimulationError
+from repro.sim.clock import Clock
 
 ORG = "/O=Grid/O=Globus/OU=mcs.anl.gov"
 BO = f"{ORG}/CN=Bo Liu"
@@ -118,20 +118,11 @@ class TestTTLBoundary:
         assert issuer.validate(token, start(), now=60.0) == EXPIRED
         assert issuer.validate(token, start(), now=1e9) == EXPIRED
 
-    def test_shard_local_clocks_are_monotonic(self):
-        """A shard-local clock can never run backwards, so a token can
-        never un-expire on the shard that watches it."""
-        clock = Clock()
-        clock.advance(100.0)
-        with pytest.raises(SimulationError):
-            clock.run_until(50.0)
-        assert clock.now == 100.0
-
     def test_expiry_is_judged_by_the_validating_clock(self):
-        """Cross-shard presentation: each shard judges expiry on its
-        own clock, so a token minted under a fast clock is simply
-        expired there while a lagging shard still honours the
-        timestamp — validity can only shrink as any clock advances."""
+        """Each issuer judges expiry on its own clock, so a token
+        minted under a fast clock is simply expired there while a
+        lagging issuer still honours the timestamp — validity can only
+        shrink as any clock advances."""
         fast, slow = Clock(), Clock()
         minting = make_issuer(ttl=60.0, clock=fast)
         validating = make_issuer(ttl=60.0, clock=slow)

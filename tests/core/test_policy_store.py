@@ -199,6 +199,32 @@ class TestDurableLog:
         assert replica.policy_epoch == 1
         assert replica.replay_skipped_lines == 1
 
+    def test_publish_after_a_torn_tail_survives_restart(self, tmp_path):
+        log = str(tmp_path / "policies.jsonl")
+        grants = [
+            f"{ORG}/CN=User {index}:\n    &(action=start)(executable=sim)\n"
+            for index in range(4)
+        ]
+        store = VersionedPolicyStore(log_path=log)
+        store.publish(bundle("".join(grants[:3])))
+        store.publish(bundle("".join(grants)))
+        with open(log, "rb+") as handle:
+            handle.truncate(handle.seek(0, 2) - 15)  # crash mid-append
+
+        restarted = VersionedPolicyStore(log_path=log)
+        assert restarted.policy_epoch == 1
+        assert restarted.replay_skipped_lines == 1
+        revocation = bundle(grants[0])  # withdraws two of the three
+        restarted.publish(revocation)
+        assert restarted.policy_epoch == 2
+
+        # The revocation is not glued onto the torn line, so a second
+        # restart serves it instead of the revoked grants.
+        replica = VersionedPolicyStore(log_path=log)
+        assert replica.policy_epoch == 2
+        assert replica.active().digest == revocation.digest
+        assert replica.replay_skipped_lines == 1
+
 
 class TestPolicyWatcher:
     def write(self, path, text, mtime):
@@ -418,7 +444,7 @@ class TestServiceIntegration:
         service, store = build_store_service(capability_grants=True)
         alice = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
         contact = alice.submit(RSL).contact
-        token = service.shard_state.job_managers[contact.job_id].capability
+        token = service.gatekeeper.job_manager(contact).capability
         issuer = service.capability.issuer
         assert issuer.validate(token) == "valid"
 

@@ -208,20 +208,6 @@ class TestQueryEngine:
         assert not pre.guaranteed_deny
         assert engine.rebuilds == 2
 
-    def test_extra_epoch_source_forces_rebuild(self, policy):
-        class Broadcast:
-            policy_epoch = 0
-
-        engine, _ = self.make_engine(policy)
-        broadcast = Broadcast()
-        engine.ensure_fresh()
-        engine.add_epoch_source(broadcast)
-        engine.ensure_fresh()
-        assert engine.rebuilds == 2
-        broadcast.policy_epoch = 1
-        engine.ensure_fresh()
-        assert engine.rebuilds == 3
-
     def test_metrics_exported(self, policy):
         registry = MetricsRegistry()
         evaluator = PolicyEvaluator(policy, source="vo")

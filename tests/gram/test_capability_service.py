@@ -1,8 +1,7 @@
-"""Capability grants threaded through the service: carry, revocation, shards."""
+"""Capability grants threaded through the service: carry and revocation."""
 
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
-from repro.gram.dispatch import ShardedGramService
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
 
@@ -26,16 +25,6 @@ def build_service(**overrides):
     )
     defaults.update(overrides)
     return GramService(ServiceConfig(**defaults))
-
-
-def build_sharded(shards=4, **overrides):
-    defaults = dict(
-        policies=(parse_policy(POLICY, name="vo"),),
-        capability_grants=True,
-        shards=shards,
-    )
-    defaults.update(overrides)
-    return ShardedGramService(ServiceConfig(**defaults))
 
 
 def client_for(service, identity=ALICE, account="alice"):
@@ -79,7 +68,7 @@ class TestJobCarry:
         service = build_service()
         client = client_for(service)
         contact = client.submit(RSL).contact
-        jmi = service.shard_state.job_managers[contact.job_id]
+        jmi = service.gatekeeper.job_manager(contact)
         assert jmi.capability is not None
         assert jmi.capability.subject == ALICE
         assert jmi.capability.actions == ("start",)
@@ -88,7 +77,7 @@ class TestJobCarry:
         service = build_service()
         client = client_for(service)
         contact = client.submit(RSL).contact
-        token = service.shard_state.job_managers[contact.job_id].capability
+        token = service.gatekeeper.job_manager(contact).capability
         service.run(30.0)  # runtime=10: job completes and is reaped
         record = service.gatekeeper.completed.get(contact.job_id)
         assert record is not None
@@ -169,85 +158,3 @@ class TestRevocation:
         )
         denied = client.status(contact)
         assert denied.code is GramErrorCode.AUTHORIZATION_DENIED
-
-
-class TestShardedCapabilities:
-    def test_shards_share_one_signing_key(self):
-        service = build_sharded(shards=4)
-        keys = {shard.capability.issuer.key for shard in service.shards}
-        assert len(keys) == 1
-
-    def test_broadcast_epoch_bound_into_every_token(self):
-        service = build_sharded(shards=2)
-        for shard in service.shards:
-            names = [name for name, _ in shard.capability.issuer.view.snapshot()]
-            assert "broadcast" in names
-
-    def test_fast_path_works_per_shard(self):
-        service = build_sharded(shards=4)
-        clients = [
-            client_for(service, f"{PREFIX}/CN=User {i:03d}", f"u{i:03d}")
-            for i in range(8)
-        ]
-        contacts = [client.submit(RSL).contact for client in clients]
-        for client, contact in zip(clients, contacts):
-            for _ in range(3):
-                assert client.status(contact).code is GramErrorCode.SUCCESS
-        total_hits = sum(
-            shard.capability.snapshot()["hits"] for shard in service.shards
-        )
-        assert total_hits >= 16
-
-    def test_bump_policy_epoch_revokes_on_every_shard(self):
-        """PR 6's EpochBroadcast is bound into every token: one
-        service-wide bump revokes outstanding capabilities on every
-        shard before the next validate."""
-        service = build_sharded(shards=4)
-        clients = [
-            client_for(service, f"{PREFIX}/CN=User {i:03d}", f"u{i:03d}")
-            for i in range(8)
-        ]
-        contacts = [client.submit(RSL).contact for client in clients]
-        for client, contact in zip(clients, contacts):
-            client.status(contact)
-        populated = [
-            shard for shard in service.shards
-            if shard.capability.snapshot()["minted"] > 0
-        ]
-        assert len(populated) > 1  # users actually spread over shards
-
-        service.bump_policy_epoch()
-
-        for client, contact in zip(clients, contacts):
-            assert client.status(contact).code is GramErrorCode.SUCCESS
-        for shard in populated:
-            snapshot = shard.capability.snapshot()
-            assert snapshot["revoked"] >= 1, (
-                f"shard {shard.shard_index} did not revoke: {snapshot}"
-            )
-            assert snapshot["miss_reasons"]["epoch"] >= 1
-
-    def test_single_shard_sharded_service_matches_flat(self):
-        service = build_sharded(shards=1)
-        client = client_for(service)
-        contact = client.submit(RSL).contact
-        client.status(contact)
-        client.status(contact)
-        client.status(contact)
-        assert service.shards[0].capability.snapshot()["hits"] >= 2
-
-
-class TestTokenPortability:
-    def test_token_minted_on_one_shard_verifies_on_another(self):
-        service = build_sharded(shards=4)
-        client = client_for(service, f"{PREFIX}/CN=User 000", "u000")
-        contact = client.submit(RSL).contact
-        owner_shard = service.shard_of(f"{PREFIX}/CN=User 000")
-        token = (
-            service.shards[owner_shard]
-            .shard_state.job_managers[contact.job_id]
-            .capability
-        )
-        assert token is not None
-        other = service.shards[(owner_shard + 1) % len(service.shards)]
-        assert token.verify_signature(other.capability.issuer.key)

@@ -10,7 +10,6 @@ through to the full pipeline unchanged.
 
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
-from repro.gram.dispatch import ShardedGramService
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
 
@@ -137,54 +136,3 @@ class TestEpochGuard:
             registry.value("query_index_rebuilds_total", consumer="gatekeeper")
             == first + 1
         )
-
-
-class TestShardedFastDeny:
-    def build(self, shards=4):
-        return ShardedGramService(
-            ServiceConfig(
-                policies=(parse_policy(POLICY, name="vo"),),
-                query_fast_deny=True,
-                shards=shards,
-            )
-        )
-
-    def test_fast_deny_through_the_sharded_gatekeeper(self):
-        service = self.build()
-        client = GramClient(
-            service.add_user(MALLORY, "mallory"), service.gatekeeper
-        )
-        response = client.submit(RSL)
-        assert response.code is GramErrorCode.AUTHORIZATION_DENIED
-        assert "fast deny" in response.message
-        assert (
-            service.merged_value(
-                "query_prefilter_denied_total",
-                consumer="gatekeeper",
-                level="subject",
-            )
-            == 1
-        )
-
-    def test_broadcast_bump_rebuilds_every_shard_index(self):
-        service = self.build(shards=3)
-        # Touch every shard's engine once so each builds its index.
-        for i, account in enumerate(("m0", "m1", "m2")):
-            identity = f"{ORG}/CN=Shardprobe {i}"
-            GramClient(
-                service.add_user(identity, account), service.gatekeeper
-            ).submit(RSL)
-        before = service.merged_value(
-            "query_index_rebuilds_total", consumer="gatekeeper"
-        )
-        service.bump_policy_epoch()
-        for i, account in enumerate(("m0", "m1", "m2")):
-            identity = f"{ORG}/CN=Shardprobe {i}"
-            GramClient(
-                service.add_user(identity, account), service.gatekeeper
-            ).submit(RSL)
-        after = service.merged_value(
-            "query_index_rebuilds_total", consumer="gatekeeper"
-        )
-        # Every shard that answered again rebuilt exactly once.
-        assert after > before

@@ -6,8 +6,6 @@
 * ``CompletedJobStore`` lazy age eviction must evict the looked-up
   record itself, exactly once, even when completion order is not age
   order.
-* ``ShardRouter`` must drop memoized routes when the shard key is
-  reconfigured.
 * ``GramClient`` must clamp degenerate ``retry_after`` hints to a
   minimum positive backoff window.
 """
@@ -15,12 +13,11 @@
 from repro.core.callout import GRAM_AUTHZ_CALLOUT, CalloutRegistry
 from repro.core.parser import parse_policy
 from repro.gram.client import MIN_RETRY_AFTER, GramClient
-from repro.gram.dispatch import ShardRouter, ShardedGramService
 from repro.gram.lifecycle import CompletedJobStore
 from repro.gram.protocol import GramErrorCode, GramResponse
 from repro.gram.service import GramService, ServiceConfig
 from repro.sim.clock import Clock
-from tests.gram.test_spill_recovery import ALICE, ORG, POLICY, RSL, make_record
+from tests.gram.test_spill_recovery import ALICE, POLICY, RSL, make_record
 
 CALLOUT_LINE = "gram.authz repro.core.builtin_callouts permit_all\n"
 OTHER_LINE = "gram.authz repro.core.builtin_callouts initiator_only\n"
@@ -91,7 +88,7 @@ class TestCalloutReloadShortCircuit:
             service.add_user(ALICE, "alice"), service.gatekeeper
         )
         contact = client.submit(RSL).contact
-        token = service.shard_state.job_managers[contact.job_id].capability
+        token = service.gatekeeper.job_manager(contact).capability
         issuer = service.capability.issuer
         assert issuer.validate(token) == "valid"
 
@@ -113,7 +110,7 @@ class TestCalloutReloadShortCircuit:
             service.add_user(ALICE, "alice"), service.gatekeeper
         )
         contact = client.submit(RSL).contact
-        token = service.shard_state.job_managers[contact.job_id].capability
+        token = service.gatekeeper.job_manager(contact).capability
         issuer = service.capability.issuer
         assert issuer.validate(token) == "valid"
 
@@ -177,49 +174,6 @@ class TestLazyAgeEvictionExactlyOnce:
         assert store.evicted_by_reason[store.EVICT_COUNT] == 1
         assert store.get("x") is not None
         assert store.get("y") is not None
-
-
-class TestShardRouterRekey:
-    def test_memo_invalidated_on_key_change(self):
-        router = ShardRouter(shards=4)
-        dns = [f"{ORG}/CN=User {i}" for i in range(16)]
-        before = {dn: router.shard_for(dn) for dn in dns}
-        assert router.memo_misses == 16
-        assert {dn: router.shard_for(dn) for dn in dns} == before
-        assert router.memo_hits == 16
-
-        # Pin the whole org onto one key: every DN must re-route.
-        router.key_fn = lambda dn: "pinned-vo"
-        assert router.memo_invalidations == 1
-        after = {dn: router.shard_for(dn) for dn in dns}
-        assert len(set(after.values())) == 1  # all pinned together
-
-    def test_same_key_fn_is_a_noop(self):
-        def key(dn):
-            return dn.rsplit("/", 1)[0]
-
-        router = ShardRouter(shards=4, key_fn=key)
-        router.shard_for(f"{ORG}/CN=A")
-        router.key_fn = key
-        assert router.memo_invalidations == 0
-        assert router.memo_hits + router.memo_misses == 1
-
-    def test_service_rekey_reroutes_pinned_vo(self):
-        service = ShardedGramService(
-            ServiceConfig(
-                policies=(parse_policy(POLICY, name="vo"),),
-                shards=4,
-            )
-        )
-        dns = [f"{ORG}/CN=User {i:02d}" for i in range(12)]
-        spread = {service.shard_of(dn) for dn in dns}
-        assert len(spread) > 1  # default hashing spreads the org
-
-        service.set_shard_key(lambda dn: dn.rsplit("/CN=", 1)[0])
-        assert service.config.shard_key is not None
-        pinned = {service.shard_of(dn) for dn in dns}
-        # Without the memo invalidation the stale spread would persist.
-        assert len(pinned) == 1
 
 
 class TestRetryAfterClamp:

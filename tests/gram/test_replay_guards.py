@@ -12,9 +12,9 @@ escaped that rule:
 * a callout registered at run time whose own policy moves (a
   time-windowed grant): the repeat paths never saw its epoch, so a
   closed window kept permitting;
-* a sharded ``bump_policy_epoch()``: it reached the decision cache
-  and the capability grants but not fail-static, which kept serving
-  the pre-bump PERMIT once the chain went down;
+* a callout registered or cleared at run time: the registry's epoch
+  did not move, so every repeat path — fail-static included, once the
+  chain went down — kept replaying PERMITs the new chain denies;
 * a clock that crosses a window edge while the chain decides: the
   decision was stored under the snapshot from one side of the edge
   although it was made on the other, and replayed once that snapshot
@@ -34,7 +34,6 @@ from repro.core.model import PolicyAssertion, PolicyStatement, Subject
 from repro.core.parser import parse_policy
 from repro.core.resilience import DegradationMode, ResilienceConfig
 from repro.gram.client import GramClient
-from repro.gram.dispatch import ShardedGramService
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
 from repro.gsi.proxy import delegate
@@ -293,40 +292,68 @@ class TestClockCrossingAWindowEdgeMidDecision:
 
 
 class _Switch:
-    """A callout with no epoch of its own: the operator flips it."""
+    """A permitting callout with no epoch of its own that can go down."""
 
     def __init__(self):
-        self.deny = False
         self.down = False
 
     def __call__(self, request):
         if self.down:
             raise ConnectionError("policy service unreachable")
-        if self.deny:
-            return Decision.deny(reasons=("flipped",), source="switch")
         return Decision.permit(source="switch")
 
 
-class TestShardedEpochBumpReachesFailStatic:
+def deny_alice(request):
+    """The chain member an operator registers to shut Alice out."""
+    if str(request.requester) == ALICE:
+        return Decision.deny(reasons=("operator",), source="operator")
+    return Decision.permit(source="operator")
+
+
+class TestChainChangedAtRunTime:
+    """Registering or clearing a callout moves the epoch view."""
+
+    def poll_twice(self, repeat_path):
+        """Alice's job, polled once fresh and once from *repeat_path*,
+        on the stock initiator rule (no epoch of its own)."""
+        service = GramService(ServiceConfig(**{repeat_path: True}))
+        alice = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
+        contact = alice.submit(DEMO_JOB).contact
+        assert alice.status(contact).ok
+        assert alice.status(contact).decision_context.cache_status in (
+            "hit",
+            "capability",
+        )
+        return service, alice, contact
+
+    def test_registered_member_denies_the_next_poll(self, repeat_path):
+        service, alice, contact = self.poll_twice(repeat_path)
+        before = service.epoch_view.snapshot()
+        service.registry.register(GRAM_AUTHZ_CALLOUT, deny_alice)
+        assert service.epoch_view.snapshot() != before
+        assert alice.status(contact).code is DENIED
+
+    def test_cleared_chain_fails_the_next_poll(self, repeat_path):
+        service, alice, contact = self.poll_twice(repeat_path)
+        service.registry.clear(GRAM_AUTHZ_CALLOUT)
+        response = alice.status(contact)
+        assert response.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
+
     @pytest.mark.parametrize(
         "switches",
         [(), ("decision_cache",), ("capability_grants",)],
         ids=["neither", "decision_cache", "capability_grants"],
     )
-    def test_no_pre_bump_permit_after_the_chain_goes_down(self, switches):
-        service = ShardedGramService(
-            ServiceConfig(shards=2, **{name: True for name in switches})
-        )
+    def test_no_earlier_permit_after_the_chain_goes_down(self, switches):
+        service = GramService(ServiceConfig(**{name: True for name in switches}))
         switch = _Switch()
-        for shard in service.shards:
-            shard.registry.clear(GRAM_AUTHZ_CALLOUT)
-            shard.registry.register(GRAM_AUTHZ_CALLOUT, switch)
+        service.registry.clear(GRAM_AUTHZ_CALLOUT)
+        service.registry.register(GRAM_AUTHZ_CALLOUT, switch)
         service.harden(ResilienceConfig(mode=DegradationMode.FAIL_STATIC))
         alice = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
         assert alice.submit(DEMO_JOB).ok
 
-        switch.deny = True
-        service.bump_policy_epoch()
+        service.registry.register(GRAM_AUTHZ_CALLOUT, deny_alice)
         switch.down = True
         response = alice.submit(DEMO_JOB)
         assert response.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE

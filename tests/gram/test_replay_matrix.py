@@ -4,15 +4,15 @@ Three layers answer with an earlier decision instead of a fresh one:
 the decision cache, capability grants and the fail-static
 last-known-good store.  Each row of the matrix turns on a combination
 of them — ``decision_cache`` × ``capability_grants`` × {unhardened,
-fail-closed, fail-static} × {flat, two shards}, 24 rows — and drives
+fail-closed, fail-static}, 12 rows — and drives
 one seeded :class:`GramClient` stream (permitted and denied submits,
 owner status, admin cancel by ``jobtag``, post-reap ``information``)
 through it and through a plain, healthy reference service, in
 lockstep.  Mid-stream the policy moves:
 
 1. a policy-store publish withdraws Bob's start grant;
-2. on sharded rows, the operator flips an epoch-less chain member to
-   deny Alice and calls ``bump_policy_epoch()``;
+2. the operator registers a chain member, with no epoch of its own,
+   that denies Alice;
 3. the chain goes down.
 
 While the chain is healthy every answer must equal the reference's.
@@ -31,7 +31,6 @@ from repro.core.parser import parse_policy
 from repro.core.resilience import DegradationMode, ResilienceConfig
 from repro.core.store import PolicyBundle, VersionedPolicyStore
 from repro.gram.client import GramClient
-from repro.gram.dispatch import ShardedGramService
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
 from repro.testing import ExceptionFault, inject
@@ -81,32 +80,26 @@ ROWS = [
         cache,
         capability,
         mode,
-        shards,
         id=f"cache={int(cache)}-cap={int(capability)}"
-        f"-{mode.value if mode else 'unhardened'}-shards={shards}",
+        f"-{mode.value if mode else 'unhardened'}",
     )
-    for cache, capability, mode, shards in itertools.product(
-        (False, True), (False, True), HARDENING, (1, 2)
+    for cache, capability, mode in itertools.product(
+        (False, True), (False, True), HARDENING
     )
 ]
 
 
-class _Switch:
-    """An operator-controlled chain member with no epoch of its own."""
-
-    def __init__(self):
-        self.deny_alice = False
-
-    def __call__(self, request):
-        if self.deny_alice and str(request.requester) == USERS["alice"]:
-            return Decision.deny(reasons=("operator switch",), source="switch")
-        return Decision.permit(source="switch")
+def deny_alice(request):
+    """The chain member the operator registers mid-stream."""
+    if str(request.requester) == USERS["alice"]:
+        return Decision.deny(reasons=("operator",), source="operator")
+    return Decision.permit(source="operator")
 
 
 class _Deployment:
     """One service under test (or the reference) and its clients."""
 
-    def __init__(self, shards=1, hardening=None, faulty=False, **switches):
+    def __init__(self, hardening=None, faulty=False, **switches):
         self.store = VersionedPolicyStore()
         config = ServiceConfig(
             policies=(
@@ -114,25 +107,16 @@ class _Deployment:
                 parse_policy(LOCAL_TEXT, name="local"),
             ),
             policy_store=self.store,
-            # Room for every job at once, flat or sharded, so job
-            # states never depend on how the cluster is partitioned.
+            # Room for every job at once, so job states never depend
+            # on queueing.
             node_count=16,
-            shards=shards,
             **switches,
         )
-        if shards > 1:
-            self.service = ShardedGramService(config)
-            stacks = self.service.shards
-        else:
-            self.service = GramService(config)
-            stacks = [self.service]
-        self.switch = _Switch()
+        self.service = GramService(config)
         self.fault = ExceptionFault()
         self.fault.enabled = False
-        for stack in stacks:
-            stack.registry.register(GRAM_AUTHZ_CALLOUT, self.switch, label="switch")
-            if faulty:
-                inject(stack.registry, GRAM_AUTHZ_CALLOUT, self.fault)
+        if faulty:
+            inject(self.service.registry, GRAM_AUTHZ_CALLOUT, self.fault)
         if hardening is not None:
             self.service.harden(ResilienceConfig(mode=hardening))
         self.clients = {
@@ -187,10 +171,9 @@ def stream(rng, length, owners, tracked=None):
     return ops
 
 
-@pytest.mark.parametrize("decision_cache, capability_grants, hardening, shards", ROWS)
-def test_replay_matrix_row(decision_cache, capability_grants, hardening, shards):
+@pytest.mark.parametrize("decision_cache, capability_grants, hardening", ROWS)
+def test_replay_matrix_row(decision_cache, capability_grants, hardening):
     row = _Deployment(
-        shards=shards,
         hardening=hardening,
         faulty=True,
         decision_cache=decision_cache,
@@ -210,10 +193,11 @@ def test_replay_matrix_row(decision_cache, capability_grants, hardening, shards)
     row.store.publish(withdrawal)
     reference.store.publish(withdrawal)
     healthy(60)
-    if shards > 1:
-        row.switch.deny_alice = reference.switch.deny_alice = True
-        row.service.bump_policy_epoch()
-        healthy(15)
+    for deployment in (row, reference):
+        deployment.service.registry.register(
+            GRAM_AUTHZ_CALLOUT, deny_alice, label="operator"
+        )
+    healthy(15)
 
     row.fault.enabled = True
     # Jobs whose cancel failed here but not on the reference: their

@@ -8,7 +8,6 @@ answering retries locally until the window elapses.
 
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
-from repro.gram.dispatch import ShardedGramService
 from repro.gram.lifecycle import NOMINAL_DRAIN_SECONDS
 from repro.gram.protocol import GramErrorCode, GramResponse
 from repro.gram.service import GramService, ServiceConfig
@@ -79,13 +78,13 @@ class TestClientBackoff:
         busy = client.submit(RSL)
         assert busy.code is GramErrorCode.RESOURCE_BUSY
 
-        checks_before = service.shard_state.admission.rejected_user
+        checks_before = service.gatekeeper.admission.rejected_user
         suppressed = client.submit(RSL)
         assert suppressed.code is GramErrorCode.RESOURCE_BUSY
         assert "suppressed" in suppressed.message
         assert client.suppressed_retries == 1
         # The gatekeeper never saw the retry.
-        assert service.shard_state.admission.rejected_user == checks_before
+        assert service.gatekeeper.admission.rejected_user == checks_before
 
     def test_window_expiry_reopens_the_path(self):
         service = build_service(max_jobs_per_user=1)
@@ -101,22 +100,3 @@ class TestClientBackoff:
         assert retried.code is GramErrorCode.RESOURCE_BUSY
         assert "suppressed" not in retried.message
         assert client.suppressed_retries == 0
-
-    def test_backoff_through_the_sharded_gatekeeper(self):
-        service = ShardedGramService(
-            ServiceConfig(
-                policies=(parse_policy(POLICY, name="vo"),),
-                max_jobs_per_user=1,
-                shards=2,
-            )
-        )
-        client = GramClient(
-            service.add_user(ALICE, "alice"), service.gatekeeper
-        )
-        assert client.submit(RSL).ok
-        busy = client.submit(RSL)
-        assert busy.code is GramErrorCode.RESOURCE_BUSY
-        assert busy.retry_after is not None
-        client.submit(RSL)
-        # ShardedGatekeeper exposes a clock, so backoff works there too.
-        assert client.suppressed_retries == 1

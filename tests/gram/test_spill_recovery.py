@@ -10,7 +10,6 @@ from repro.gram.spill import (
     CompletedJobSpill,
     record_from_wire,
     record_to_wire,
-    shard_spill_path,
 )
 from repro.gram.service import GramService, ServiceConfig
 from repro.gsi.credentials import CertificateAuthority
@@ -20,6 +19,7 @@ from repro.sim.clock import Clock
 from repro.workloads.recovery import (
     RecoveryDifferentialConfig,
     run_recovery_differential,
+    run_torn_tail_differential,
 )
 
 ORG = "/O=Grid/OU=spill.example.org"
@@ -119,6 +119,36 @@ class TestSpillReplay:
         assert result.skipped_lines == 1
         assert result.replayed_lines == 2
 
+    def test_append_after_a_torn_tail_survives_recovery(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        spill = CompletedJobSpill(path)
+        spill.append_insert(make_record("1", finished_at=10.0))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "insert", "job_id": "2", "own')  # crash
+
+        restarted = CompletedJobSpill(path)
+        assert restarted.recover().skipped_lines == 1
+        restarted.append_insert(make_record("3", finished_at=30.0))
+
+        # The torn line stays skipped; the record written after it is
+        # not glued onto it.
+        result = CompletedJobSpill(path).recover()
+        assert [r.job_id for r in result.records] == ["1", "3"]
+        assert result.skipped_lines == 1
+
+    def test_record_missing_only_its_newline_still_replays(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        CompletedJobSpill(path).append_insert(make_record("1", finished_at=10.0))
+        with open(path, "rb+") as handle:
+            handle.truncate(handle.seek(0, 2) - 1)  # drop the "\n"
+
+        restarted = CompletedJobSpill(path)
+        assert [r.job_id for r in restarted.recover().records] == ["1"]
+        restarted.append_insert(make_record("2", finished_at=20.0))
+        result = CompletedJobSpill(path).recover()
+        assert [r.job_id for r in result.records] == ["1", "2"]
+        assert result.skipped_lines == 0
+
     def test_garbled_middle_line_skipped_rest_survives(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
         spill = CompletedJobSpill(path)
@@ -177,17 +207,6 @@ class TestCompaction:
     def test_invalid_ratio_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             CompletedJobSpill(str(tmp_path / "s.jsonl"), compact_ratio=0.5)
-
-
-class TestShardSpillPath:
-    def test_single_shard_uses_base_path(self):
-        assert shard_spill_path("/tmp/s.jsonl", 0, 1) == "/tmp/s.jsonl"
-
-    def test_sharded_paths_are_deterministic(self):
-        assert shard_spill_path("/tmp/s.jsonl", 2, 4) == "/tmp/s.jsonl.shard2"
-        assert shard_spill_path("/tmp/s.jsonl", 2, 4) == shard_spill_path(
-            "/tmp/s.jsonl", 2, 4
-        )
 
 
 def build_service(spill_path, ca, **overrides):
@@ -295,20 +314,6 @@ class TestRecoveryDifferential:
         assert stats.capability_checks == 48
         assert stats.capability_divergences == 0, stats.examples
 
-    def test_sharded_differential_zero_divergences(self, tmp_path):
-        stats = run_recovery_differential(
-            RecoveryDifferentialConfig(
-                spill_path=str(tmp_path / "sharded.jsonl"),
-                jobs=48,
-                requests=10_000,
-                shards=4,
-            )
-        )
-        assert stats.recovered_records == 48
-        assert stats.requests == 10_000
-        assert stats.divergences == 0, stats.examples
-        assert stats.capability_divergences == 0, stats.examples
-
     def test_differential_survives_a_crash_tail(self, tmp_path):
         path = str(tmp_path / "crashed.jsonl")
         config = RecoveryDifferentialConfig(
@@ -324,3 +329,20 @@ class TestRecoveryDifferential:
         result = spill.recover()
         assert result.skipped_lines == 1
         assert len(result.records) == 12
+
+    def test_torn_tail_restart_loses_nothing_written_after(self, tmp_path):
+        stats = run_torn_tail_differential(
+            RecoveryDifferentialConfig(
+                spill_path=str(tmp_path / "torn.jsonl"),
+                jobs=12,
+                requests=2_000,
+            )
+        )
+        # Each restart skips the torn line once; nothing else is lost.
+        assert stats.skipped_lines == 2
+        assert stats.completed == 24
+        assert stats.recovered_records == 24
+        assert stats.requests == 2_000
+        assert stats.divergences == 0, stats.examples
+        assert stats.capability_checks == 24
+        assert stats.capability_divergences == 0, stats.examples

@@ -70,7 +70,7 @@ def test_no_cross_request_span_leakage():
         "authz_decisions_total", action="start", decision="permit"
     ) == THREADS * REQUESTS_PER_THREAD
 
-# -- registry hammer: lost-increment and merge-path checks -------------------
+# -- registry hammer: lost-increment checks ----------------------------------
 
 HAMMER_THREADS = 8
 HAMMER_OPS = 2000
@@ -128,52 +128,3 @@ def test_registry_hammer_loses_no_increments():
     assert f'hammer_total{{worker="0"}} {expected // 2}' in prometheus_text(snapshot)
     assert snapshot_jsonl(snapshot) == snapshot_jsonl(registry.snapshot())
 
-
-def test_per_shard_merge_path_under_concurrent_writes():
-    """One registry per shard, hammered concurrently, merged at the end.
-
-    This is the sharded service's telemetry model: writers never share
-    a registry, and ``merge_snapshots`` must account for every event.
-    """
-    from repro.obs import (
-        MetricsRegistry,
-        merge_snapshots,
-        prometheus_text,
-        snapshot_jsonl,
-    )
-
-    shards = 4
-    registries = [MetricsRegistry() for _ in range(shards)]
-    barrier = threading.Barrier(shards)
-
-    def worker(registry, index):
-        barrier.wait()
-        for n in range(HAMMER_OPS):
-            registry.count("shard_requests_total", kind="submit")
-            # Powers of two are exact in binary, so the merged sum is
-            # identical no matter which shard order it is folded in.
-            registry.observe("shard_latency_seconds", index / 4.0)
-
-    threads = [
-        threading.Thread(target=worker, args=(registry, index))
-        for index, registry in enumerate(registries)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    merged = merge_snapshots([r.snapshot() for r in registries])
-    counter = next(f for f in merged if f["name"] == "shard_requests_total")
-    assert counter["series"][0]["value"] == shards * HAMMER_OPS
-    histogram = next(f for f in merged if f["name"] == "shard_latency_seconds")
-    series = histogram["series"][0]
-    assert series["count"] == shards * HAMMER_OPS
-    assert series["buckets"][-1][1] == shards * HAMMER_OPS
-
-    # Merging is order-insensitive and renders deterministically.
-    reversed_merge = merge_snapshots(
-        [r.snapshot() for r in reversed(registries)]
-    )
-    assert prometheus_text(reversed_merge) == prometheus_text(merged)
-    assert snapshot_jsonl(reversed_merge) == snapshot_jsonl(merged)

@@ -1,15 +1,15 @@
-"""Quantile estimation guards: empty, degenerate, and merged data.
+"""Quantile estimation guards: empty and degenerate data.
 
 `Histogram.quantile` (live series) and `histogram_quantile` (exported
 cumulative pairs) must answer 0.0 — never raise, never divide by
 zero — on empty or degenerate bucket data, and must agree with each
-other over `merge_snapshots` output.
+other on the same observations.
 """
 
 import pytest
 
-from repro.obs.exporters import histogram_quantile, merge_snapshots
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.exporters import histogram_quantile
+from repro.obs.registry import Histogram
 
 INF = float("inf")
 
@@ -76,35 +76,3 @@ class TestExportedQuantile:
             assert histogram_quantile(pairs, q) == pytest.approx(
                 histogram.quantile(q)
             )
-
-
-class TestQuantilesOverMergedSnapshots:
-    def test_merged_shards_match_a_single_registry(self):
-        shards = [MetricsRegistry() for _ in range(3)]
-        union = MetricsRegistry()
-        samples = [0.01, 0.02, 0.2, 0.4, 0.8, 1.5, 2.5, 6.0, 0.03]
-        for index, value in enumerate(samples):
-            shards[index % 3].observe("authz_latency_seconds", value)
-            union.observe("authz_latency_seconds", value)
-        merged = merge_snapshots([shard.snapshot() for shard in shards])
-        family = next(
-            f for f in merged if f["name"] == "authz_latency_seconds"
-        )
-        buckets = family["series"][0]["buckets"]
-        expected = union.snapshot()[0]["series"][0]["buckets"]
-        assert buckets == expected
-        for q in (0.5, 0.9, 0.99):
-            assert histogram_quantile(buckets, q) == pytest.approx(
-                histogram_quantile(expected, q)
-            )
-
-    def test_merged_empty_shards_are_still_zero(self):
-        shards = [MetricsRegistry() for _ in range(2)]
-        for shard in shards:
-            shard.histogram("authz_latency_seconds")
-        merged = merge_snapshots([shard.snapshot() for shard in shards])
-        family = next(
-            f for f in merged if f["name"] == "authz_latency_seconds"
-        )
-        for series in family["series"]:
-            assert histogram_quantile(series["buckets"], 0.99) == 0.0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.exporters import histogram_quantile, merge_snapshots
 from repro.obs.registry import OVERFLOW_LABEL, MetricsRegistry
 from repro.obs.windows import (
     WindowedAggregator,
@@ -221,48 +220,9 @@ class TestWindowedAggregator:
         assert summaries[0]["delta"][0]["name"] == "jobs_total"
 
 
-class TestMergedSnapshotSources:
-    """An aggregator over merge_snapshots output — the sharded path."""
-
-    def test_quantiles_over_merged_shard_registries(self):
-        shard_a, shard_b = MetricsRegistry(), MetricsRegistry()
-        aggregator = WindowedAggregator(
-            lambda: merge_snapshots([shard_a.snapshot(), shard_b.snapshot()]),
-            window=1.0,
-        )
-        for value in (0.01, 0.02, 0.03):
-            shard_a.observe("lat_seconds", value)
-        for value in (2.0, 3.0, 4.0):
-            shard_b.observe("lat_seconds", value)
-        aggregator.tick(1.0)
-        buckets, _, count = aggregator.histogram_delta("lat_seconds")
-        assert count == 6
-        # Same answer as one registry observing the union.
-        union = MetricsRegistry()
-        for value in (0.01, 0.02, 0.03, 2.0, 3.0, 4.0):
-            union.observe("lat_seconds", value)
-        expected = union.snapshot()[0]["series"][0]["buckets"]
-        assert histogram_quantile(buckets, 0.5) == pytest.approx(
-            histogram_quantile(expected, 0.5)
-        )
-
-    def test_counter_deltas_over_merged_shards(self):
-        shard_a, shard_b = MetricsRegistry(), MetricsRegistry()
-        aggregator = WindowedAggregator(
-            lambda: merge_snapshots([shard_a.snapshot(), shard_b.snapshot()]),
-            window=1.0,
-        )
-        shard_a.count("jobs_total", amount=2)
-        aggregator.tick(1.0)
-        shard_b.count("jobs_total", amount=5)
-        aggregator.tick(2.0)
-        assert aggregator.delta("jobs_total", windows=1) == 5.0
-        assert aggregator.value("jobs_total") == 7.0
-
-
-class TestOverflowAcrossShards:
-    """`<overflow>` series merge without double counting and never
-    leak into label-filtered health queries."""
+class TestOverflowSeries:
+    """`<overflow>` series never leak into label-filtered health
+    queries."""
 
     def overflowing_registry(self):
         registry = MetricsRegistry(max_series=2)
@@ -271,23 +231,6 @@ class TestOverflowAcrossShards:
         registry.count("req_total", source="cas")  # folds into overflow
         registry.count("req_total", source="akenti")  # same overflow bucket
         return registry
-
-    def test_merge_keeps_one_overflow_series(self):
-        merged = merge_snapshots(
-            [
-                self.overflowing_registry().snapshot(),
-                self.overflowing_registry().snapshot(),
-            ]
-        )
-        family = next(f for f in merged if f["name"] == "req_total")
-        overflow = [
-            series
-            for series in family["series"]
-            if OVERFLOW_LABEL in series["labels"].values()
-        ]
-        assert len(overflow) == 1
-        assert overflow[0]["value"] == 4.0  # 2 per shard, summed once
-        assert sum_values(merged, "req_total", include_overflow=True) == 8.0
 
     def test_overflow_never_becomes_a_health_target(self):
         registry = self.overflowing_registry()
