@@ -5,8 +5,8 @@ enabled by default, so its overhead must stay in the noise next to
 the real work of a request: GSI handshake, RSL parsing, two policy
 evaluations and scheduler bookkeeping.  This bench runs the same
 submit+cancel round-trip with ``ServiceConfig(telemetry=...)`` off
-and on and asserts the instrumented path stays within 1.15x of the
-bare one.
+and on and asserts the instrumented path stays within
+:data:`MAX_OVERHEAD` of the bare one.
 
 The assertion uses best-of-N wall timings (minimum over several
 measured rounds) so scheduler jitter on shared CI runners cannot
@@ -32,12 +32,11 @@ VO_TEXT = FIGURE3_POLICY_TEXT + f"""
 
 JOB = "&(executable=test2)(directory=/sandbox/test)(jobtag=NFC)(count=2)(runtime=5)"
 
-#: Was 1.15 against the interpreted policy engine; the compiled
-#: engine (docs/performance.md) cut the bare round-trip itself, so
-#: telemetry's fixed per-request cost — now including the
-#: policy_index_* counters — weighs relatively more while absolute
-#: latency dropped across the board.
-MAX_OVERHEAD = 1.25
+#: The worst of 32 runs on a shared 2-vCPU host read 1.180x once
+#: per-request telemetry bookkeeping was cut (docs/performance.md,
+#: "Telemetry"); the bound is that plus a 0.02 margin.  It was 1.25
+#: before, and 1.15 against the interpreted policy engine.
+MAX_OVERHEAD = 1.20
 
 
 def build(telemetry: bool):

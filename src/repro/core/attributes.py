@@ -81,15 +81,12 @@ class Action(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Action":
-        lowered = text.strip().lower()
-        # GT2 clients say "status"; the paper's policy vocabulary says
-        # "information".  Accept both.
-        if lowered == "status":
-            return cls.INFORMATION
-        for action in cls:
-            if action.value == lowered:
-                return action
-        raise ValueError(f"unknown action: {text!r}")
+        # Every management request parses its action: one dict lookup,
+        # not a scan reading each member's ``value`` property.
+        action = _ACTIONS.get(text.strip().lower())
+        if action is None:
+            raise ValueError(f"unknown action: {text!r}")
+        return action
 
     @property
     def is_management(self) -> bool:
@@ -97,4 +94,11 @@ class Action(enum.Enum):
         return self is not Action.START
 
     def __str__(self) -> str:
-        return self.value
+        # ``_value_`` is ``value`` without the property lookup.
+        return self._value_
+
+
+#: Action by its value.  GT2 clients say "status"; the paper's policy
+#: vocabulary says "information".  Accept both.
+_ACTIONS = {action.value: action for action in Action}
+_ACTIONS["status"] = Action.INFORMATION

@@ -58,6 +58,7 @@ from repro.core.pipeline import (
 )
 from repro.core.request import AuthorizationRequest
 from repro.obs import spans as obs_spans
+from repro.obs.instrument import METRIC_HELP
 
 #: ``DecisionContext.cache_status`` value for capability fast-path hits.
 CAPABILITY_HIT = "capability"
@@ -335,21 +336,22 @@ class CapabilityMiddleware:
         self.misses = 0
         self.revoked = 0
         self.miss_reasons: Dict[str, int] = {reason: 0 for reason in MISS_REASONS}
-        self._counters: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
+        #: Bound series by metric name (by reason for the misses),
+        #: each created at its first count.
+        self._counters: Dict[str, Any] = {}
 
     # -- metrics ----------------------------------------------------------
 
-    def _count(self, name: str, help: str, **labels: str) -> None:
+    def _count(self, name: str, reason: Optional[str] = None) -> None:
         if self.registry is None:
             return
-        key = (name, tuple(sorted(labels.values())))
+        key = name if reason is None else reason
         series = self._counters.get(key)
         if series is None:
-            family = self.registry.counter(
-                name, help=help, labelnames=tuple(sorted(labels))
-            )
-            series = family.labels(**labels) if labels else family.labels()
-            self._counters[key] = series
+            labels = {} if reason is None else {"reason": reason}
+            series = self._counters[key] = self.registry.counter(
+                name, help=METRIC_HELP[name], labelnames=tuple(labels)
+            ).labels(**labels)
         series.inc()
 
     # -- the middleware ---------------------------------------------------
@@ -370,10 +372,7 @@ class CapabilityMiddleware:
             status = self._validate_fast(token, key)
             if status == VALID:
                 self.hits += 1
-                self._count(
-                    "capability_hit_total",
-                    "Fast-path decisions served by capability validation",
-                )
+                self._count("capability_hit_total")
                 context.cache_status = CAPABILITY_HIT
                 context.capability = token
                 context.sources.extend(entry.sources)
@@ -397,18 +396,11 @@ class CapabilityMiddleware:
             reason = status
             if status == EPOCH:
                 self.revoked += 1
-                self._count(
-                    "capability_revoked_total",
-                    "Capabilities revoked fail-closed on a policy-epoch bump",
-                )
+                self._count("capability_revoked_total")
                 obs_spans.event("capability", f"revoked {token.token_id}")
         self.misses += 1
         self.miss_reasons[reason] = self.miss_reasons.get(reason, 0) + 1
-        self._count(
-            "capability_miss_total",
-            "Capability fast-path misses by reason",
-            reason=reason,
-        )
+        self._count("capability_miss_total", reason)
         epochs = self.issuer.view.snapshot()
         decision = call_next(request, context)
         # Mint only when the view did not move while the chain decided:
@@ -418,10 +410,7 @@ class CapabilityMiddleware:
             and self.issuer.view.snapshot() == epochs
         ):
             token = self.issuer.mint(request)
-            self._count(
-                "capability_mint_total",
-                "Capabilities minted after full decisions",
-            )
+            self._count("capability_mint_total")
             self.store.put(
                 key,
                 ReplayEntry(decision, tuple(context.sources), token.epochs, token),

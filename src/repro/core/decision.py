@@ -83,7 +83,15 @@ class Decision:
         return replace(self, source=source)
 
     def with_context(self, context: Optional["DecisionContext"]) -> "Decision":
-        return replace(self, context=context)
+        # A copy of the fields with one changed, without ``replace``'s
+        # field walk and frozen ``__init__``: the PEP attaches a context
+        # to every decision it returns, and a decision may be a cached
+        # one shared by many requests, so it is copied, never mutated.
+        clone = object.__new__(type(self))
+        fields = self.__dict__.copy()
+        fields["context"] = context
+        object.__setattr__(clone, "__dict__", fields)
+        return clone
 
     def __str__(self) -> str:
         label = self.effect.value

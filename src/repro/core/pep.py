@@ -23,27 +23,28 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional, Tuple
+from time import perf_counter
+from typing import Any, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.callout import (
     GRAM_AUTHZ_CALLOUT,
     CalloutRegistry,
     default_registry,
 )
-from repro.core.decision import Decision
+from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.pipeline import (
     DecisionCache,
     DecisionContext,
     DecisionMiddleware,
     NextHandler,
-    activate,
+    StageRecord,
+    _current_context,
     compose,
 )
 from repro.core.request import AuthorizationRequest
 from repro.obs.instrument import METRIC_HELP
-from repro.obs.spans import current_span, span as obs_span
+from repro.obs.spans import Span, current_span, span as obs_span
 
 
 class PEPPlacement(enum.Enum):
@@ -53,8 +54,7 @@ class PEPPlacement(enum.Enum):
     GATEKEEPER = "gatekeeper"
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """One authorization decision, as recorded by the PEP."""
 
     request: AuthorizationRequest
@@ -100,6 +100,8 @@ class EnforcementPoint:
         self.registry = registry if registry is not None else default_registry()
         self.callout_type = callout_type
         self.placement = placement
+        #: ``placement.value``, read on every decision.
+        self._placement = placement.value
         self.telemetry = telemetry
         self.resilience = resilience
         self.capability = capability
@@ -168,68 +170,74 @@ class EnforcementPoint:
         :class:`AuthorizationSystemFailure` when no decision could be
         made (fails closed).
         """
+        placement = self._placement
         if context is None:
-            context = DecisionContext.from_request(
-                request, placement=self.placement.value
-            )
-        handler = self._handler()
+            context = DecisionContext.from_request(request, placement=placement)
+        handler = self._chain
+        if handler is None:
+            handler = self._handler()
         telemetry = self.telemetry
+        attrs = {"action": context.action, "placement": placement}
         if telemetry is not None:
-            pep_span = telemetry.span(
-                "pep.authorize",
-                action=context.action,
-                placement=self.placement.value,
-            )
+            pep_span = Span(telemetry.tracer, "pep.authorize", attrs)
         else:
-            pep_span = obs_span(
-                "pep.authorize",
-                action=context.action,
-                placement=self.placement.value,
-            )
-        with activate(context), pep_span as span:
-            if span is None:
-                span = current_span()
-            if span is not None:
-                context.correlation_id = span.trace_id
-            started = telemetry.now() if telemetry is not None else 0.0
-            try:
-                with context.stage("pep", detail=self.placement.value):
-                    decision = handler(request, context)
-            except AuthorizationSystemFailure as exc:
-                self.failures += 1
-                self._observe(context, "failure", started)
-                context.finish_failure(str(exc))
-                exc.context = context
+            pep_span = obs_span("pep.authorize", **attrs)
+        # The decision is current for the dynamic extent of the stack,
+        # so deep layers find it without a parameter (what
+        # ``pipeline.activate`` does, without its object).
+        token = _current_context.set(context)
+        try:
+            with pep_span as span:
+                if span is None:
+                    span = current_span()
                 if span is not None:
-                    span.set_attr("decision", "failure")
-                    span.set_attr("failure_source", exc.source or "")
-                    span.set_attr("failure_kind", exc.kind)
-                self._record(
-                    AuditRecord(
-                        request=request,
-                        decision=None,
-                        failure=str(exc),
-                        failure_source=exc.source or "",
-                        failure_kind=exc.kind,
-                        context=context,
+                    context.correlation_id = span.trace_id
+                started = telemetry.now() if telemetry is not None else 0.0
+                wall = perf_counter()
+                try:
+                    decision = handler(request, context)
+                except AuthorizationSystemFailure as exc:
+                    duration = perf_counter() - wall
+                    context.stages.append(StageRecord("pep", duration, placement))
+                    self.failures += 1
+                    self._observe(context, "failure", started)
+                    context.finish_failure(str(exc), duration)
+                    exc.context = context
+                    if span is not None:
+                        span.set_attr("decision", "failure")
+                        span.set_attr("failure_source", exc.source or "")
+                        span.set_attr("failure_kind", exc.kind)
+                    self._audit.append(
+                        AuditRecord(
+                            request,
+                            None,
+                            str(exc),
+                            exc.source or "",
+                            exc.kind,
+                            context,
+                        )
                     )
-                )
-                raise
-            if decision.is_permit:
-                self.permits += 1
-                outcome = "permit"
-            else:
-                self.denials += 1
-                outcome = "deny"
-            self._observe(context, outcome, started)
-            if span is not None:
-                span.set_attr("decision", decision.effect.value)
-        context.finish(decision)
+                    raise
+                duration = perf_counter() - wall
+                context.stages.append(StageRecord("pep", duration, placement))
+                permitted = decision.effect is Effect.PERMIT
+                if permitted:
+                    self.permits += 1
+                    outcome = "permit"
+                else:
+                    self.denials += 1
+                    outcome = "deny"
+                self._observe(context, outcome, started)
+                if span is not None:
+                    # ``_value_``: the member's value without the
+                    # ``value`` property's cost.
+                    span.set_attr("decision", decision.effect._value_)
+        finally:
+            _current_context.reset(token)
+        context.finish(decision, duration)
         decision = decision.with_context(context)
-        self._record(
-            AuditRecord(request=request, decision=decision, context=context)
-        )
-        if decision.is_permit:
+        self._audit.append(AuditRecord(request, decision, "", "", "", context))
+        if permitted:
             return decision
         raise AuthorizationDenied(
             f"{request} denied" + (f" by {decision.source}" if decision.source else ""),
@@ -313,9 +321,6 @@ class EnforcementPoint:
     def audit_limit(self, limit: int) -> None:
         self._audit_limit = limit
         self._audit = deque(self._audit, maxlen=limit)
-
-    def _record(self, record: AuditRecord) -> None:
-        self._audit.append(record)
 
     @property
     def audit_log(self) -> Tuple[AuditRecord, ...]:

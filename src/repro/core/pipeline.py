@@ -27,11 +27,9 @@ This module provides the pieces that can:
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import threading
-import time
 from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -39,7 +37,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -60,8 +57,7 @@ CACHE_MISS = "miss"
 CACHE_BYPASS = "bypass"  # no decision cache in the stack
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     """One timed stage of a decision (pep, callout, policy source...)."""
 
     name: str
@@ -75,8 +71,7 @@ class StageRecord:
         return data
 
 
-@dataclass(frozen=True)
-class SourceRecord:
+class SourceRecord(NamedTuple):
     """Provenance of one contributing policy source."""
 
     name: str
@@ -93,6 +88,10 @@ class SourceRecord:
         if self.detail:
             data["detail"] = self.detail
         return data
+
+
+#: The stage a decision-cache hit records: the same for every hit.
+_CACHE_HIT_STAGE = StageRecord("cache", 0.0, "hit")
 
 
 @dataclass
@@ -116,6 +115,8 @@ class DecisionContext:
     effect: Optional[Effect] = None
     failure: str = ""
     cache_status: str = CACHE_BYPASS
+    #: Wall time of the whole decision: what the PEP measured around
+    #: its stack, the same as its ``pep`` stage.
     duration: float = 0.0
     #: Set by the resilience layer when this decision was served in a
     #: degraded mode (e.g. ``"fail-static"``): the decision is real
@@ -131,9 +132,11 @@ class DecisionContext:
         cls, request: AuthorizationRequest, placement: str = ""
     ) -> "DecisionContext":
         return cls(
-            request_id=f"dec-{next(_decision_counter):d}",
-            requester=str(request.requester),
-            action=str(request.action),
+            f"dec-{next(_decision_counter):d}",
+            str(request.requester),
+            # ``_value_`` is the member's value (what ``str`` of an
+            # Action renders) without the ``value`` property's cost.
+            request.action._value_,
             jobtag=request.jobtag or "",
             jobowner=str(request.owner),
             job_id=request.job_id,
@@ -142,42 +145,32 @@ class DecisionContext:
 
     # -- recording ---------------------------------------------------------
 
-    @contextlib.contextmanager
-    def stage(self, name: str, detail: str = "") -> Iterator[None]:
-        """Time a stage: ``with context.stage("callout:vo"): ...``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_stage(
-                name, time.perf_counter() - started, detail=detail
-            )
-
     def record_stage(self, name: str, duration: float, detail: str = "") -> None:
-        self.stages.append(
-            StageRecord(name=name, duration=duration, detail=detail)
-        )
+        self.stages.append(StageRecord(name, duration, detail))
 
     def add_source(
         self, name: str, effect: Effect, epoch: Any = None, detail: str = ""
     ) -> None:
-        self.sources.append(
-            SourceRecord(
-                name=name, effect=effect.value, epoch=epoch, detail=detail
-            )
-        )
+        self.sources.append(SourceRecord(name, effect._value_, epoch, detail))
 
-    def finish(self, decision: Decision) -> None:
-        """Mark the decision complete; derive provenance if none recorded."""
+    def finish(self, decision: Decision, duration: float) -> None:
+        """Mark the decision complete; derive provenance if none recorded.
+
+        *duration* is the wall time of the whole decision, as the PEP
+        measured it around its stack (its ``pep`` stage).  Stages
+        nest — ``pep`` encloses each ``callout:*``, which encloses its
+        ``source:*`` stages — so they do not add up to it.
+        """
         self.effect = decision.effect
         if not self.sources and decision.source:
             self.add_source(decision.source, decision.effect)
-        self.duration = sum(s.duration for s in self.stages)
+        self.duration = duration
 
-    def finish_failure(self, message: str) -> None:
+    def finish_failure(self, message: str, duration: float) -> None:
+        """Mark the decision failed; *duration* as for :meth:`finish`."""
         self.effect = Effect.INDETERMINATE
         self.failure = message
-        self.duration = sum(s.duration for s in self.stages)
+        self.duration = duration
 
     # -- views ---------------------------------------------------------------
 
@@ -387,7 +380,7 @@ def request_key(request: AuthorizationRequest) -> Optional[Tuple[Any, ...]]:
         else:
             cached = (
                 str(request.requester),
-                request.action.value,
+                request.action._value_,
                 request.jobtag,
                 str(request.owner),
                 request.job_description,
@@ -559,7 +552,7 @@ class DecisionCache:
             self.hits += 1
             context.cache_status = CACHE_HIT
             context.sources.extend(entry.sources)
-            context.record_stage("cache", 0.0, detail="hit")
+            context.stages.append(_CACHE_HIT_STAGE)
             obs_spans.event("cache", "hit")
             return entry.decision
         self.misses += 1

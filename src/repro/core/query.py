@@ -544,6 +544,8 @@ class QueryEngine:
         self.checks = 0
         self.denied = 0
         self._registry = registry
+        #: ``query_prefilter_checks_total``, bound at the first check.
+        self._checks_series = None
 
     @classmethod
     def from_combined(cls, combined, **kwargs) -> "QueryEngine":
@@ -687,11 +689,14 @@ class QueryEngine:
     def _count_check(self) -> None:
         self.checks += 1
         if self._registry is not None:
-            self._registry.count(
-                "query_prefilter_checks_total",
-                help="pre-decisions asked of the reverse index",
-                consumer=self.consumer,
-            )
+            series = self._checks_series
+            if series is None:
+                series = self._checks_series = self._registry.counter(
+                    "query_prefilter_checks_total",
+                    help="pre-decisions asked of the reverse index",
+                    labelnames=("consumer",),
+                ).labels(consumer=self.consumer)
+            series.inc()
 
     # -- enumeration (the ops/CLI view) --------------------------------------
 

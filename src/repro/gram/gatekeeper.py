@@ -19,7 +19,7 @@ Steps on a submission:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.accounts.dynamic import DynamicAccountError, DynamicAccountPool
 from repro.accounts.enforcement import EnforcementMechanism
@@ -47,7 +47,7 @@ from repro.gsi.errors import GSIError
 from repro.gsi.verification import verify_credential
 from repro.lrm.errors import LRMError
 from repro.lrm.scheduler import BatchScheduler
-from repro.obs.spans import event as obs_event, span as obs_span
+from repro.obs.spans import Span, event as obs_event, span as obs_span
 from repro.rsl.errors import RSLSyntaxError
 from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock
@@ -128,21 +128,23 @@ class Gatekeeper:
         #: ``(chain version, live)`` memo of :meth:`_fast_deny_live`.
         self._fast_deny_chain: Tuple[Optional[int], bool] = (None, False)
         self._published_evictions: Dict[str, int] = {}
+        # Telemetry series, each bound at its first use: the
+        # ``gram_requests_total`` series by response code per request
+        # kind, the reaped counter and the lifecycle gauges (evictions
+        # by reason).
+        self._submit_series: Dict[str, Any] = {}
+        self._manage_series: Dict[str, Any] = {}
+        self._reaped_series = None
+        self._lifecycle_gauges: Optional[Tuple[Any, Any]] = None
+        self._evicted_gauges: Dict[str, Any] = {}
 
     # -- the request path -----------------------------------------------------
 
     def submit(self, credential: Credential, rsl_text: str) -> GramResponse:
         """Process a job-invocation request end to end."""
-        with self._span("gatekeeper.submit", host=self.host) as span:
+        with self._span("gatekeeper.submit", {"host": self.host}) as span:
             response = self._submit(credential, rsl_text)
-            if span is not None:
-                span.set_attr("code", response.code.name)
-            if self.telemetry is not None:
-                self.telemetry.count(
-                    "gram_requests_total",
-                    kind="submit",
-                    code=response.code.name,
-                )
+            self._count_request(span, self._submit_series, "submit", response)
             return response
 
     def _submit(self, credential: Credential, rsl_text: str) -> GramResponse:
@@ -299,7 +301,7 @@ class Gatekeeper:
     ) -> GramResponse:
         """Entry point for management requests arriving at the resource."""
         with self._span(
-            "gatekeeper.manage", host=self.host, action=action
+            "gatekeeper.manage", {"host": self.host, "action": action}
         ) as span:
             jmi = self.job_manager(contact)
             if jmi is not None:
@@ -315,14 +317,7 @@ class Gatekeeper:
                         code=GramErrorCode.NO_SUCH_JOB,
                         message=f"no job manager at {contact}",
                     )
-            if span is not None:
-                span.set_attr("code", response.code.name)
-            if self.telemetry is not None:
-                self.telemetry.count(
-                    "gram_requests_total",
-                    kind="manage",
-                    code=response.code.name,
-                )
+            self._count_request(span, self._manage_series, "manage", response)
             return response
 
     @property
@@ -402,27 +397,36 @@ class Gatekeeper:
         except LRMError:
             pass
         if self.telemetry is not None:
-            self.telemetry.count("gram_lifecycle_reaped_total")
+            if self._reaped_series is None:
+                self._reaped_series = self.telemetry.counter(
+                    "gram_lifecycle_reaped_total"
+                )
+            self._reaped_series.inc()
 
     def _publish_lifecycle_gauges(self) -> None:
-        if self.telemetry is None:
+        telemetry = self.telemetry
+        if telemetry is None:
             return
-        self.telemetry.set_gauge(
-            "gram_admission_active_jmis", float(len(self._job_managers))
-        )
-        self.telemetry.set_gauge(
-            "gram_lifecycle_completed_records", float(len(self.completed))
-        )
+        gauges = self._lifecycle_gauges
+        if gauges is None:
+            gauges = self._lifecycle_gauges = (
+                telemetry.gauge("gram_admission_active_jmis"),
+                telemetry.gauge("gram_lifecycle_completed_records"),
+            )
+        gauges[0].set(float(len(self._job_managers)))
+        gauges[1].set(float(len(self.completed)))
         # Evictions are rare; republishing identical values on every
         # submit/terminal would tax the hot path for nothing.
         evictions = self.completed.evicted_by_reason
         if evictions != self._published_evictions:
+            series = self._evicted_gauges
             for reason, count in evictions.items():
-                self.telemetry.set_gauge(
-                    "gram_lifecycle_evicted_records",
-                    float(count),
-                    reason=reason,
-                )
+                gauge = series.get(reason)
+                if gauge is None:
+                    gauge = series[reason] = telemetry.gauge(
+                        "gram_lifecycle_evicted_records", reason=reason
+                    )
+                gauge.set(float(count))
             self._published_evictions = dict(evictions)
 
     def _manage_completed(
@@ -594,10 +598,28 @@ class Gatekeeper:
         )
         return None
 
-    def _span(self, name: str, **attrs):
+    def _span(self, name: str, attrs: Dict[str, str]):
         if self.telemetry is not None:
-            return self.telemetry.span(name, **attrs)
+            return Span(self.telemetry.tracer, name, attrs)
         return obs_span(name, **attrs)
+
+    def _count_request(
+        self, span, series: Dict[str, Any], kind: str, response: GramResponse
+    ) -> None:
+        """Record *response*'s code on the root span and in
+        ``gram_requests_total``, through a series bound per code."""
+        # ``_name_`` is the member's name without the ``name``
+        # property's cost.
+        code = response.code._name_
+        if span is not None:
+            span.set_attr("code", code)
+        if self.telemetry is not None:
+            counter = series.get(code)
+            if counter is None:
+                counter = series[code] = self.telemetry.counter(
+                    "gram_requests_total", kind=kind, code=code
+                )
+            counter.inc()
 
     def _trace(self, source: str, target: str, event: str) -> None:
         if self.trace is not None:

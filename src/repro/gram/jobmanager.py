@@ -128,7 +128,9 @@ class JobManagerInstance:
         ) as span:
             response = self._start(rsl_text)
             if span is not None:
-                span.set_attr("code", response.code.name)
+                # ``_name_``: the member's name without the ``name``
+                # property's cost.
+                span.set_attr("code", response.code._name_)
             return response
 
     def _start(self, rsl_text: str) -> GramResponse:
@@ -234,7 +236,7 @@ class JobManagerInstance:
         ) as span:
             response = self._handle(credential, action, value=value, at_time=at_time)
             if span is not None:
-                span.set_attr("code", response.code.name)
+                span.set_attr("code", response.code._name_)
             return response
 
     def _handle(

@@ -679,21 +679,20 @@ class HealthMonitor:
     def attach_tracer(self, scope: str, tracer: Tracer) -> None:
         """Feed this scope's finished root spans to the recorder."""
 
-        def record(span: Span) -> None:
-            if span.parent_id is not None:
-                return
+        def record(spans: Tuple[Span, ...]) -> None:
+            root = spans[0]
             self.recorder.record_decision(
                 {
-                    "at": span.end if span.end is not None else span.start,
+                    "at": root.end,
                     "scope": scope,
-                    "request_id": span.trace_id,
-                    "name": span.name,
-                    "code": span.attrs.get("code", ""),
-                    "status": span.status,
+                    "request_id": root.trace_id,
+                    "name": root.name,
+                    "code": root.attrs.get("code", ""),
+                    "status": root.status,
                 }
             )
 
-        tracer.on_finish.append(record)
+        tracer.on_trace.append(record)
 
     # -- ticking -------------------------------------------------------------
 

@@ -160,7 +160,7 @@ def render_flight_dump(dump: FlightDump) -> str:
 class FlightRecorder:
     """Bounded ring of recent decisions + window deltas, per scope.
 
-    ``record_decision`` is called from span-finish hooks on the hot
+    ``record_decision`` is called from trace-finish hooks on the hot
     path; ``note_window`` from the health monitor's window ticks.
     :meth:`freeze` snapshots the current ring into a
     :class:`FlightDump`, optionally filtered to one scope (the sick

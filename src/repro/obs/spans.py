@@ -2,13 +2,14 @@
 
 A :class:`Tracer` mints one *correlation ID* per request (``req-%06d``)
 at the root span and threads it through every child span opened while
-that request is in flight.  The active span lives in a context
-variable, so deep layers — the callout registry, the combined
-evaluator, the resilience wrappers — open children and attach events
-through the module-level :func:`span` / :func:`event` helpers without
-growing a parameter on any signature.  Threads inherit nothing: a
-fresh thread starts with no active span, so concurrent requests can
-never leak spans into each other's trees.
+that request is in flight.  The in-flight trace — its open span, its
+spans so far and so its next span id — lives in a context variable
+written once per request, at the root, so deep layers — the callout
+registry, the combined evaluator, the resilience wrappers — open
+children and attach events through the module-level :func:`span` /
+:func:`event` helpers without growing a parameter on any signature.
+Threads inherit nothing: a fresh thread starts with no trace, so
+concurrent requests can never leak spans into each other's trees.
 
 Timestamps come from the simulated clock.  A scenario run twice
 produces byte-identical exports — which is what lets the trace tests
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import threading
 from collections import deque
 from contextvars import ContextVar
@@ -68,10 +68,12 @@ _NO_ATTRS: Dict[str, str] = {}
 class Span:
     """One timed operation inside a trace.
 
-    A span doubles as its own context manager: entering resolves the
-    parent from the context variable, mints IDs and flips the variable;
-    exiting restores it and hands the finished span to the tracer.
-    One allocation per span keeps the request hot path cheap.
+    A span doubles as its own context manager: entering takes the next
+    span id of the in-flight trace (or opens a new trace as its root)
+    and makes it the trace's current span; exiting stamps the end time
+    and hands the current slot back to the parent.  Only a root writes
+    the context variable, so a request pays for one context switch
+    however many spans it opens.
     """
 
     __slots__ = (
@@ -85,7 +87,6 @@ class Span:
         "status",
         "events",
         "attrs",
-        "_token",
     )
 
     def __init__(
@@ -107,23 +108,21 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self.tracer
-        parent = _current_span.get()
-        if parent is None:
-            trace_id = f"req-{next(tracer._trace_counter):06d}"
-            tracer._active[trace_id] = []
-            tracer._span_counters[trace_id] = itertools.count(2)
-            span_id = 1
-            parent_id = None
+        trace = _current_trace.get()
+        if trace is None or trace.tracer is not tracer:
+            # A root: a trace of another tracer stays where it is and
+            # resumes when this one finishes.
+            trace = _Trace(tracer, f"req-{next(tracer._trace_counter):06d}", self)
+            trace.token = _current_trace.set(trace)
+            self.span_id = 1
+            self.parent_id = None
         else:
-            trace_id = parent.trace_id
-            counter = tracer._span_counters.get(trace_id)
-            if counter is None:  # root already finished; orphaned child
-                counter = tracer._span_counters[trace_id] = itertools.count(2)
-            span_id = next(counter)
-            parent_id = parent.span_id
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+            spans = trace.spans
+            spans.append(self)
+            self.span_id = len(spans)
+            self.parent_id = trace.current.span_id
+            trace.current = self
+        self.trace_id = trace.trace_id
         attrs = self.attrs
         if attrs is not _NO_ATTRS:
             # The kwargs dict is fresh and ours: stringify in place.
@@ -132,14 +131,37 @@ class Span:
                     attrs[key] = str(value)
         clock = tracer.clock
         self.start = clock.now if clock is not None else 0.0
-        self._token = _current_span.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
             self.status = f"error:{exc_type.__name__}"
-        _current_span.reset(self._token)
-        self.tracer._finish(self)
+        tracer = self.tracer
+        clock = tracer.clock
+        self.end = clock.now if clock is not None else 0.0
+        trace = _current_trace.get()
+        parent_id = self.parent_id
+        if parent_id is not None:
+            # Span ids are positions in ``trace.spans``, counted from 1.
+            trace.current = trace.spans[parent_id - 1]
+        else:
+            _current_trace.reset(trace.token)
+            spans = tuple(trace.spans)
+            with tracer._lock:
+                traces = tracer._traces
+                traces.append((trace.trace_id, spans))
+                evicted = len(traces) > tracer.limit
+                if evicted:
+                    traces.popleft()
+                    tracer.dropped += 1
+            if evicted and tracer.registry is not None:
+                tracer._dropped_series().inc()
+            for callback in tracer.on_trace:
+                callback(spans)
+        callbacks = tracer.on_finish
+        if callbacks:
+            for callback in callbacks:
+                callback(self)
         return False
 
     @property
@@ -191,16 +213,36 @@ class Span:
         )
 
 
-_BY_SPAN_ID = operator.attrgetter("span_id")
+class _Trace:
+    """The in-flight state of one request's trace.
 
-_current_span: ContextVar[Optional[Span]] = ContextVar(
-    "repro_obs_span", default=None
+    The context variable holds this object from the root's enter to
+    its exit.  Retained traces keep only their spans; nothing refers
+    back here once the root finished.
+    """
+
+    __slots__ = ("tracer", "trace_id", "spans", "current", "token")
+
+    def __init__(self, tracer: "Tracer", trace_id: str, root: Span) -> None:
+        self.tracer = tracer
+        self.trace_id = trace_id
+        #: Every span opened so far, in id order (the root first).
+        self.spans: List[Span] = [root]
+        #: The innermost open span: the parent of the next one.
+        self.current = root
+        #: Restores the context variable when the root finishes.
+        self.token: Any = None
+
+
+_current_trace: ContextVar[Optional[_Trace]] = ContextVar(
+    "repro_obs_trace", default=None
 )
 
 
 def current_span() -> Optional[Span]:
-    """The span of the in-flight request in this context, if any."""
-    return _current_span.get()
+    """The innermost open span of the in-flight request, if any."""
+    trace = _current_trace.get()
+    return trace.current if trace is not None else None
 
 
 class _NullSpanContext:
@@ -225,21 +267,27 @@ def span(name: str, **attrs: Any):
     evaluators call it unconditionally.  Without an active trace the
     cost is one context-variable read.
     """
-    parent = _current_span.get()
-    if parent is None:
+    trace = _current_trace.get()
+    if trace is None:
         return _NULL_SPAN_CONTEXT
-    return Span(parent.tracer, name, attrs or None)
+    return Span(trace.tracer, name, attrs or None)
 
 
 def event(name: str, detail: str = "") -> None:
     """Attach an event to the current span; no-op when tracing is off."""
-    active = _current_span.get()
-    if active is not None:
-        active.event(name, detail)
+    trace = _current_trace.get()
+    if trace is not None:
+        trace.current.event(name, detail)
 
 
 class Tracer:
-    """Mints correlation IDs, opens spans, retains finished traces."""
+    """Mints correlation IDs, opens spans, retains finished traces.
+
+    Two hooks see finished work: each callback in :attr:`on_finish`
+    gets every finished span, and each callback in :attr:`on_trace`
+    gets every finished trace once, as its spans in id order, when
+    its root finishes.
+    """
 
     def __init__(
         self,
@@ -252,14 +300,15 @@ class Tracer:
         self.registry = registry
         self.dropped = 0
         self.on_finish: List[Callable[[Span], None]] = []
+        self.on_trace: List[Callable[[Tuple[Span, ...]], None]] = []
         self._traces: Deque[Tuple[str, Tuple[Span, ...]]] = deque()
-        self._active: Dict[str, List[Span]] = {}
-        # ID allotment is lock-free: ``itertools.count`` advances
-        # atomically under the GIL, and the dict reads/writes on the
-        # hot path are single bytecode operations.
-        self._span_counters: Dict[str, Any] = {}
+        # ``itertools.count`` advances atomically under the GIL, so
+        # correlation IDs need no lock.
         self._trace_counter = itertools.count(1)
         self._lock = threading.Lock()
+        #: ``(registry, series)`` of ``obs_traces_dropped_total``,
+        #: bound at the first eviction.
+        self._dropped: Tuple[Any, Any] = (None, None)
 
     def now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
@@ -270,33 +319,16 @@ class Tracer:
         """Open a span: child of the active one, else a new root."""
         return Span(self, name, attrs or None)
 
-    def _finish(self, finished: Span) -> None:
-        clock = self.clock
-        finished.end = clock.now if clock is not None else 0.0
-        buffer = self._active.get(finished.trace_id)
-        if buffer is not None:
-            buffer.append(finished)
-            if finished.parent_id is None:
-                with self._lock:
-                    spans = tuple(
-                        sorted(buffer, key=_BY_SPAN_ID)
-                    )
-                    del self._active[finished.trace_id]
-                    self._span_counters.pop(finished.trace_id, None)
-                    self._traces.append((finished.trace_id, spans))
-                    if len(self._traces) > self.limit:
-                        self._traces.popleft()
-                        self.dropped += 1
-                        registry = self.registry
-                    else:
-                        registry = None
-                if registry is not None:
-                    registry.count(
-                        "obs_traces_dropped_total",
-                        help="Finished traces evicted by retention",
-                    )
-        for callback in self.on_finish:
-            callback(finished)
+    def _dropped_series(self) -> Any:
+        registry, series = self._dropped
+        if registry is not self.registry:
+            registry = self.registry
+            series = registry.counter(
+                "obs_traces_dropped_total",
+                help="Finished traces evicted by retention",
+            ).labels()
+            self._dropped = (registry, series)
+        return series
 
     # -- views --------------------------------------------------------------
 
@@ -321,7 +353,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
-            self._active.clear()
 
     # -- export -------------------------------------------------------------
 

@@ -9,11 +9,14 @@ Manager PEP or the §6.2 Gatekeeper PEP), the response carries a
 
 import pytest
 
+from repro.core.callout import GRAM_AUTHZ_CALLOUT
 from repro.core.parser import parse_policy
+from repro.gram.audit import AuditEntry
 from repro.gram.client import GramClient
 from repro.gram.jobmanager import AuthorizationMode
 from repro.gram.protocol import GramErrorCode, GramResponse
 from repro.gram.service import GramService, ServiceConfig
+from repro.testing import ExceptionFault, inject
 
 from tests.conftest import BO, KATE
 
@@ -129,6 +132,36 @@ class TestJobManagerPlacement:
             first.decision_context.request_id
             != second.decision_context.request_id
         )
+
+
+class TestDuration:
+    """A decision's duration is the PEP's wall time around its stack.
+
+    Stages nest — ``pep`` encloses ``callout:*``, which encloses the
+    ``source:*`` stages — so summing them counts the same time two or
+    three times over.
+    """
+
+    def test_fresh_decision_duration_is_its_pep_stage(self, service, bo):
+        response = bo.submit(BO_START)
+        assert response.ok
+        context = response.decision_context
+        stages = {stage.name: stage.duration for stage in context.stages}
+        assert {"pep", "source:vo", "source:local"} <= set(stages)
+        assert any(name.startswith("callout:") for name in stages)
+        assert context.duration == stages["pep"]
+        assert context.to_dict()["duration"] == stages["pep"]
+        (record,) = service.pep.audit_log
+        assert AuditEntry.from_record(record).duration == stages["pep"]
+
+    def test_failed_decision_duration_is_its_pep_stage(self, service, bo):
+        inject(service.registry, GRAM_AUTHZ_CALLOUT, ExceptionFault())
+        response = bo.submit(BO_START)
+        assert response.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
+        context = response.decision_context
+        stages = {stage.name: stage.duration for stage in context.stages}
+        assert "pep" in stages and len(stages) > 1
+        assert context.duration == stages["pep"]
 
 
 class TestGatekeeperPlacement:

@@ -53,6 +53,26 @@ class TestNesting:
             assert nothing is None
         event("ignored")  # must not raise
 
+    def test_span_of_another_tracer_roots_its_own_trace(self, tracer, clock):
+        other = Tracer(clock=clock)
+        with tracer.span("outer") as outer:
+            with other.span("inner") as inner:
+                with span("deep") as deep:
+                    pass
+            with span("after") as after:
+                pass
+        assert inner.parent_id is None and inner.trace_id == "req-000001"
+        assert deep.parent_id == inner.span_id
+        assert after.parent_id == outer.span_id
+        assert [item.name for item in tracer.find(outer.trace_id)] == [
+            "outer",
+            "after",
+        ]
+        assert [item.name for item in other.find(inner.trace_id)] == [
+            "inner",
+            "deep",
+        ]
+
     def test_trace_buffered_only_when_root_finishes(self, tracer):
         with tracer.span("root"):
             with tracer.span("child"):
