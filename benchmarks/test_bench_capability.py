@@ -1,13 +1,13 @@
-"""B-CAPABILITY: signed capability grants amortize the PDP.
+"""B-CAPABILITY: capability grants amortize the PDP.
 
 Repeat management-request traffic is the dominant load on the decision
 point (every poll of a running job re-decides ``information``).  The
-capability fast path answers a repeat decision by validating a signed
-token — signature, TTL, policy-epoch binding, scope — instead of
-re-running the combined VO∧local evaluation.  This bench measures the
-repeat-decision rate of that validate-first path against fresh
-combined evaluation on the compiled engine, over the same request
-stream, and asserts the ≥10x acceptance bar.
+capability fast path answers a repeat decision from the grant held
+under its exact request key — a TTL and policy-epoch check — instead
+of re-running the combined VO∧local evaluation.  This bench measures
+the repeat-decision rate of that path against fresh combined
+evaluation on the compiled engine, over the same request stream, and
+asserts the ≥10x acceptance bar.
 
 Safety rides along: the artifact embeds the ≥10k-case differential
 audit (``repro.workloads.capability_audit``) and asserts that zero
@@ -40,8 +40,8 @@ ARTIFACT_PATH = os.path.join(
 
 #: Realistic VO scale for the headline number: 200 members, a few
 #: grants each, a few conditions per grant, org-wide group
-#: requirements.  Capability validation is O(HMAC) regardless, so the
-#: speedup only grows with policy richness.
+#: requirements.  A grant hit costs the same whatever the policy, so
+#: the speedup only grows with policy richness.
 SHAPE = PolicyShape(
     users=200,
     statements_per_user=3,
@@ -53,8 +53,8 @@ SHAPE = PolicyShape(
 STREAM_WIDTH = 32
 #: Timed repeat decisions per path.
 ROUNDS = 4000
-#: The acceptance bar: capability validation serves repeat decisions
-#: at least this many times faster than fresh compiled evaluation.
+#: The acceptance bar: capability grants serve repeat decisions at
+#: least this many times faster than fresh compiled evaluation.
 REQUIRED_SPEEDUP = 10.0
 #: The differential-audit floor from the acceptance criteria.
 AUDIT_CASES = 10_000
@@ -117,15 +117,15 @@ def test_capability_validation_beats_fresh_evaluation_10x():
         decision = _decide_capability(handler, request)
         assert decision.is_permit
         assert combined.evaluate(request).is_permit
-    minted_before = middleware.issuer.minted
+    minted_before = middleware.minted
 
     fresh_s = _time_path(combined.evaluate, requests, ROUNDS)
     capability_s = _time_path(
         lambda request: _decide_capability(handler, request), requests, ROUNDS
     )
 
-    # Every timed capability decision was a token hit, not a re-mint.
-    assert middleware.issuer.minted == minted_before
+    # Every timed capability decision was a grant hit, not a re-mint.
+    assert middleware.minted == minted_before
     assert middleware.hits >= ROUNDS
 
     speedup = fresh_s / capability_s

@@ -291,23 +291,15 @@ def test_restart_differential_embedded_in_artifact(tmp_path):
         "recovered_records": stats.recovered_records,
         "requests": stats.requests,
         "divergences": stats.divergences,
-        "capability_checks": stats.capability_checks,
-        "capability_divergences": stats.capability_divergences,
         "skipped_lines": stats.skipped_lines,
     }
     write_artifact(ARTIFACT_PATH, "restart_differential", data)
     emit(
         "B-POLICY-STORE — restart-recovery differential",
-        [
-            f"requests={stats.requests} divergences={stats.divergences}",
-            f"capability checks={stats.capability_checks} "
-            f"divergences={stats.capability_divergences}",
-        ],
+        [f"requests={stats.requests} divergences={stats.divergences}"],
         data=data,
         key="policy_store_differential",
     )
 
     assert stats.requests >= DIFFERENTIAL_REQUESTS
     assert stats.divergences == 0, stats.examples
-    assert stats.capability_divergences == 0, stats.examples
-    assert stats.capability_checks > 0

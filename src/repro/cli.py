@@ -174,35 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-emit the (filtered) summary as JSON instead of a table",
     )
 
-    capability = commands.add_parser(
-        "capability",
-        help="inspect a signed capability token (JSON export)",
-    )
-    capability_commands = capability.add_subparsers(
-        dest="capability_command", required=True
-    )
-    inspect = capability_commands.add_parser(
-        "inspect", help="print a token's scope, epochs and verdicts"
-    )
-    inspect.add_argument("token", help="path to the token JSON file")
-    inspect.add_argument(
-        "--key",
-        default=None,
-        metavar="HEX",
-        help="HMAC key (hex) to verify the signature against",
-    )
-    inspect.add_argument(
-        "--host",
-        default=None,
-        help="derive the verification key from this resource host",
-    )
-    inspect.add_argument(
-        "--now",
-        type=float,
-        default=None,
-        help="evaluate expiry at this simulated time",
-    )
-
     authz = commands.add_parser(
         "authz", help="reverse-index authorization queries"
     )
@@ -564,54 +535,6 @@ def _cmd_accounting(args) -> int:
     return 0
 
 
-def _cmd_capability(args) -> int:
-    import json
-
-    from repro.core.capability import CapabilityToken, default_capability_key
-
-    try:
-        with open(args.token, "r", encoding="utf-8") as handle:
-            token = CapabilityToken.from_dict(json.load(handle))
-    except OSError as exc:
-        print(f"error: cannot read {args.token}: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: {args.token} is not a capability token: {exc}",
-              file=sys.stderr)
-        return 2
-    print(f"token    : {token.token_id}")
-    print(f"subject  : {token.subject}")
-    print(f"actions  : {', '.join(token.actions)}")
-    print(f"jobtag   : {token.jobtag or '(none)'}")
-    print(f"jobowner : {token.jobowner}")
-    print(f"spec     : sha256:{token.spec_digest[:16]}...")
-    for name, epoch in token.epochs:
-        print(f"epoch    : {name} = {epoch}")
-    print(f"issued   : t={token.issued_at}")
-    print(f"expires  : t={token.expires_at}")
-    ok = True
-    key = None
-    if args.key is not None:
-        try:
-            key = bytes.fromhex(args.key)
-        except ValueError:
-            print("error: --key is not valid hex", file=sys.stderr)
-            return 2
-    elif args.host is not None:
-        key = default_capability_key(args.host)
-    if key is not None:
-        verified = token.verify_signature(key)
-        print(f"signature: {'valid' if verified else 'INVALID'}")
-        ok = ok and verified
-    else:
-        print(f"signature: {token.signature[:16]}... (no key given, unverified)")
-    if args.now is not None:
-        expired = token.expired(args.now)
-        print(f"expiry   : {'EXPIRED' if expired else 'live'} at t={args.now}")
-        ok = ok and not expired
-    return 0 if ok else 1
-
-
 def _cmd_authz(args) -> int:
     import os
 
@@ -817,7 +740,6 @@ _HANDLERS = {
     "obs": _cmd_obs,
     "health": _cmd_health,
     "accounting": _cmd_accounting,
-    "capability": _cmd_capability,
     "authz": _cmd_authz,
     "policy": _cmd_policy,
     "recover": _cmd_recover,

@@ -60,11 +60,7 @@ from repro.core.callout import (
     CalloutType,
 )
 from repro.core.pep import EnforcementPoint, PEPPlacement
-from repro.core.capability import (
-    CapabilityIssuer,
-    CapabilityMiddleware,
-    CapabilityToken,
-)
+from repro.core.capability import CapabilityMiddleware
 from repro.core.analysis import (
     Capability,
     ImpactReport,
@@ -144,9 +140,7 @@ __all__ = [
     "CalloutType",
     "EnforcementPoint",
     "PEPPlacement",
-    "CapabilityIssuer",
     "CapabilityMiddleware",
-    "CapabilityToken",
     "LintFinding",
     "LintLevel",
     "Capability",

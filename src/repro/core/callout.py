@@ -131,7 +131,7 @@ class CalloutRegistry:
         """What the configured callouts decide from, as one epoch token.
 
         Exposed the way every policy source exposes its epoch, so
-        capability issuers and decision caches that watch the registry
+        capability grants and decision caches that watch the registry
         revoke/invalidate on a real reconfiguration *and* whenever a
         configured callout's own policy moves — a time window opening,
         a CAS trust-key rotation, a policy swap — including callouts
@@ -208,7 +208,7 @@ class CalloutRegistry:
         byte-identical to what this path last applied, nothing happens
         and ``0`` is returned — in particular :attr:`policy_epoch`
         does not move, so a no-op republish revokes no capability
-        tokens and invalidates no caches.  When the content *did*
+        grants and invalidates no caches.  When the content *did*
         change, ``reload=True`` first drops the callouts previously
         configured from this path (a replace, not an append) and the
         epoch bumps once.

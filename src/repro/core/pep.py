@@ -124,9 +124,8 @@ class EnforcementPoint:
     def middlewares(self) -> Tuple[DecisionMiddleware, ...]:
         # Resilience outside the repeat paths: a hit never needs
         # degradation.  Capability grants in front of the decision
-        # cache: a validated capability answers without consulting
-        # policy epochs per lookup, and a miss still benefits from the
-        # cache underneath.
+        # cache: a held grant answers before the cache is looked up,
+        # and a miss still benefits from the cache underneath.
         return tuple(
             layer
             for layer in (self.resilience, self.capability, self.cache)

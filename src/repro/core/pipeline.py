@@ -122,10 +122,10 @@ class DecisionContext:
     #: degraded mode (e.g. ``"fail-static"``): the decision is real
     #: but came from the last-known-good store, not a live source.
     degraded: str = ""
-    #: The :class:`~repro.core.capability.CapabilityToken` that served
-    #: (fast-path hit) or was minted by (fresh PERMIT) this decision;
-    #: ``None`` when capability grants are not configured.
-    capability: Any = None
+    #: The ``cap-N`` id of the capability grant that served (fast-path
+    #: hit) or was minted by (fresh PERMIT) this decision; empty when
+    #: no grant was involved.
+    capability: str = ""
 
     @classmethod
     def from_request(
@@ -196,9 +196,7 @@ class DecisionContext:
             "failure": self.failure,
             "cache": self.cache_status,
             "degraded": self.degraded,
-            "capability": (
-                self.capability.token_id if self.capability is not None else ""
-            ),
+            "capability": self.capability,
             "duration": self.duration,
             "stages": [s.to_dict() for s in self.stages],
             "sources": [s.to_dict() for s in self.sources],
@@ -221,6 +219,7 @@ class DecisionContext:
             failure=data.get("failure", ""),
             cache_status=data.get("cache", CACHE_BYPASS),
             degraded=data.get("degraded", ""),
+            capability=data.get("capability", ""),
             duration=float(data.get("duration", 0.0)),
         )
         if data.get("effect"):
@@ -425,11 +424,11 @@ class EpochView:
     """Everything a replayed decision depends on, as one named snapshot.
 
     Members are ``(name, source)`` pairs (see :func:`epoch_of`).  A
-    service hands one view to its decision cache, capability issuer,
+    service hands one view to its decision cache, capability grants,
     fail-static store and circuit breakers, so no repeat path watches
     less than another.  The snapshot renders each epoch with ``repr``
-    (capability tokens sign it) and is rebuilt only when a raw member
-    epoch moved; the view is an epoch source itself.
+    and is rebuilt only when a raw member epoch moved; the view is an
+    epoch source itself.
     """
 
     def __init__(self, members: Sequence[Tuple[str, Any]] = ()) -> None:
@@ -464,8 +463,9 @@ class ReplayEntry(NamedTuple):
     #: The :class:`EpochView` snapshot the decision was made under; the
     #: entry is served only while the view still reports it.
     epochs: EpochSnapshot
-    #: The capability token minted for the decision, if one was.
-    token: Any = None
+    #: The :class:`~repro.core.capability.CapabilityGrant` minted for
+    #: the decision, if one was.
+    grant: Any = None
 
 
 class ReplayStore:

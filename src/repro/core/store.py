@@ -37,7 +37,7 @@ Consumers subscribe (:meth:`VersionedPolicyStore.subscribe`) and swap
 the snapshot's policies into their compiled engines; a
 :class:`~repro.gram.service.GramService` built with
 ``ServiceConfig(policy_store=...)`` wires this up so its
-``QueryEngine``/``CapabilityIssuer``/``DecisionCache`` all observe one
+``QueryEngine``, capability grants and ``DecisionCache`` all observe one
 consistent epoch per publish.  See ``docs/policy-store.md``.
 """
 
@@ -211,7 +211,7 @@ class VersionedPolicyStore:
 
     The **active** snapshot is the last published one; its ``epoch`` is
     this store's ``policy_epoch``, so the store slots into the decision
-    cache / capability issuer / query engine exactly like any other
+    cache / capability grants / query engine exactly like any other
     epoch source.  Publishing identical content (same digest as active)
     never bumps the epoch.  Publishing previous content (rollback) gets
     a **new** epoch — history only moves forward.

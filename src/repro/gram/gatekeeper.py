@@ -28,7 +28,11 @@ from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.pep import EnforcementPoint
 from repro.core.request import AuthorizationRequest
 from repro.gram.gridmap import GridMapFile
-from repro.gram.jobmanager import AuthorizationMode, JobManagerInstance
+from repro.gram.jobmanager import (
+    AuthorizationMode,
+    JobManagerInstance,
+    authorize_management,
+)
 from repro.gram.lifecycle import (
     AdmissionControl,
     CompletedJobRecord,
@@ -127,7 +131,9 @@ class Gatekeeper:
         self.query_engine = query_engine
         #: ``(chain version, live)`` memo of :meth:`_fast_deny_live`.
         self._fast_deny_chain: Tuple[Optional[int], bool] = (None, False)
-        self._published_evictions: Dict[str, int] = {}
+        #: Eviction total last published to the eviction gauges (None:
+        #: not yet, so the first publish records the zeros).
+        self._published_evictions: Optional[int] = None
         # Telemetry series, each bound at its first use: the
         # ``gram_requests_total`` series by response code per request
         # kind, the reaped counter and the lifecycle gauges (evictions
@@ -363,14 +369,13 @@ class Gatekeeper:
         )
 
     def _job_terminal(self, jmi: JobManagerInstance, job) -> None:
-        """Terminal listener for a started job: release + (optionally) reap.
+        """Terminal listener for a started job: release + reap.
 
         Invoked exactly once per started job by the JMI's per-job
         scheduler registration, after enforcement accounting closed.
         """
         self.admission.release(str(jmi.owner))
-        if self.lifecycle.reap:
-            self._reap(jmi, job)
+        self._reap(jmi, job)
         self._publish_lifecycle_gauges()
 
     def _reap(self, jmi: JobManagerInstance, job) -> None:
@@ -386,7 +391,6 @@ class Gatekeeper:
                 finished_at=self.clock.now,
                 account=jmi.account.username,
                 spec=jmi.description.spec,
-                capability=jmi.capability,
             )
         )
         self.reaped += 1
@@ -416,18 +420,19 @@ class Gatekeeper:
         gauges[0].set(float(len(self._job_managers)))
         gauges[1].set(float(len(self.completed)))
         # Evictions are rare; republishing identical values on every
-        # submit/terminal would tax the hot path for nothing.
-        evictions = self.completed.evicted_by_reason
-        if evictions != self._published_evictions:
+        # submit/terminal would tax the hot path for nothing.  Counts
+        # only grow, so an unchanged total means unchanged reasons.
+        total = self.completed.evicted
+        if total != self._published_evictions:
             series = self._evicted_gauges
-            for reason, count in evictions.items():
+            for reason, count in self.completed.evicted_by_reason.items():
                 gauge = series.get(reason)
                 if gauge is None:
                     gauge = series[reason] = telemetry.gauge(
                         "gram_lifecycle_evicted_records", reason=reason
                     )
                 gauge.set(float(count))
-            self._published_evictions = dict(evictions)
+            self._published_evictions = total
 
     def _manage_completed(
         self,
@@ -439,74 +444,28 @@ class Gatekeeper:
         """Answer a management request for a reaped (terminal) job.
 
         The GRAM protocol keeps ``information``/``status`` answerable
-        after completion; management *authorization* still applies —
-        the legacy owner rule or the PEP callout, exactly as it would
-        on a live JMI (§5.2: the callout runs "before calls to cancel,
-        query, and signal").
+        after completion; management *authorization* still applies,
+        through the same code a live JMI runs (§5.2: the callout runs
+        "before calls to cancel, query, and signal"), and the
+        response carries the decision context just as a live job's
+        does.
         """
         self._trace("client", "gatekeeper", f"management request (reaped): {action}")
-        try:
-            verified = verify_credential(
-                credential, self.trust_anchors, at_time=self.clock.now
-            )
-        except GSIError as exc:
-            return GramResponse(
-                code=GramErrorCode.AUTHENTICATION_FAILED,
-                message=str(exc),
-                contact=record.contact,
-            )
-        requester = verified.identity
-
-        if self.mode is AuthorizationMode.LEGACY:
-            if requester != record.owner:
-                return GramResponse(
-                    code=GramErrorCode.NOT_JOB_OWNER,
-                    message=(
-                        f"{requester} is not the job initiator {record.owner} "
-                        "(GT2 static management rule)"
-                    ),
-                    contact=record.contact,
-                    job_owner=str(record.owner),
-                )
-        else:
-            assert self.pep is not None
-            try:
-                request = AuthorizationRequest.manage(
-                    requester,
-                    action,
-                    record.spec,
-                    jobowner=record.owner,
-                    job_id=record.job_id,
-                    credential=credential,
-                )
-            except ValueError as exc:
-                return GramResponse(
-                    code=GramErrorCode.BAD_RSL,
-                    message=str(exc),
-                    contact=record.contact,
-                )
-            self._trace("gatekeeper", "pep", f"authorization callout: {action}")
-            try:
-                self.pep.authorize(request)
-            except AuthorizationDenied as exc:
-                return GramResponse(
-                    code=GramErrorCode.AUTHORIZATION_DENIED,
-                    message=str(exc),
-                    reasons=exc.reasons,
-                    contact=record.contact,
-                    job_owner=str(record.owner),
-                    decision_context=exc.context,
-                )
-            except AuthorizationSystemFailure as exc:
-                return GramResponse(
-                    code=GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE,
-                    message=str(exc),
-                    contact=record.contact,
-                    job_owner=str(record.owner),
-                    failure_source=exc.source,
-                    failure_kind=exc.kind,
-                    decision_context=exc.context,
-                )
+        denied, context = authorize_management(
+            credential,
+            action,
+            pep=self.pep,
+            mode=self.mode,
+            trust_anchors=self.trust_anchors,
+            contact=record.contact,
+            owner=record.owner,
+            spec=record.spec,
+            at_time=self.clock.now,
+            trace=self._trace,
+            component="gatekeeper",
+        )
+        if denied is not None:
+            return denied
 
         # Execute against the final state.  information/status report
         # it; cancel of a finished job is the same no-op it is on a
@@ -519,6 +478,7 @@ class Gatekeeper:
                 contact=record.contact,
                 state=record.state,
                 job_owner=str(record.owner),
+                decision_context=context,
             )
         if action in ("signal", "suspend", "resume"):
             return GramResponse(
@@ -529,11 +489,13 @@ class Gatekeeper:
                 ),
                 contact=record.contact,
                 job_owner=str(record.owner),
+                decision_context=context,
             )
         return GramResponse(
             code=GramErrorCode.BAD_RSL,
             message=f"unknown management action {action!r}",
             contact=record.contact,
+            decision_context=context,
         )
 
     def _map_account(

@@ -45,6 +45,7 @@ from repro.lrm.errors import LRMError
 from repro.obs.spans import event as obs_event, span as obs_span
 from repro.lrm.jobs import BatchJob, JobState
 from repro.lrm.scheduler import BatchScheduler
+from repro.rsl.ast import Specification
 from repro.rsl.errors import RSLSyntaxError
 from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock
@@ -65,6 +66,133 @@ _LRM_TO_GRAM = {
     JobState.CANCELLED: GramJobState.FAILED,
     JobState.FAILED: GramJobState.FAILED,
 }
+
+#: ``(error response, decision context)``: the error is None when the
+#: request is permitted, and the context explains the decision either
+#: way (None when no PEP decided).
+Authorized = Tuple[Optional[GramResponse], Optional[DecisionContext]]
+
+
+def run_pep(
+    pep: Optional[EnforcementPoint],
+    request: AuthorizationRequest,
+    contact: JobContact,
+    owner: DistinguishedName,
+) -> Authorized:
+    """Run the PEP on *request*; map outcomes to protocol errors (§5.2).
+
+    The caller attaches the returned context to whatever response it
+    builds.
+    """
+    assert pep is not None
+    try:
+        decision = pep.authorize(request)
+    except AuthorizationDenied as exc:
+        return (
+            GramResponse(
+                code=GramErrorCode.AUTHORIZATION_DENIED,
+                message=str(exc),
+                reasons=exc.reasons,
+                contact=contact,
+                job_owner=str(owner),
+                decision_context=exc.context,
+            ),
+            exc.context,
+        )
+    except AuthorizationSystemFailure as exc:
+        return (
+            GramResponse(
+                code=GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE,
+                message=str(exc),
+                contact=contact,
+                job_owner=str(owner),
+                failure_source=exc.source,
+                failure_kind=exc.kind,
+                decision_context=exc.context,
+            ),
+            exc.context,
+        )
+    return None, decision.context
+
+
+def authorize_management(
+    credential: Credential,
+    action: str,
+    *,
+    pep: Optional[EnforcementPoint],
+    mode: AuthorizationMode,
+    trust_anchors: Tuple,
+    contact: JobContact,
+    owner: DistinguishedName,
+    spec: Optional[Specification],
+    at_time: float,
+    trace: Callable[[str, str, str], None],
+    component: str,
+) -> Authorized:
+    """Authenticate and authorize one management request on a job.
+
+    The one path a live JMI and the Gatekeeper (for a reaped job)
+    share: verify the credential at *at_time*, then apply the GT2 owner
+    rule (LEGACY, §4.2) or run the PEP on a request built against the
+    job description *spec* (EXTENDED, §5.2).  *spec* is None for a job
+    that never started.  *component* is the caller's name on the
+    ``pep`` trace edge.
+    """
+    try:
+        verified = verify_credential(credential, trust_anchors, at_time=at_time)
+    except GSIError as exc:
+        return (
+            GramResponse(
+                code=GramErrorCode.AUTHENTICATION_FAILED,
+                message=str(exc),
+                contact=contact,
+            ),
+            None,
+        )
+    requester = verified.identity
+    if spec is None:
+        return (
+            GramResponse(
+                code=GramErrorCode.NO_SUCH_JOB,
+                message="job was never started",
+                contact=contact,
+            ),
+            None,
+        )
+    if mode is AuthorizationMode.LEGACY:
+        # §4.2: identity of requester must match identity of initiator.
+        if requester == owner:
+            return None, None
+        return (
+            GramResponse(
+                code=GramErrorCode.NOT_JOB_OWNER,
+                message=(
+                    f"{requester} is not the job initiator {owner} "
+                    "(GT2 static management rule)"
+                ),
+                contact=contact,
+                job_owner=str(owner),
+            ),
+            None,
+        )
+    try:
+        request = AuthorizationRequest.manage(
+            requester,
+            action,
+            spec,
+            jobowner=owner,
+            job_id=contact.job_id,
+            credential=credential,
+        )
+    except ValueError as exc:
+        return (
+            GramResponse(
+                code=GramErrorCode.BAD_RSL, message=str(exc), contact=contact
+            ),
+            None,
+        )
+    trace(component, "pep", f"authorization callout: {action}")
+    return run_pep(pep, request, contact, owner)
 
 
 class JobManagerInstance:
@@ -102,12 +230,6 @@ class JobManagerInstance:
         self.trace = trace
         self.description: Optional[JobDescription] = None
         self.job: Optional[BatchJob] = None
-        #: The :class:`~repro.core.capability.CapabilityToken` minted
-        #: by (or validated for) this job's start decision; carried
-        #: with the job through reaping so post-completion management
-        #: can be fast-pathed from the retained spec.  ``None`` when
-        #: capability grants are not configured.
-        self.capability = None
         #: Invoked exactly once when this JMI's job terminates, after
         #: the enforcement accounting closed — the Gatekeeper's reaper
         #: subscribes here, so one scheduler registration serves both
@@ -167,10 +289,9 @@ class JobManagerInstance:
                 credential=self.owner_credential,
             )
             self._trace("job-manager", "pep", "authorization callout: start")
-            denied, context = self._authorize(request)
+            denied, context = run_pep(self.pep, request, self.contact, self.owner)
             if denied is not None:
                 return denied
-            self.capability = context.capability if context is not None else None
 
         job = BatchJob(
             account=self.account.username,
@@ -246,59 +367,23 @@ class JobManagerInstance:
         value: Optional[int] = None,
         at_time: Optional[float] = None,
     ) -> GramResponse:
-        now = at_time if at_time is not None else self.clock.now
         self._trace("client", "job-manager", f"management request: {action}")
-        try:
-            verified = verify_credential(credential, self.trust_anchors, at_time=now)
-        except GSIError as exc:
-            return GramResponse(
-                code=GramErrorCode.AUTHENTICATION_FAILED,
-                message=str(exc),
-                contact=self.contact,
-            )
-        requester = verified.identity
-
-        if self.job is None or self.description is None:
-            return GramResponse(
-                code=GramErrorCode.NO_SUCH_JOB,
-                message="job was never started",
-                contact=self.contact,
-            )
-
-        context: Optional[DecisionContext] = None
-        if self.mode is AuthorizationMode.LEGACY:
-            # §4.2: identity of requester must match identity of initiator.
-            if requester != self.owner:
-                return GramResponse(
-                    code=GramErrorCode.NOT_JOB_OWNER,
-                    message=(
-                        f"{requester} is not the job initiator {self.owner} "
-                        "(GT2 static management rule)"
-                    ),
-                    contact=self.contact,
-                    job_owner=str(self.owner),
-                )
-        else:
-            try:
-                request = AuthorizationRequest.manage(
-                    requester,
-                    action,
-                    self.description.spec,
-                    jobowner=self.owner,
-                    job_id=self.contact.job_id,
-                    credential=credential,
-                )
-            except ValueError as exc:
-                return GramResponse(
-                    code=GramErrorCode.BAD_RSL,
-                    message=str(exc),
-                    contact=self.contact,
-                )
-            self._trace("job-manager", "pep", f"authorization callout: {action}")
-            denied, context = self._authorize(request)
-            if denied is not None:
-                return denied
-
+        started = self.job is not None and self.description is not None
+        denied, context = authorize_management(
+            credential,
+            action,
+            pep=self.pep,
+            mode=self.mode,
+            trust_anchors=self.trust_anchors,
+            contact=self.contact,
+            owner=self.owner,
+            spec=self.description.spec if started else None,
+            at_time=at_time if at_time is not None else self.clock.now,
+            trace=self._trace,
+            component="job-manager",
+        )
+        if denied is not None:
+            return denied
         return self._execute(action, value, context=context)
 
     def _execute(
@@ -367,46 +452,6 @@ class JobManagerInstance:
     def finished(self) -> bool:
         """True once the job terminated and the accounting closed."""
         return self._accounting_closed
-
-    def _authorize(
-        self, request: AuthorizationRequest
-    ) -> Tuple[Optional[GramResponse], Optional[DecisionContext]]:
-        """Run the PEP; map outcomes to protocol errors (extension).
-
-        Returns ``(error_response, context)``: the error response is
-        None when the request is permitted, and the
-        :class:`DecisionContext` explains the decision either way —
-        the caller attaches it to whatever response it builds.
-        """
-        assert self.pep is not None
-        try:
-            decision = self.pep.authorize(request)
-        except AuthorizationDenied as exc:
-            return (
-                GramResponse(
-                    code=GramErrorCode.AUTHORIZATION_DENIED,
-                    message=str(exc),
-                    reasons=exc.reasons,
-                    contact=self.contact,
-                    job_owner=str(self.owner),
-                    decision_context=exc.context,
-                ),
-                exc.context,
-            )
-        except AuthorizationSystemFailure as exc:
-            return (
-                GramResponse(
-                    code=GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE,
-                    message=str(exc),
-                    contact=self.contact,
-                    job_owner=str(self.owner),
-                    failure_source=exc.source,
-                    failure_kind=exc.kind,
-                    decision_context=exc.context,
-                ),
-                exc.context,
-            )
-        return None, decision.context
 
     def _limits_from(self, description: JobDescription) -> ResourceLimits:
         """Enforcement limits: what the (authorized) request declared."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.gram.protocol import GramJobState, JobContact
 from repro.gsi.names import DistinguishedName
@@ -35,12 +35,12 @@ from repro.sim.clock import Clock
 
 @dataclass(frozen=True)
 class LifecycleConfig:
-    """Knobs of the Gatekeeper's job-lifecycle layer."""
+    """Knobs of the Gatekeeper's job-lifecycle layer.
 
-    #: Reap terminal JMIs into the completed-job store (and drop the
-    #: LRM-side record).  Off means GT2 stock behaviour: JMIs live
-    #: until the resource restarts.
-    reap: bool = True
+    Reaping itself is not a knob: every terminal JMI is reaped into the
+    completed-job store and its LRM-side record dropped.
+    """
+
     #: How many completed-job records to retain (FIFO eviction).
     completed_retention: int = 1024
     #: Maximum age, in *simulated* seconds, of a retained completed
@@ -69,15 +69,6 @@ class CompletedJobRecord:
     #: requests can still be *authorized* (the PEP callout evaluates
     #: against the description, §5.2).
     spec: Specification
-    #: The capability token minted for the job's start decision
-    #: (:class:`~repro.core.capability.CapabilityToken`), retained
-    #: alongside the spec as the job's authorization artifact for
-    #: audit and spill.  It never serves a post-reap request: its
-    #: actions are ``("start",)``, and post-reap management requests
-    #: re-enter the PEP against the retained spec, where the PEP's own
-    #: capability store answers them by request key.  ``None`` when
-    #: capability grants were not configured.
-    capability: Any = None
 
     @property
     def job_id(self) -> str:

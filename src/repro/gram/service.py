@@ -20,11 +20,7 @@ from repro.accounts.enforcement import (
 )
 from repro.accounts.local import AccountRegistry
 from repro.core.builtin_callouts import combined_policy_callout, initiator_only
-from repro.core.capability import (
-    CapabilityIssuer,
-    CapabilityMiddleware,
-    default_capability_key,
-)
+from repro.core.capability import CapabilityMiddleware
 from repro.core.callout import (
     GATEKEEPER_AUTHZ_CALLOUT,
     GRAM_AUTHZ_CALLOUT,
@@ -88,12 +84,8 @@ class ServiceConfig:
     #: callout → policy-source.  Deterministic under the sim clock and
     #: cheap, so it is on by default.
     telemetry: bool = True
-    #: Reap terminal JMIs into the Gatekeeper's bounded completed-job
-    #: store (:mod:`repro.gram.lifecycle`), keeping resident job state
-    #: O(active jobs) under sustained churn.  Post-completion
-    #: ``information``/``status`` requests still answer from the store.
-    reap_jmis: bool = True
-    #: Completed-job records retained after reaping (FIFO eviction).
+    #: Completed-job records retained after a terminal JMI is reaped
+    #: (FIFO eviction; see :mod:`repro.gram.lifecycle`).
     completed_retention: int = 1024
     #: Maximum age in simulated seconds of a retained completed-job
     #: record (None = count bound only); see
@@ -103,11 +95,11 @@ class ServiceConfig:
     max_jobs_per_user: Optional[int] = None
     #: Admission control: service-wide active-JMI ceiling (None = off).
     max_active_jmis: Optional[int] = None
-    #: Signed capability grants (:mod:`repro.core.capability`): after
-    #: a full combined PERMIT the PEP mints an HMAC-signed token bound
-    #: to the service's epoch view, and repeat identical requests are
-    #: served by validate-first (signature/TTL/epoch/scope) instead of
-    #: re-deciding.  Fail-closed: any epoch bump revokes.
+    #: Capability grants (:mod:`repro.core.capability`): after a full
+    #: combined PERMIT the PEP holds a ``cap-N`` grant with a sim-clock
+    #: TTL under the request's key, and repeat identical requests are
+    #: served from it instead of re-deciding while the service's epoch
+    #: view has not moved.  Fail-closed: any epoch bump revokes.
     capability_grants: bool = False
     #: Reverse-index admission fast-deny (:mod:`repro.core.query`):
     #: the Gatekeeper answers submissions whose (identity, start) is a
@@ -116,9 +108,6 @@ class ServiceConfig:
     #: account mapping, JMI spawn or any pipeline invocation.
     #: Deny-safe only: undecided requests take the full path.
     query_fast_deny: bool = False
-    #: HMAC key for capability signing (None = derive one
-    #: deterministically from the host).
-    capability_key: Optional[bytes] = None
     #: Health & SLO engine (:mod:`repro.obs.health`): windowed
     #: burn-rate evaluation of the service's telemetry into
     #: healthy/degraded/critical reports, with a flight recorder that
@@ -266,7 +255,6 @@ class GramService:
             gt3_account_setup=self.config.gt3_account_setup,
             telemetry=self.telemetry,
             lifecycle=LifecycleConfig(
-                reap=self.config.reap_jmis,
                 completed_retention=self.config.completed_retention,
                 completed_retention_age=self.config.completed_retention_age,
                 max_jobs_per_user=self.config.max_jobs_per_user,
@@ -409,7 +397,7 @@ class GramService:
         epoch.  The epoch view (through the callout registry) and the
         query engine both watch those epochs, so every consumer
         observes the swap as one consistent epoch step: requests
-        before it decide (and validate capabilities) entirely under
+        before it decide (and hit capability grants) entirely under
         the old epoch, requests after it entirely under the new one.
         Returns the number of sources swapped.
         """
@@ -447,7 +435,7 @@ class GramService:
         """(Re)apply a callout configuration file, epoch-aware.
 
         Byte-identical content is a no-op — zero callouts reloaded,
-        no epoch bump, every outstanding capability token survives.
+        no epoch bump, every outstanding capability grant survives.
         Changed content replaces the callouts the file previously
         configured, bumps the registry epoch (revoking capabilities
         and invalidating the decision cache, fail-closed) and, on a
@@ -528,12 +516,9 @@ class GramService:
     def _build_capability(self) -> Optional[CapabilityMiddleware]:
         if not self.config.capability_grants:
             return None
-        key = self.config.capability_key
-        if key is None:
-            key = default_capability_key(self.config.host)
-        issuer = CapabilityIssuer(key=key, clock=self.clock, view=self.epoch_view)
         return CapabilityMiddleware(
-            issuer,
+            self.clock,
+            view=self.epoch_view,
             registry=self.telemetry.registry if self.telemetry else None,
         )
 

@@ -20,11 +20,9 @@ authorized against lived only in memory.  This module makes the
   rewritten atomically (``os.replace``) with only the live inserts.
 
 Records serialize through their existing wire forms: the job spec as
-RSL text (round-trips through ``parse_specification``), the owner DN
-as its string rendering, and the capability token through
-:meth:`~repro.core.capability.CapabilityToken.to_dict` — so a
-recovered record re-authorizes *identically* and keeps its
-authorization artifact.  The restart-recovery differential suite
+RSL text (round-trips through ``parse_specification``) and the owner
+DN as its string rendering — so a recovered record re-authorizes
+*identically*.  The restart-recovery differential suite
 (:mod:`repro.workloads.recovery`) pins that guarantee end to end.
 """
 
@@ -35,7 +33,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
-from repro.core.capability import CapabilityToken
 from repro.core.store import end_torn_line
 from repro.gram.protocol import GramJobState, JobContact
 from repro.gsi.names import DistinguishedName
@@ -47,7 +44,7 @@ KIND_EVICT = "evict"
 
 def record_to_wire(record) -> Dict[str, Any]:
     """Serialize a CompletedJobRecord into its JSONL insert form."""
-    data: Dict[str, Any] = {
+    return {
         "kind": KIND_INSERT,
         "host": record.contact.host,
         "job_id": record.contact.job_id,
@@ -58,18 +55,16 @@ def record_to_wire(record) -> Dict[str, Any]:
         "account": record.account,
         "spec": str(record.spec),
     }
-    if record.capability is not None:
-        data["capability"] = record.capability.to_dict()
-    return data
 
 
 def record_from_wire(data: Dict[str, Any]):
-    """Rebuild a CompletedJobRecord from its JSONL insert form."""
+    """Rebuild a CompletedJobRecord from its JSONL insert form.
+
+    Keys it does not read are ignored, such as the ``capability``
+    object older spill files carry with each insert.
+    """
     from repro.gram.lifecycle import CompletedJobRecord
 
-    capability = None
-    if data.get("capability") is not None:
-        capability = CapabilityToken.from_dict(data["capability"])
     return CompletedJobRecord(
         contact=JobContact(host=str(data["host"]), job_id=str(data["job_id"])),
         owner=DistinguishedName.parse(str(data["owner"])),
@@ -78,7 +73,6 @@ def record_from_wire(data: Dict[str, Any]):
         finished_at=float(data["finished_at"]),
         account=str(data.get("account", "")),
         spec=parse_specification(str(data["spec"])),
-        capability=capability,
     )
 
 

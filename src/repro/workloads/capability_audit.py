@@ -2,20 +2,20 @@
 
 The load-bearing safety argument for :mod:`repro.core.capability` is
 differential: replay a randomized request stream through the
-capability fast path (validate-first middleware in front of the
-combined VO∧local evaluator) and, for every single case, compare
-against what a *fresh* combined evaluation grants at that moment.  The
-fast path must *never exceed* fresh evaluation — a capability hit that
-permits where fresh evaluation denies is precisely the delegation bug
-(a token outliving or outgrowing the policy that minted it) the design
-fails closed against.
+capability fast path (the grant middleware in front of the combined
+VO∧local evaluator) and, for every single case, compare against what
+a *fresh* combined evaluation grants at that moment.  The fast path
+must *never exceed* fresh evaluation — a capability hit that permits
+where fresh evaluation denies is precisely the delegation bug (a grant
+outliving or outgrowing the policy that minted it) the design fails
+closed against.
 
 The driver deliberately stresses the staleness windows:
 
 * periodic ``replace_policy`` swaps on the VO or local source bump
   that source's epoch mid-stream (outstanding capabilities must
   revoke);
-* periodic sim-clock jumps push held tokens past their TTL;
+* periodic sim-clock jumps push held grants past their TTL;
 * the request pool is replayed with heavy repetition, so the stream is
   mostly the repeat traffic capabilities exist to amortize.
 
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from repro.core.capability import CapabilityIssuer, CapabilityMiddleware
+from repro.core.capability import CapabilityMiddleware
 from repro.core.combination import CombinationAlgorithm, CombinedEvaluator
 from repro.core.decision import Effect
 from repro.core.errors import AuthorizationSystemFailure
@@ -129,13 +129,9 @@ def build_audit_stack(
         evaluators, algorithm=CombinationAlgorithm.ALL_MUST_PERMIT
     )
     clock = Clock()
-    issuer = CapabilityIssuer(
-        key=b"audit-key" * 4,
-        clock=clock,
-        ttl=config.ttl,
-        view=EpochView([("policy", combined)]),
+    middleware = CapabilityMiddleware(
+        clock, view=EpochView([("policy", combined)]), ttl=config.ttl
     )
-    middleware = CapabilityMiddleware(issuer)
 
     def terminal(request, context):
         return combined.evaluate(request)
@@ -216,6 +212,6 @@ def run_capability_audit(config: Optional[AuditConfig] = None) -> AuditResult:
     result.hits = middleware.hits
     result.misses = middleware.misses
     result.revoked = middleware.revoked
-    result.minted = middleware.issuer.minted
+    result.minted = middleware.minted
     result.miss_reasons = dict(middleware.miss_reasons)
     return result

@@ -10,7 +10,7 @@ from repro.core.builtin_callouts import (
     policy_callout,
 )
 from repro.core.callout import GRAM_AUTHZ_CALLOUT, CalloutRegistry
-from repro.core.capability import CapabilityIssuer, CapabilityMiddleware
+from repro.core.capability import CapabilityMiddleware
 from repro.core.decision import Effect
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.evaluator import PolicyEvaluator
@@ -305,9 +305,7 @@ class TestMiddlewareStack:
         pep = make_pep(
             permit_all,
             resilience=ResilienceMiddleware(),
-            capability=CapabilityMiddleware(
-                CapabilityIssuer(key=b"k", clock=Clock())
-            ),
+            capability=CapabilityMiddleware(Clock()),
             cache=DecisionCache(),
         )
         names = [m.name for m in pep.middlewares]

@@ -444,15 +444,18 @@ class TestServiceIntegration:
         service, store = build_store_service(capability_grants=True)
         alice = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
         contact = alice.submit(RSL).contact
-        token = service.gatekeeper.job_manager(contact).capability
-        issuer = service.capability.issuer
-        assert issuer.validate(token) == "valid"
+        alice.status(contact)  # mints the information grant
+        assert alice.status(contact).decision_context.cache_status == "capability"
 
         store.publish(store.active().bundle)  # digest no-op: survives
-        assert issuer.validate(token) == "valid"
+        assert alice.status(contact).decision_context.cache_status == "capability"
+        capability = service.capability
+        assert capability.revoked == 0
 
         store.publish(bundle(VO_TEXT_V2))  # real publish: revoked
-        assert issuer.validate(token) != "valid"
+        assert alice.status(contact).decision_context.cache_status != "capability"
+        assert capability.revoked == 1
+        assert capability.miss_reasons["epoch"] == 1
 
     def test_log_line_format(self, tmp_path):
         log = str(tmp_path / "log.jsonl")

@@ -1,4 +1,4 @@
-"""Capability grants threaded through the service: carry and revocation."""
+"""Capability grants threaded through the service: fast path and revocation."""
 
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
@@ -64,28 +64,6 @@ class TestServiceFastPath:
 
 
 class TestJobCarry:
-    def test_jmi_carries_the_start_capability(self):
-        service = build_service()
-        client = client_for(service)
-        contact = client.submit(RSL).contact
-        jmi = service.gatekeeper.job_manager(contact)
-        assert jmi.capability is not None
-        assert jmi.capability.subject == ALICE
-        assert jmi.capability.actions == ("start",)
-
-    def test_reaped_record_retains_the_capability(self):
-        service = build_service()
-        client = client_for(service)
-        contact = client.submit(RSL).contact
-        token = service.gatekeeper.job_manager(contact).capability
-        service.run(30.0)  # runtime=10: job completes and is reaped
-        record = service.gatekeeper.completed.get(contact.job_id)
-        assert record is not None
-        assert record.capability == token
-        assert record.capability.verify_signature(
-            service.capability.issuer.key
-        )
-
     def test_post_reap_management_still_fast_paths(self):
         service = build_service()
         client = client_for(service)

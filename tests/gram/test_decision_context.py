@@ -209,6 +209,14 @@ class TestWireTransparency:
         assert context.stage_names == response.decision_context.stage_names
         assert context.source_names == response.decision_context.source_names
 
+    def test_grant_id_survives_the_wire(self):
+        service = build_service(capability_grants=True)
+        bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
+        response = bo.submit(BO_START)
+        assert response.decision_context.capability.startswith("cap-")
+        again = GramResponse.from_wire(response.to_wire())
+        assert again.decision_context.capability == response.decision_context.capability
+
     def test_wire_form_without_context_is_unchanged(self):
         service = GramService(ServiceConfig(mode=AuthorizationMode.LEGACY))
         bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)

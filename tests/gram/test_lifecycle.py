@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.decision import Effect
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
 from repro.gram.jobmanager import AuthorizationMode
@@ -70,17 +71,6 @@ class TestReaping:
         assert record is not None
         assert record.state is GramJobState.FAILED
         assert "cancel" in record.exit_reason
-
-    def test_reaping_can_be_disabled(self):
-        service = build(reap_jmis=False)
-        client = GramClient(service.add_user(OWNER, "owner"), service.gatekeeper)
-        response = client.submit(RSL)
-        service.run(10.0)
-        # GT2 stock behaviour: the JMI lives on and still answers.
-        assert service.gatekeeper.active_job_managers == 1
-        assert service.gatekeeper.completed_jobs == 0
-        status = client.status(response.contact)
-        assert status.ok and status.state is GramJobState.DONE
 
     def test_retention_bounds_the_store(self):
         service = build(completed_retention=3)
@@ -163,6 +153,41 @@ class TestPostReapManagement:
         service.run(10.0)
         assert service.gatekeeper.active_job_managers == 0
         return service, owner, other, admin, response.contact
+
+    @pytest.mark.parametrize("grants", [False, True], ids=["fresh", "capability"])
+    def test_permitted_request_carries_its_context_after_reap(self, grants):
+        """A permitted request says why it was permitted on a reaped job
+        exactly as on the live one, and keeps the Figure 1/2 edges."""
+        service = build(
+            policies=(parse_policy(POLICY, name="vo"),),
+            capability_grants=grants,
+            record_trace=True,
+        )
+        owner = GramClient(service.add_user(OWNER, "owner"), service.gatekeeper)
+        admin = GramClient(service.add_user(ADMIN, "admin"), service.gatekeeper)
+        contact = owner.submit(RSL).contact
+        live = admin.status(contact)
+        assert live.ok and live.decision_context is not None
+        service.run(10.0)
+        assert service.gatekeeper.active_job_managers == 0
+
+        service.trace.clear()
+        reaped = admin.status(contact)
+        assert reaped.ok and reaped.state is GramJobState.DONE
+        context = reaped.decision_context
+        assert context is not None
+        assert context.effect is Effect.PERMIT
+        assert (context.requester, context.action) == (ADMIN, "information")
+        assert context.source_names == live.decision_context.source_names
+        if grants:
+            # The live request minted a grant; the reaped job's
+            # identical request is served from it.
+            assert context.cache_status == "capability"
+            assert context.capability == live.decision_context.capability
+        assert service.trace.edges() == (
+            ("client", "gatekeeper"),
+            ("gatekeeper", "pep"),
+        )
 
     def test_information_returns_final_state_and_owner(self):
         _, owner, _, _, contact = self.make()

@@ -1,7 +1,7 @@
 """The reload/recovery bugfix sweep: regressions pinned one by one.
 
 * ``CalloutRegistry.configure_from_file`` must not bump the policy
-  epoch for byte-identical content (capability tokens survive a no-op
+  epoch for byte-identical content (capability grants survive a no-op
   reload).
 * ``CompletedJobStore`` lazy age eviction must evict the looked-up
   record itself, exactly once, even when completion order is not age
@@ -88,13 +88,13 @@ class TestCalloutReloadShortCircuit:
             service.add_user(ALICE, "alice"), service.gatekeeper
         )
         contact = client.submit(RSL).contact
-        token = service.gatekeeper.job_manager(contact).capability
-        issuer = service.capability.issuer
-        assert issuer.validate(token) == "valid"
+        client.status(contact)  # mints the information grant
+        assert client.status(contact).decision_context.cache_status == "capability"
 
-        # Reload the byte-identical file: the token must survive.
+        # Reload the byte-identical file: the grant must survive.
         assert service.reload_callouts(str(path)) == 0
-        assert issuer.validate(token) == "valid"
+        assert client.status(contact).decision_context.cache_status == "capability"
+        assert service.capability.revoked == 0
 
     def test_changed_callout_config_revokes_capabilities(self, tmp_path):
         path = tmp_path / "callouts.conf"
@@ -110,15 +110,18 @@ class TestCalloutReloadShortCircuit:
             service.add_user(ALICE, "alice"), service.gatekeeper
         )
         contact = client.submit(RSL).contact
-        token = service.gatekeeper.job_manager(contact).capability
-        issuer = service.capability.issuer
-        assert issuer.validate(token) == "valid"
+        client.status(contact)  # mints the information grant
+        assert client.status(contact).decision_context.cache_status == "capability"
+        capability = service.capability
+        revoked, epoch_misses = capability.revoked, capability.miss_reasons["epoch"]
 
         path.write_text(CALLOUT_LINE)
         assert service.reload_callouts(str(path)) == 1
         # The registry is a bound epoch source: changed configuration
         # fail-closes every outstanding capability.
-        assert issuer.validate(token) == "epoch"
+        assert client.status(contact).decision_context.cache_status != "capability"
+        assert capability.revoked == revoked + 1
+        assert capability.miss_reasons["epoch"] == epoch_misses + 1
 
 
 class TestLazyAgeEvictionExactlyOnce:

@@ -117,7 +117,7 @@ class TestPolicyCarriedInTheCredential:
             assert client.submit(GOOD).ok
         assert len(service.pep.cache) == 0
         assert len(service.capability.store) == 0
-        assert service.capability.issuer.minted == 0
+        assert service.capability.minted == 0
 
     def test_impersonation_proxy_keeps_the_repeat_path(self, repeat_path):
         """A proxy that carries no policy of its own is replayed as usual."""

@@ -99,7 +99,6 @@ class TestHardenIdempotency:
 class TestLifecycleConfigWiring:
     def test_defaults_reap_with_bounded_retention(self):
         gatekeeper = GramService(ServiceConfig()).gatekeeper
-        assert gatekeeper.lifecycle.reap is True
         assert gatekeeper.completed.retention == 1024
         assert gatekeeper.lifecycle.max_jobs_per_user is None
         assert gatekeeper.lifecycle.max_active_jmis is None
@@ -107,14 +106,12 @@ class TestLifecycleConfigWiring:
     def test_caps_and_retention_flow_to_the_gatekeeper(self):
         service = GramService(
             ServiceConfig(
-                reap_jmis=False,
                 completed_retention=7,
                 max_jobs_per_user=3,
                 max_active_jmis=11,
             )
         )
         lifecycle = service.gatekeeper.lifecycle
-        assert lifecycle.reap is False
         assert service.gatekeeper.completed.retention == 7
         assert lifecycle.max_jobs_per_user == 3
         assert lifecycle.max_active_jmis == 11

@@ -1,5 +1,7 @@
 """Completed-job spill: durability, crash recovery, restart differential."""
 
+import json
+
 import pytest
 
 from repro.core.parser import parse_policy
@@ -18,6 +20,7 @@ from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock
 from repro.workloads.recovery import (
     RecoveryDifferentialConfig,
+    normalized_wire,
     run_recovery_differential,
     run_torn_tail_differential,
 )
@@ -35,8 +38,32 @@ POLICY = f"""
 
 RSL = "&(executable=sim)(count=1)(runtime=5)(jobtag=SPILL)"
 
+#: An insert line as spill files written before capability grants lost
+#: their token envelope carry it: Alice's completed job "1", with the
+#: signed start token in a ``capability`` object.
+PARENT_SPILL_LINE = (
+    '{"account": "alice", "capability": {"actions": ["start"], "epochs": '
+    '[["callouts", "(1, (0,))"], ["gridmap", "1"]], "expires_at": 300.0, '
+    '"issued_at": 0.0, "jobowner": "/O=Grid/OU=spill.example.org/CN=Alice", '
+    '"jobtag": "SPILL", "signature": '
+    '"96a4048fe3061903153bca1e7a0fd1d71273e3ded08f90695493c4aa9a4504b5", '
+    '"spec_digest": '
+    '"1d89a9ab8f96287f32e241f7877b9d386ce7b7620cda616a7e71e6dc8c41113c", '
+    '"subject": "/O=Grid/OU=spill.example.org/CN=Alice", "token_id": "cap-1"}, '
+    '"exit_reason": "completed", "finished_at": 5.0, "host": "spill.example.org", '
+    '"job_id": "1", "kind": "insert", "owner": "/O=Grid/OU=spill.example.org/CN=Alice", '
+    '"spec": "&(executable=sim)(count=1)(runtime=5)(jobtag=SPILL)", "state": "done"}'
+)
 
-def make_record(job_id="1", finished_at=10.0, capability=None):
+
+def without_capability(line):
+    """*line* with its ``capability`` object removed."""
+    data = json.loads(line)
+    del data["capability"]
+    return json.dumps(data, sort_keys=True)
+
+
+def make_record(job_id="1", finished_at=10.0):
     return CompletedJobRecord(
         contact=JobContact(host="spill.example.org", job_id=job_id),
         owner=DistinguishedName.parse(ALICE),
@@ -45,7 +72,6 @@ def make_record(job_id="1", finished_at=10.0, capability=None):
         finished_at=finished_at,
         account="alice",
         spec=parse_specification(RSL),
-        capability=capability,
     )
 
 
@@ -58,27 +84,12 @@ class TestWireRoundTrip:
         assert again.state is record.state
         assert again.finished_at == record.finished_at
         assert str(again.spec) == str(record.spec)
-        assert again.capability is None
 
-    def test_capability_token_round_trips(self):
-        from repro.core.capability import CapabilityToken, spec_digest
-
-        key = b"spill-test-key"
-        token = CapabilityToken(
-            token_id="cap-1",
-            subject=ALICE,
-            actions=("start",),
-            jobtag="SPILL",
-            jobowner=ALICE,
-            spec_digest=spec_digest(parse_specification(RSL)),
-            epochs=(("policy", "1"),),
-            issued_at=0.0,
-            expires_at=100.0,
-        ).signed(key)
-        record = make_record(capability=token)
-        again = record_from_wire(record_to_wire(record))
-        assert again.capability == token
-        assert again.capability.verify_signature(key)
+    def test_older_capability_object_is_ignored(self):
+        older = record_from_wire(json.loads(PARENT_SPILL_LINE))
+        plain = record_from_wire(json.loads(without_capability(PARENT_SPILL_LINE)))
+        assert older == plain
+        assert "capability" not in record_to_wire(older)
 
 
 class TestSpillReplay:
@@ -236,7 +247,6 @@ class TestServiceRestart:
         record = revived.gatekeeper.completed.get(contact.job_id)
         assert record is not None
         assert record.state is GramJobState.DONE
-        assert record.capability is not None
 
     def test_restart_restores_the_clock(self, tmp_path):
         path = str(tmp_path / "spill.jsonl")
@@ -279,6 +289,38 @@ class TestServiceRestart:
             is GramErrorCode.AUTHORIZATION_DENIED
         )
 
+    def test_older_spill_line_recovers_and_serves_alike(self, tmp_path):
+        """A line written with its ``capability`` object recovers and
+        answers post-reap requests exactly like the same line without."""
+        ca = CertificateAuthority("/O=Grid/CN=Spill CA")
+        contact = JobContact(host="spill.example.org", job_id="1")
+        answers = []
+        for name, line in (
+            ("older.jsonl", PARENT_SPILL_LINE),
+            ("plain.jsonl", without_capability(PARENT_SPILL_LINE)),
+        ):
+            path = tmp_path / name
+            path.write_text(line + "\n", encoding="utf-8")
+            revived = build_service(str(path), ca)
+            assert revived.recovery.skipped_lines == 0
+            assert len(revived.recovery.records) == 1
+            alice = revived.add_user(ALICE, "alice")
+            bob = revived.add_user(BOB, "bob")
+            answers.append(
+                [
+                    normalized_wire(
+                        revived.gatekeeper.manage(credential, contact, action)
+                    )
+                    for credential in (alice, bob)
+                    for action in ("information", "information", "cancel")
+                ]
+            )
+        older, plain = answers
+        assert older == plain
+        codes = [answer["code"] for answer in older]
+        assert codes.count("SUCCESS") == 5
+        assert codes.count("AUTHORIZATION_DENIED") == 1
+
     def test_recovery_metrics_counted(self, tmp_path):
         path = str(tmp_path / "spill.jsonl")
         ca = CertificateAuthority("/O=Grid/CN=Spill CA")
@@ -311,8 +353,6 @@ class TestRecoveryDifferential:
         assert stats.recovered_records == 48
         assert stats.requests == 10_000
         assert stats.divergences == 0, stats.examples
-        assert stats.capability_checks == 48
-        assert stats.capability_divergences == 0, stats.examples
 
     def test_differential_survives_a_crash_tail(self, tmp_path):
         path = str(tmp_path / "crashed.jsonl")
@@ -344,5 +384,3 @@ class TestRecoveryDifferential:
         assert stats.recovered_records == 24
         assert stats.requests == 2_000
         assert stats.divergences == 0, stats.examples
-        assert stats.capability_checks == 24
-        assert stats.capability_divergences == 0, stats.examples
