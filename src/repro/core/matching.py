@@ -51,6 +51,7 @@ from repro.rsl.ast import (
     Relop,
     Specification,
     VariableReference,
+    _try_number,
 )
 
 
@@ -84,31 +85,13 @@ class RelationOutcome:
 
 
 def _texts_equal(attribute: str, left: str, right: str) -> bool:
-    left_num = _as_number(left)
-    right_num = _as_number(right)
+    left_num = _try_number(left)
+    right_num = _try_number(right)
     if left_num is not None and right_num is not None:
         return left_num == right_num
     if attribute in CASE_INSENSITIVE_ATTRIBUTES:
         return left.lower() == right.lower()
     return left == right
-
-
-def _as_number(text: str) -> Optional[float]:
-    """Finite decimal interpretation of *text*, else None.
-
-    Mirrors :func:`repro.rsl.ast._try_number`: ``nan``/``inf`` words
-    and underscore forms are strings, not numbers, so comparison
-    stays reflexive and policy bounds stay meaningful.
-    """
-    if "_" in text:
-        return None
-    try:
-        number = float(text)
-    except ValueError:
-        return None
-    if number != number or number in (float("inf"), float("-inf")):
-        return None
-    return number
 
 
 def _request_values(spec: Specification, attribute: str) -> Tuple[str, ...]:
@@ -209,7 +192,7 @@ def _match_ordering(op: Relop, attribute, asserted, present) -> RelationOutcome:
             f"ordering relation on {attribute!r} needs exactly one bound, "
             f"got {len(asserted)}"
         )
-    bound = _as_number(asserted[0])
+    bound = _try_number(asserted[0])
     if bound is None:
         return RelationOutcome.fail(
             f"ordering bound {asserted[0]!r} on {attribute!r} is not numeric"
@@ -227,7 +210,7 @@ def _match_ordering_bound(
         )
     compare = _COMPARISONS[op]
     for value in present:
-        number = _as_number(value)
+        number = _try_number(value)
         if number is None:
             return RelationOutcome.fail(
                 f"{attribute!r} value {value!r} is not numeric but policy "
@@ -345,13 +328,13 @@ def lower_relation(relation: Relation) -> LoweredRelation:
                 f"bound, got {len(asserted)}"
             )
         else:
-            bound = _as_number(asserted[0])
+            bound = _try_number(asserted[0])
             if bound is None:
                 static_failure = RelationOutcome.fail(
                     f"ordering bound {asserted[0]!r} on {attribute!r} "
                     "is not numeric"
                 )
-    numbers = tuple(_as_number(text) for text in asserted)
+    numbers = tuple(_try_number(text) for text in asserted)
     case_insensitive = attribute in CASE_INSENSITIVE_ATTRIBUTES
     folded = (
         tuple(text.lower() for text in asserted)
@@ -463,7 +446,7 @@ def _match_eq_lowered(
                 )
         return RelationOutcome.ok()
     for value in present:
-        left_num = _as_number(value)
+        left_num = _try_number(value)
         matched = False
         for allowed, allowed_num, allowed_folded in zip(
             lowered.asserted, lowered.numbers, lowered.folded
@@ -500,7 +483,7 @@ def _match_neq_lowered(
             )
         return RelationOutcome.ok()
     for value in present:
-        left_num = _as_number(value)
+        left_num = _try_number(value)
         for forbidden, forbidden_num, forbidden_folded in zip(
             lowered.asserted, lowered.numbers, lowered.folded
         ):

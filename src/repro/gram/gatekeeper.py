@@ -24,7 +24,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.accounts.dynamic import DynamicAccountError, DynamicAccountPool
 from repro.accounts.enforcement import EnforcementMechanism
 from repro.accounts.local import AccountRegistry, LocalAccount
-from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.pep import EnforcementPoint
 from repro.core.request import AuthorizationRequest
 from repro.gram.gridmap import GridMapFile
@@ -32,6 +31,7 @@ from repro.gram.jobmanager import (
     AuthorizationMode,
     JobManagerInstance,
     authorize_management,
+    run_pep,
 )
 from repro.gram.lifecycle import (
     AdmissionControl,
@@ -235,23 +235,9 @@ class Gatekeeper:
                 identity, description.spec, credential=credential
             )
             self._trace("gatekeeper", "pep", "authorization callout: start")
-            try:
-                self.gatekeeper_pep.authorize(request)
-            except AuthorizationDenied as exc:
-                return GramResponse(
-                    code=GramErrorCode.AUTHORIZATION_DENIED,
-                    message=str(exc),
-                    reasons=exc.reasons,
-                    decision_context=exc.context,
-                )
-            except AuthorizationSystemFailure as exc:
-                return GramResponse(
-                    code=GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE,
-                    message=str(exc),
-                    failure_source=exc.source,
-                    failure_kind=exc.kind,
-                    decision_context=exc.context,
-                )
+            denied, _ = run_pep(self.gatekeeper_pep, request)
+            if denied is not None:
+                return denied
 
         # 3. Map to a local account.
         account, error = self._map_account(identity, entry)

@@ -76,15 +76,17 @@ Authorized = Tuple[Optional[GramResponse], Optional[DecisionContext]]
 def run_pep(
     pep: Optional[EnforcementPoint],
     request: AuthorizationRequest,
-    contact: JobContact,
-    owner: DistinguishedName,
+    contact: Optional[JobContact] = None,
+    owner: Optional[DistinguishedName] = None,
 ) -> Authorized:
     """Run the PEP on *request*; map outcomes to protocol errors (§5.2).
 
     The caller attaches the returned context to whatever response it
-    builds.
+    builds.  The Gatekeeper-placed PEP (§6.2) decides before any job
+    exists, so its errors carry no *contact* and no *owner*.
     """
     assert pep is not None
+    job_owner = "" if owner is None else str(owner)
     try:
         decision = pep.authorize(request)
     except AuthorizationDenied as exc:
@@ -94,7 +96,7 @@ def run_pep(
                 message=str(exc),
                 reasons=exc.reasons,
                 contact=contact,
-                job_owner=str(owner),
+                job_owner=job_owner,
                 decision_context=exc.context,
             ),
             exc.context,
@@ -105,7 +107,7 @@ def run_pep(
                 code=GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE,
                 message=str(exc),
                 contact=contact,
-                job_owner=str(owner),
+                job_owner=job_owner,
                 failure_source=exc.source,
                 failure_kind=exc.kind,
                 decision_context=exc.context,

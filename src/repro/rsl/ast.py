@@ -10,6 +10,8 @@ resource limits.
 from __future__ import annotations
 
 import enum
+import math
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -92,8 +94,8 @@ class Value:
     """A literal RSL value.
 
     ``text`` is the canonical string form.  ``number`` is the numeric
-    interpretation when the text parses as an int or float, else
-    ``None``.  Equality and hashing use the text form only, so
+    interpretation when the text is a finite decimal (see
+    :func:`_try_number`), else ``None``.  Equality and hashing use the text form only, so
     ``Value("4")`` and ``Value("4")`` are interchangeable regardless of
     how they were produced.
     """
@@ -107,10 +109,9 @@ class Value:
         """Build a value from raw text or a Python number."""
         if isinstance(raw, bool):
             raise TypeError("booleans are not RSL values")
-        if isinstance(raw, (int, float)):
-            text = repr(raw) if isinstance(raw, float) else str(raw)
-            return cls(text=text, number=float(raw), quoted=quoted)
-        text = str(raw)
+        # A Python number takes the same finite-decimal rule as text, so
+        # ``Value.of(float("nan"))`` is the word ``nan``, as parsed.
+        text = repr(raw) if isinstance(raw, float) else str(raw)
         return cls(text=text, number=_try_number(text), quoted=quoted)
 
     @property
@@ -121,23 +122,29 @@ class Value:
         return self.text
 
 
+# Every character float() can read in a finite number, plus all of
+# non-ASCII, which float() also reads (Unicode digits and spaces).  A
+# text holding any other character -- a letter other than an exponent,
+# '/', '_', the letters of "nan" and "inf" -- is a word, turned away
+# without calling float() and raising for it.
+_NOT_DECIMAL = re.compile(r"[^0-9.eE+\-\s\x80-\U0010ffff]")
+
+
 def _try_number(text: str) -> Optional[float]:
     """Parse *text* as a finite decimal number, else None.
 
     Python's ``float`` also accepts ``nan``, ``inf`` and underscore
-    separators; none of those are sensible RSL numerics (``nan``
-    breaks comparison reflexivity), so words like ``NAN`` stay
-    strings.
+    separators, and overflows ``1e400`` to infinity; none of those are
+    sensible RSL numerics (``nan`` breaks comparison reflexivity), so
+    words like ``NAN`` stay strings.
     """
-    if "_" in text:
+    if _NOT_DECIMAL.search(text):
         return None
     try:
         number = float(text)
     except ValueError:
         return None
-    if number != number or number in (float("inf"), float("-inf")):
-        return None
-    return number
+    return number if math.isfinite(number) else None
 
 
 #: Anything a relation may hold on its right-hand side.

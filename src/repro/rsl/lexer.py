@@ -17,13 +17,17 @@ Token inventory (mirroring the GT2 RSL grammar):
 Unquoted words terminate at whitespace, parentheses or an operator
 character, which matches how GT2 RSL treats bare values such as
 ``/bin/transp`` or distinguished-name fragments.
+
+The scan is one compiled regular expression: each match is one token
+or the start of a lexical error, and only `` \\t\\r\\n`` separate
+tokens.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from repro.rsl.errors import RSLSyntaxError
 
@@ -41,8 +45,7 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     position: int
@@ -51,123 +54,85 @@ class Token:
         return f"Token({self.type.name}, {self.text!r}, @{self.position})"
 
 
-_OP_CHARS = set("=!<>")
-_STRUCTURAL = {
+_PUNCTUATION = {
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "#": TokenType.HASH,
+    "&": TokenType.AMP,
+    "+": TokenType.PLUS,
 }
-_WORD_TERMINATORS = set("()=!<>\"'#") | set(" \t\r\n")
+
+# A word character is anything but ' \t\r\n', a parenthesis, an
+# operator character, a quote or '#'.  '&' and '+' only end a word at a
+# clause boundary, i.e. before '(', ' \t\r\n' or the end of the text;
+# anywhere else (an email address, a DN) they are literal.  Other
+# whitespace, such as '\x0b', is part of a word, which is then stripped.
+_WORD_CHAR = r"[^()=!<>\"'#&+ \t\r\n]"
+_WORD = rf"{_WORD_CHAR}+(?:[&+](?=[^( \t\r\n]){_WORD_CHAR}*)*"
+# A quoted literal doubles its quote to embed it.  The look-ahead after
+# the closing quote stops a failed match from backtracking into a
+# doubled quote and closing early: '"x""' is unterminated, not '"x"'
+# followed by a stray '"'.
+_DOUBLE_QUOTED = r'"([^"]*(?:""[^"]*)*)"(?!")'
+_SINGLE_QUOTED = r"'([^']*(?:''[^']*)*)'(?!')"
+
+#: Group numbers, one per alternative, in the order they are tried.
+#: '$' is a word character, so both '$(' forms come before words.
+_PUNCT, _OP, _DQ, _SQ, _VAR, _BAD, _WORD_GROUP = range(1, 8)
+_TOKEN = re.compile(
+    "|".join(
+        (
+            r"([()#&+])",
+            r"(!=|<=|>=|[=<>])",
+            _DOUBLE_QUOTED,
+            _SINGLE_QUOTED,
+            r"\$\(([^)]*)\)",
+            # Lexical errors: a lone '!', an unterminated quote or '$('.
+            r"(!|[\"']|\$\()",
+            rf"({_WORD})",
+        )
+    )
+)
+
+# Builds a Token without the Python-level ``__new__`` a NamedTuple adds.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize *text* into a list ending with an EOF token."""
-    return list(_scan(text))
-
-
-def _scan(text: str) -> Iterator[Token]:
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _STRUCTURAL:
-            yield Token(_STRUCTURAL[ch], ch, i)
-            i += 1
-            continue
-        if ch == "&":
-            yield Token(TokenType.AMP, ch, i)
-            i += 1
-            continue
-        if ch == "+":
-            yield Token(TokenType.PLUS, ch, i)
-            i += 1
-            continue
-        if ch in _OP_CHARS:
-            i = yield from _scan_operator(text, i)
-            continue
-        if ch in "\"'":
-            i = yield from _scan_string(text, i)
-            continue
-        if ch == "$" and i + 1 < n and text[i + 1] == "(":
-            i = yield from _scan_varref(text, i)
-            continue
-        i = yield from _scan_word(text, i)
-    yield Token(TokenType.EOF, "", n)
-
-
-def _scan_operator(text: str, start: int):
-    ch = text[start]
-    nxt = text[start + 1] if start + 1 < len(text) else ""
-    if ch == "!":
-        if nxt != "=":
+    tokens: List[Token] = []
+    append = tokens.append
+    punctuation = _PUNCTUATION
+    op, string, word = TokenType.OP, TokenType.STRING, TokenType.WORD
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        lexeme = match[kind]
+        start = match.start()
+        if kind == _WORD_GROUP:
+            stripped = lexeme.strip()
+            if not stripped:
+                raise RSLSyntaxError(
+                    f"unexpected character {text[start]!r}", start, text
+                )
+            append(_new_token(Token, (word, stripped, start)))
+        elif kind == _PUNCT:
+            append(_new_token(Token, (punctuation[lexeme], lexeme, start)))
+        elif kind == _OP:
+            append(_new_token(Token, (op, lexeme, start)))
+        elif kind == _DQ:
+            append(_new_token(Token, (string, lexeme.replace('""', '"'), start)))
+        elif kind == _SQ:
+            append(_new_token(Token, (string, lexeme.replace("''", "'"), start)))
+        elif kind == _VAR:
+            name = lexeme.strip()
+            if not name:
+                raise RSLSyntaxError("empty variable reference", start, text)
+            append(_new_token(Token, (TokenType.VARREF, name, start)))
+        elif lexeme == "!":
             raise RSLSyntaxError("expected '=' after '!'", start, text)
-        yield Token(TokenType.OP, "!=", start)
-        return start + 2
-    if ch in "<>" and nxt == "=":
-        yield Token(TokenType.OP, ch + "=", start)
-        return start + 2
-    yield Token(TokenType.OP, ch, start)
-    return start + 1
-
-
-def _scan_string(text: str, start: int):
-    quote = text[start]
-    i = start + 1
-    chars: List[str] = []
-    while i < len(text):
-        ch = text[i]
-        if ch == quote:
-            # RSL escapes an embedded quote by doubling it.
-            if i + 1 < len(text) and text[i + 1] == quote:
-                chars.append(quote)
-                i += 2
-                continue
-            yield Token(TokenType.STRING, "".join(chars), start)
-            return i + 1
-        chars.append(ch)
-        i += 1
-    raise RSLSyntaxError("unterminated string literal", start, text)
-
-
-def _scan_varref(text: str, start: int):
-    # text[start] == '$', text[start+1] == '('
-    i = start + 2
-    begin = i
-    while i < len(text) and text[i] != ")":
-        i += 1
-    if i >= len(text):
-        raise RSLSyntaxError("unterminated variable reference", start, text)
-    name = text[begin:i].strip()
-    if not name:
-        raise RSLSyntaxError("empty variable reference", start, text)
-    yield Token(TokenType.VARREF, name, start)
-    return i + 1
-
-
-def _scan_word(text: str, start: int):
-    i = start
-    chars: List[str] = []
-    while i < len(text):
-        ch = text[i]
-        if ch in _WORD_TERMINATORS or ch in "&+":
-            # '&' and '+' only terminate a word at a clause boundary;
-            # inside a word (e.g. an email or DN) they are literal.
-            if ch in "&+" and chars and chars[-1] not in (" ",):
-                # Peek: treat as terminator only when followed by '('
-                # or whitespace, which is how clause prefixes appear.
-                nxt = text[i + 1] if i + 1 < len(text) else ""
-                if nxt not in ("(", " ", "\t", "\r", "\n", ""):
-                    chars.append(ch)
-                    i += 1
-                    continue
-            break
-        chars.append(ch)
-        i += 1
-    word = "".join(chars).strip()
-    if not word:
-        raise RSLSyntaxError(f"unexpected character {text[start]!r}", start, text)
-    yield Token(TokenType.WORD, word, start)
-    return i
+        elif lexeme == "$(":
+            raise RSLSyntaxError("unterminated variable reference", start, text)
+        else:
+            raise RSLSyntaxError("unterminated string literal", start, text)
+    append(_new_token(Token, (TokenType.EOF, "", len(text))))
+    return tokens

@@ -25,6 +25,7 @@ from typing import Dict, Optional
 from repro.core.attributes import Action
 from repro.core.decision import Decision
 from repro.core.request import AuthorizationRequest
+from repro.gram.rsl_utils import requested_count
 from repro.lrm.scheduler import BatchScheduler
 from repro.vo.organization import VirtualOrganization
 
@@ -122,8 +123,7 @@ def allocation_callout(meter: AllocationMeter, source: str = "vo-allocation"):
                 f"{meter.allocation.vo.name}; envelope does not apply",
                 source=source,
             )
-        count_text = request.job_description.first_value("count")
-        requested_cpus = int(float(count_text)) if count_text else 1
+        requested_cpus = requested_count(request.job_description)
 
         cap = meter.allocation.concurrent_cpu_cap
         if cap is not None:

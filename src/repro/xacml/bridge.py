@@ -20,7 +20,13 @@ from repro.core.attributes import ACTION, JOBOWNER, NULL, SELF
 from repro.core.decision import Decision
 from repro.core.model import Policy, PolicyStatement, StatementKind
 from repro.core.request import AuthorizationRequest
-from repro.rsl.ast import Relation, Relop, Specification, VariableReference
+from repro.rsl.ast import (
+    Relation,
+    Relop,
+    Specification,
+    VariableReference,
+    _try_number,
+)
 from repro.xacml.conditions import (
     AllValuesIn,
     AllValuesSatisfy,
@@ -94,12 +100,12 @@ def _condition_for_relation(relation: Relation) -> Condition:
             return Present(designator)
         return Not(AnyValueIn(designator, relation.attribute, values))
 
-    # Ordering relations need exactly one numeric bound.
+    # Ordering relations need exactly one finite decimal bound, by the
+    # number rule the native matcher applies.
     if len(values) != 1 or not isinstance(values[0], str):
         return _ALWAYS_FALSE
-    try:
-        bound = float(values[0])
-    except ValueError:
+    bound = _try_number(values[0])
+    if bound is None:
         return _ALWAYS_FALSE
     return And(
         parts=(

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
-from repro.core.matching import _as_number, _texts_equal
+from repro.core.matching import _texts_equal
+from repro.rsl.ast import _try_number
 
 BagResolver = Callable[[object], Tuple[str, ...]]
 
@@ -152,7 +153,7 @@ class AllValuesSatisfy(Condition):
             raise ValueError(f"unknown comparison operator {self.op!r}")
         bag = bags(self.designator)
         for item in bag:
-            number = _as_number(item)
+            number = _try_number(item)
             if number is None or not compare(number, self.bound):
                 return False
         return True

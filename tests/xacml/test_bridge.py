@@ -1,8 +1,10 @@
 """The RSL→XACML bridge: decision agreement with the native PDP."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core.evaluator import PolicyEvaluator
+from repro.core.parser import parse_policy
 from repro.core.request import AuthorizationRequest
 from repro.rsl.parser import parse_specification
 from repro.workloads.generator import (
@@ -69,6 +71,22 @@ class TestFigure3Agreement:
                 native.evaluate(request).is_permit
                 == xacml.evaluate(request).is_permit
             ), (who, action, rsl)
+
+
+class TestNumberRuleAgreement:
+    @pytest.mark.parametrize("bound", ["inf", "nan", "1_000", "1e400", "16"])
+    def test_ordering_bound_reads_like_the_native_matcher(self, bound):
+        policy = parse_policy(
+            f"{BO}:\n    &(action=start)(executable=sim)(count<{bound})\n",
+            name="bounds",
+        )
+        native = PolicyEvaluator(policy)
+        xacml = XACMLEvaluator(xacml_from_policy(policy))
+        request = AuthorizationRequest.start(
+            BO, parse_specification("&(executable=sim)(count=2)")
+        )
+        assert native.evaluate(request).is_permit == (bound == "16")
+        assert xacml.evaluate(request).is_permit == (bound == "16")
 
 
 class TestPropertyAgreement:
