@@ -18,11 +18,16 @@ Two claims, both emitted into ``BENCH_health_slo.json``:
 The overhead assertion uses the paired-ratio pattern from
 ``test_bench_observability.py`` (back-to-back timing inside one noise
 window, median over rounds, best of three measurements) so shared-CI
-jitter cannot fail the bound spuriously.
+jitter cannot fail the bound spuriously.  The two arms alternate which
+runs first, and each timed stage starts after a full collection, so a
+collector pause over garbage the *other* arm left behind lands in
+neither; what each arm allocates is still collected inside its own
+stage.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -70,7 +75,7 @@ def build_churn(health: bool):
 
 
 def paired_churn_ratio(rounds=7):
-    """Median bare/health churn-stage ratio over paired rounds."""
+    """Median health/bare churn-stage ratio over paired rounds."""
     instances = {
         label: build_churn(enabled)
         for label, enabled in (("bare", False), ("health", True))
@@ -80,9 +85,14 @@ def paired_churn_ratio(rounds=7):
         run_churn(service, clients, config)
     ratios = []
     best = {"bare": float("inf"), "health": float("inf")}
-    for _ in range(rounds):
+    for round_ in range(rounds):
         spent = {}
-        for label, (config, service, clients) in instances.items():
+        # Alternate which arm goes first: neither always runs on the
+        # heap the other just left.
+        labels = ("bare", "health") if round_ % 2 == 0 else ("health", "bare")
+        for label in labels:
+            config, service, clients = instances[label]
+            gc.collect()
             started = time.perf_counter()
             run_churn(service, clients, config)
             spent[label] = time.perf_counter() - started

@@ -179,7 +179,7 @@ class TestFailStaticDegradationBound:
         assert config.metrics.degraded_static >= REPEATS
         assert config.metrics.timeouts >= REPEATS
         assert (
-            sum(1 for record in pep.audit_log if record.context.degraded)
+            sum(1 for record in pep.audit_log if record.degraded)
             >= REPEATS
         )
         assert slowdown <= 2.0, f"fail-static degraded {slowdown:.2f}x"

@@ -13,10 +13,10 @@ The PEP fronts the callout registry through the decision pipeline
 :class:`~repro.core.pipeline.DecisionContext`, runs its fixed stack
 (resilience, capability grants and the policy-epoch decision cache,
 each when configured) around the callout chain, counts the outcome,
-records an audit entry, and either returns the PERMIT decision
-(context attached) or raises :class:`AuthorizationDenied` /
-:class:`AuthorizationSystemFailure` (context attached to the
-exception).
+keeps the finished context as the decision's audit record, and either
+returns the PERMIT decision (context attached) or raises
+:class:`AuthorizationDenied` / :class:`AuthorizationSystemFailure`
+(context attached to the exception).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from time import perf_counter
-from typing import Any, Deque, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.callout import (
     GRAM_AUTHZ_CALLOUT,
@@ -54,26 +54,6 @@ class PEPPlacement(enum.Enum):
     GATEKEEPER = "gatekeeper"
 
 
-class AuditRecord(NamedTuple):
-    """One authorization decision, as recorded by the PEP."""
-
-    request: AuthorizationRequest
-    decision: Optional[Decision]
-    failure: str = ""
-    #: For system failures: which callout/policy source broke, and how
-    #: (``"timeout"``, ``"breaker-open"``, plain ``"error"``) — the
-    #: same attribution the GRAM response carries.
-    failure_source: str = ""
-    failure_kind: str = ""
-    #: The pipeline context, when the record came through the
-    #: middleware stack — the full explanation of this line.
-    context: Optional[DecisionContext] = None
-
-    @property
-    def permitted(self) -> bool:
-        return self.decision is not None and self.decision.is_permit
-
-
 class EnforcementPoint:
     """A PEP bound to a callout registry, a placement and a fixed stack.
 
@@ -82,8 +62,9 @@ class EnforcementPoint:
     front of the callout chain, each only when configured — so a hit
     skips policy evaluation entirely.  The PEP itself counts every
     outcome (:attr:`permits`, :attr:`denials`, :attr:`failures`), feeds
-    the ``authz_*`` telemetry families, and keeps the audit log: its
-    one per-decision record.
+    the ``authz_*`` telemetry families, and keeps the audit log: the
+    finished :class:`~repro.core.pipeline.DecisionContext` of each
+    decision, its one per-decision record.
     """
 
     def __init__(
@@ -116,7 +97,7 @@ class EnforcementPoint:
         self._cache_series: Dict[str, Any] = {}
         self._chain: Optional[NextHandler] = None
         self._audit_limit = audit_limit
-        self._audit: Deque[AuditRecord] = deque(maxlen=audit_limit)
+        self._audit: Deque[DecisionContext] = deque(maxlen=audit_limit)
 
     # -- the stack ------------------------------------------------------------
 
@@ -155,11 +136,7 @@ class EnforcementPoint:
 
     # -- decisions ---------------------------------------------------------------
 
-    def authorize(
-        self,
-        request: AuthorizationRequest,
-        context: Optional[DecisionContext] = None,
-    ) -> Decision:
+    def authorize(self, request: AuthorizationRequest) -> Decision:
         """Authorize *request* or raise.
 
         Returns the PERMIT decision (with its
@@ -170,8 +147,7 @@ class EnforcementPoint:
         made (fails closed).
         """
         placement = self._placement
-        if context is None:
-            context = DecisionContext.from_request(request, placement=placement)
+        context = DecisionContext.from_request(request, placement=placement)
         handler = self._chain
         if handler is None:
             handler = self._handler()
@@ -196,66 +172,32 @@ class EnforcementPoint:
                 try:
                     decision = handler(request, context)
                 except AuthorizationSystemFailure as exc:
-                    duration = perf_counter() - wall
-                    context.stages.append(StageRecord("pep", duration, placement))
-                    self.failures += 1
-                    self._observe(context, "failure", started)
-                    context.finish_failure(str(exc), duration)
-                    exc.context = context
-                    if span is not None:
-                        span.set_attr("decision", "failure")
-                        span.set_attr("failure_source", exc.source or "")
-                        span.set_attr("failure_kind", exc.kind)
-                    self._audit.append(
-                        AuditRecord(
-                            request,
-                            None,
-                            str(exc),
-                            exc.source or "",
-                            exc.kind,
-                            context,
-                        )
+                    context.finish_failure(
+                        str(exc), perf_counter() - wall, exc.source or "", exc.kind
                     )
+                    exc.context = context
+                    self._settle(context, span, started)
                     raise
-                duration = perf_counter() - wall
-                context.stages.append(StageRecord("pep", duration, placement))
-                permitted = decision.effect is Effect.PERMIT
-                if permitted:
-                    self.permits += 1
-                    outcome = "permit"
-                else:
-                    self.denials += 1
-                    outcome = "deny"
-                self._observe(context, outcome, started)
-                if span is not None:
-                    # ``_value_``: the member's value without the
-                    # ``value`` property's cost.
-                    span.set_attr("decision", decision.effect._value_)
+                context.finish(decision, perf_counter() - wall)
+                self._settle(context, span, started)
         finally:
             _current_context.reset(token)
-        context.finish(decision, duration)
-        decision = decision.with_context(context)
-        self._audit.append(AuditRecord(request, decision, "", "", "", context))
-        if permitted:
-            return decision
+        if context.effect is Effect.PERMIT:
+            return decision.with_context(context)
         raise AuthorizationDenied(
-            f"{request} denied" + (f" by {decision.source}" if decision.source else ""),
-            reasons=decision.reasons,
+            f"{request} denied" + (f" by {context.source}" if context.source else ""),
+            reasons=context.reasons,
             context=context,
         )
 
-    def decide(
-        self,
-        request: AuthorizationRequest,
-        context: Optional[DecisionContext] = None,
-    ) -> Decision:
+    def decide(self, request: AuthorizationRequest) -> Decision:
         """Like :meth:`authorize` but never raises on denial.
 
         System failures are still raised — callers must not confuse a
         broken authorization system with a policy denial.
         """
         try:
-            return self.authorize(request, context=context)
+            return self.authorize(request)
         except AuthorizationDenied as exc:
             return Decision.deny(
                 reasons=exc.reasons, source="pep"
@@ -263,48 +205,65 @@ class EnforcementPoint:
 
     # -- counting -----------------------------------------------------------
 
-    def _observe(
-        self, context: DecisionContext, outcome: str, started: float
-    ) -> None:
-        """Feed one decision into the ``authz_*`` registry families.
+    def _settle(self, context: DecisionContext, span: Any, started: float) -> None:
+        """The one tail of every finished decision, whatever its outcome.
 
-        Latency is measured in *simulated* seconds, so registry
-        snapshots are deterministic run to run; wall-clock decision
-        time lives in the :class:`DecisionContext` stages.
+        Records the ``pep`` stage, counts the outcome, feeds the
+        ``authz_*`` registry families, marks the span and appends
+        *context* itself to the audit log.  Registry latency is in
+        *simulated* seconds, so snapshots are deterministic run to run;
+        wall-clock decision time lives in the context's stages.
         """
+        context.stages.append(StageRecord("pep", context.duration, self._placement))
+        outcome = context.outcome
+        if outcome == "permit":
+            self.permits += 1
+        elif outcome == "deny":
+            self.denials += 1
+        else:
+            self.failures += 1
         telemetry = self.telemetry
-        if telemetry is None:
-            return
-        key = (context.action, outcome)
-        series = self._outcome_series.get(key)
-        if series is None:
-            registry = telemetry.registry
-            series = self._outcome_series[key] = (
-                registry.counter(
-                    "authz_decisions_total",
-                    help=METRIC_HELP["authz_decisions_total"],
-                    labelnames=("action", "decision"),
-                ).labels(action=context.action, decision=outcome),
-                registry.histogram(
-                    "authz_latency_seconds",
-                    help=METRIC_HELP["authz_latency_seconds"],
-                    labelnames=("action", "decision"),
-                ).labels(action=context.action, decision=outcome),
-            )
-        series[0].inc()
-        status = self._cache_series.get(context.cache_status)
-        if status is None:
-            status = self._cache_series[context.cache_status] = (
-                telemetry.registry.counter(
-                    "authz_cache_total",
-                    help=METRIC_HELP["authz_cache_total"],
-                    labelnames=("status",),
-                ).labels(status=context.cache_status)
-            )
-        status.inc()
-        if context.degraded:
-            telemetry.count("authz_degraded_total", mode=context.degraded)
-        series[1].observe(telemetry.now() - started)
+        if telemetry is not None:
+            key = (context.action, outcome)
+            series = self._outcome_series.get(key)
+            if series is None:
+                registry = telemetry.registry
+                series = self._outcome_series[key] = (
+                    registry.counter(
+                        "authz_decisions_total",
+                        help=METRIC_HELP["authz_decisions_total"],
+                        labelnames=("action", "decision"),
+                    ).labels(action=context.action, decision=outcome),
+                    registry.histogram(
+                        "authz_latency_seconds",
+                        help=METRIC_HELP["authz_latency_seconds"],
+                        labelnames=("action", "decision"),
+                    ).labels(action=context.action, decision=outcome),
+                )
+            series[0].inc()
+            status = self._cache_series.get(context.cache_status)
+            if status is None:
+                status = self._cache_series[context.cache_status] = (
+                    telemetry.registry.counter(
+                        "authz_cache_total",
+                        help=METRIC_HELP["authz_cache_total"],
+                        labelnames=("status",),
+                    ).labels(status=context.cache_status)
+                )
+            status.inc()
+            if context.degraded:
+                telemetry.count("authz_degraded_total", mode=context.degraded)
+            series[1].observe(telemetry.now() - started)
+        if span is not None:
+            if outcome == "failure":
+                span.set_attr("decision", outcome)
+                span.set_attr("failure_source", context.failure_source)
+                span.set_attr("failure_kind", context.failure_kind)
+            else:
+                # ``_value_``: the member's value without the
+                # ``value`` property's cost.
+                span.set_attr("decision", context.effect._value_)
+        self._audit.append(context)
 
     @property
     def decisions_made(self) -> int:
@@ -322,7 +281,9 @@ class EnforcementPoint:
         self._audit = deque(self._audit, maxlen=limit)
 
     @property
-    def audit_log(self) -> Tuple[AuditRecord, ...]:
+    def audit_log(self) -> Tuple[DecisionContext, ...]:
+        """The finished contexts of the last :attr:`audit_limit`
+        decisions, oldest first."""
         return tuple(self._audit)
 
     def __str__(self) -> str:

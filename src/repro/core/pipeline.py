@@ -96,7 +96,11 @@ _CACHE_HIT_STAGE = StageRecord("cache", 0.0, "hit")
 
 @dataclass
 class DecisionContext:
-    """Everything needed to explain one authorization decision."""
+    """Everything needed to explain one authorization decision.
+
+    Finished, it is the PEP's audit record: it holds no request,
+    credential or decision, so a retained record keeps nothing alive.
+    """
 
     request_id: str
     requester: str
@@ -113,7 +117,14 @@ class DecisionContext:
     stages: List[StageRecord] = field(default_factory=list)
     sources: List[SourceRecord] = field(default_factory=list)
     effect: Optional[Effect] = None
+    #: The decision's reasons and the source that decided it.
+    reasons: Tuple[str, ...] = ()
+    source: str = ""
+    #: A system failure's message, which callout/policy source broke
+    #: and how (``"error"``, ``"timeout"``, ``"breaker-open"``).
     failure: str = ""
+    failure_source: str = ""
+    failure_kind: str = ""
     cache_status: str = CACHE_BYPASS
     #: Wall time of the whole decision: what the PEP measured around
     #: its stack, the same as its ``pep`` stage.
@@ -162,17 +173,31 @@ class DecisionContext:
         ``source:*`` stages — so they do not add up to it.
         """
         self.effect = decision.effect
+        self.reasons = decision.reasons
+        self.source = decision.source
         if not self.sources and decision.source:
             self.add_source(decision.source, decision.effect)
         self.duration = duration
 
-    def finish_failure(self, message: str, duration: float) -> None:
+    def finish_failure(self, message: str, duration: float, source: str, kind: str) -> None:
         """Mark the decision failed; *duration* as for :meth:`finish`."""
         self.effect = Effect.INDETERMINATE
         self.failure = message
+        self.failure_source = source
+        # Never empty, so :attr:`outcome` holds for an empty message.
+        self.failure_kind = kind or "error"
         self.duration = duration
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def outcome(self) -> str:
+        """How the PEP counted it: ``"permit"``, ``"deny"`` or ``"failure"``."""
+        # ``failure_kind`` is not on the wire; a decoded context keeps
+        # the failure message.
+        if self.failure_kind or self.failure:
+            return "failure"
+        return "permit" if self.effect is Effect.PERMIT else "deny"
 
     @property
     def source_names(self) -> Tuple[str, ...]:

@@ -1,10 +1,11 @@
 """Audit-log export and offline analysis.
 
-The PEP keeps its audit log in memory; sites need it on disk for
-accounting disputes and security review.  This module flattens audit
-records to JSON lines, reloads them, and runs the same denial
-analysis offline — so an administrator can answer "who was denied
-what last week, and why" without the resource running.
+The PEP keeps its audit log (each decision's finished context) in
+memory; sites need it on disk for accounting disputes and security
+review.  This module flattens the contexts to JSON lines, reloads
+them, and runs the same denial analysis offline — so an administrator
+can answer "who was denied what last week, and why" without the
+resource running.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.pep import AuditRecord, EnforcementPoint
+from repro.core.pep import EnforcementPoint
+from repro.core.pipeline import DecisionContext
 
 
 @dataclass(frozen=True)
@@ -82,38 +84,29 @@ class AuditEntry:
         )
 
     @classmethod
-    def from_record(cls, record: AuditRecord) -> "AuditEntry":
-        if record.decision is None:
-            outcome = "failure"
-            reasons: Tuple[str, ...] = (record.failure,)
+    def from_context(cls, context: DecisionContext) -> "AuditEntry":
+        """Flatten one finished decision (an audit-log entry)."""
+        outcome = context.outcome
+        if outcome == "failure":
+            reasons: Tuple[str, ...] = (context.failure,)
             source = ""
-        elif record.decision.is_permit:
-            outcome = "permit"
-            reasons = record.decision.reasons
-            source = record.decision.source
         else:
-            outcome = "deny"
-            reasons = record.decision.reasons
-            source = record.decision.source
-        context = record.context
+            reasons = context.reasons
+            source = context.source
         return cls(
-            requester=str(record.request.requester),
-            action=str(record.request.action),
-            job_id=record.request.job_id,
-            jobowner=str(record.request.owner),
+            requester=context.requester,
+            action=context.action,
+            job_id=context.job_id,
+            jobowner=context.jobowner,
             outcome=outcome,
             reasons=reasons,
             source=source,
-            duration=context.duration if context is not None else 0.0,
-            cache=context.cache_status if context is not None else "",
-            sources=context.source_names if context is not None else (),
-            request_id=(
-                (context.correlation_id or context.request_id)
-                if context is not None
-                else ""
-            ),
-            failure_source=record.failure_source,
-            failure_kind=record.failure_kind if outcome == "failure" else "",
+            duration=context.duration,
+            cache=context.cache_status,
+            sources=context.source_names,
+            request_id=context.correlation_id or context.request_id,
+            failure_source=context.failure_source,
+            failure_kind=context.failure_kind,
         )
 
 
@@ -121,8 +114,8 @@ def export_audit_log(pep: EnforcementPoint, path: str) -> int:
     """Write the PEP's audit log as JSON lines; returns entries written."""
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for record in pep.audit_log:
-            handle.write(AuditEntry.from_record(record).to_json() + "\n")
+        for context in pep.audit_log:
+            handle.write(AuditEntry.from_context(context).to_json() + "\n")
             count += 1
     return count
 

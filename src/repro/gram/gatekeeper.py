@@ -31,6 +31,7 @@ from repro.gram.jobmanager import (
     AuthorizationMode,
     JobManagerInstance,
     authorize_management,
+    parse_job,
     run_pep,
 )
 from repro.gram.lifecycle import (
@@ -45,15 +46,13 @@ from repro.gram.protocol import (
     JobContact,
     TraceRecorder,
 )
-from repro.gram.rsl_utils import JobDescriptionError, JobDescription
+from repro.gram.rsl_utils import JobDescription
 from repro.gsi.credentials import CertificateAuthority, Credential
 from repro.gsi.errors import GSIError
 from repro.gsi.verification import verify_credential
 from repro.lrm.errors import LRMError
 from repro.lrm.scheduler import BatchScheduler
 from repro.obs.spans import Span, event as obs_event, span as obs_span
-from repro.rsl.errors import RSLSyntaxError
-from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock
 
 
@@ -224,13 +223,13 @@ class Gatekeeper:
                     reasons=pre.reasons,
                 )
 
-        # 2b. Optional Gatekeeper-placed PEP (§6.2 comparison).
+        # 2b. Optional Gatekeeper-placed PEP (§6.2 comparison).  The
+        # first step needing the description parses it and hands it on.
+        description: Optional[JobDescription] = None
         if self.gatekeeper_pep is not None:
-            try:
-                spec = parse_specification(rsl_text)
-                description = JobDescription.from_spec(spec)
-            except (RSLSyntaxError, JobDescriptionError) as exc:
-                return GramResponse(code=GramErrorCode.BAD_RSL, message=str(exc))
+            error, description = parse_job(rsl_text)
+            if error is not None:
+                return error
             request = AuthorizationRequest.start(
                 identity, description.spec, credential=credential
             )
@@ -246,9 +245,11 @@ class Gatekeeper:
 
         # 3b. GT3-style account configuration from the job description.
         if self.gt3_account_setup and account.dynamic:
-            error = self._configure_account_gt3(account, rsl_text)
-            if error is not None:
-                return error
+            if description is None:
+                error, description = parse_job(rsl_text)
+                if error is not None:
+                    return error
+            self._configure_account_gt3(account, description)
 
         # 4. Spawn the Job Manager Instance.
         contact = JobContact.fresh(self.host)
@@ -271,7 +272,7 @@ class Gatekeeper:
         # to terminal inside start (zero walltime budget), in which
         # case the terminal listener has already released it.
         self.admission.note_started(str(identity))
-        response = jmi.start(rsl_text)
+        response = jmi.start(rsl_text, description)
         if response.ok:
             if not jmi.finished:
                 self._job_managers[contact.job_id] = jmi
@@ -516,23 +517,17 @@ class Gatekeeper:
         return lease.account, None
 
     def _configure_account_gt3(
-        self, account: LocalAccount, rsl_text: str
-    ) -> Optional[GramResponse]:
+        self, account: LocalAccount, description: JobDescription
+    ) -> None:
         """Install the request's declared limits into the account.
 
         GT3's GRAM makes the job description "available to a trusted
         service as part of job creation, which allows it to configure
         the local account" — the better dynamic-account integration
-        the paper's conclusions anticipate.  Returns an error response
-        on unparsable descriptions, else None.
+        the paper's conclusions anticipate.
         """
         from repro.accounts.local import AccountLimits
 
-        try:
-            spec = parse_specification(rsl_text)
-            description = JobDescription.from_spec(spec)
-        except (RSLSyntaxError, JobDescriptionError) as exc:
-            return GramResponse(code=GramErrorCode.BAD_RSL, message=str(exc))
         self._trace(
             "gatekeeper", "accounts", "configure dynamic account from request"
         )
@@ -544,7 +539,6 @@ class Gatekeeper:
             ),
             groups=account.groups,
         )
-        return None
 
     def _span(self, name: str, attrs: Dict[str, str]):
         if self.telemetry is not None:

@@ -73,6 +73,20 @@ _LRM_TO_GRAM = {
 Authorized = Tuple[Optional[GramResponse], Optional[DecisionContext]]
 
 
+def parse_job(
+    rsl_text: str, contact: Optional[JobContact] = None
+) -> Tuple[Optional[GramResponse], Optional[JobDescription]]:
+    """``(BAD_RSL response, None)`` or ``(None, description)``: the one
+    parse of a submission, by whichever step needs it first."""
+    try:
+        return None, JobDescription.from_spec(parse_specification(rsl_text))
+    except (RSLSyntaxError, JobDescriptionError) as exc:
+        return (
+            GramResponse(code=GramErrorCode.BAD_RSL, message=str(exc), contact=contact),
+            None,
+        )
+
+
 def run_pep(
     pep: Optional[EnforcementPoint],
     request: AuthorizationRequest,
@@ -245,19 +259,20 @@ class JobManagerInstance:
 
     # -- job invocation -----------------------------------------------------
 
-    def start(self, rsl_text: str) -> GramResponse:
-        """Parse, authorize, admit and submit the job."""
+    def start(self, rsl_text: str, description: Optional[JobDescription] = None) -> GramResponse:
+        """Parse (unless the Gatekeeper handed in *description*),
+        authorize, admit and submit the job."""
         with obs_span(
             "jobmanager.start", job_id=self.contact.job_id
         ) as span:
-            response = self._start(rsl_text)
+            response = self._start(rsl_text, description)
             if span is not None:
                 # ``_name_``: the member's name without the ``name``
                 # property's cost.
                 span.set_attr("code", response.code._name_)
             return response
 
-    def _start(self, rsl_text: str) -> GramResponse:
+    def _start(self, rsl_text: str, description: Optional[JobDescription]) -> GramResponse:
         if self.job is not None:
             # A JMI is one-shot: a second start would overwrite
             # self.job/self.description and orphan the first scheduler
@@ -273,13 +288,10 @@ class JobManagerInstance:
                 job_owner=str(self.owner),
             )
         self._trace("job-manager", "job-manager", "parse RSL")
-        try:
-            spec = parse_specification(rsl_text)
-            description = JobDescription.from_spec(spec)
-        except (RSLSyntaxError, JobDescriptionError) as exc:
-            return GramResponse(
-                code=GramErrorCode.BAD_RSL, message=str(exc), contact=self.contact
-            )
+        if description is None:
+            error, description = parse_job(rsl_text, self.contact)
+            if error is not None:
+                return error
         self.description = description
 
         context: Optional[DecisionContext] = None

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.pep import AuditRecord, EnforcementPoint
+from repro.core.pep import EnforcementPoint
+from repro.core.pipeline import DecisionContext
 from repro.lrm.scheduler import BatchScheduler
 from repro.vo.organization import VirtualOrganization
 
@@ -94,20 +95,20 @@ def denial_report(
     pep: EnforcementPoint, limit: int = 50
 ) -> Tuple[DenialSummary, ...]:
     """Summarise the PEP's denials for an administrator."""
-    buckets: Dict[Tuple[str, str], List[AuditRecord]] = {}
-    for record in pep.audit_log:
-        if record.permitted or record.decision is None:
+    buckets: Dict[Tuple[str, str], List[DecisionContext]] = {}
+    for context in pep.audit_log:
+        if context.outcome != "deny":
             continue
-        key = (str(record.request.requester), str(record.request.action))
-        buckets.setdefault(key, []).append(record)
+        key = (context.requester, context.action)
+        buckets.setdefault(key, []).append(context)
     summaries = []
-    for (requester, action), records in buckets.items():
-        reasons = records[-1].decision.reasons
+    for (requester, action), contexts in buckets.items():
+        reasons = contexts[-1].reasons
         summaries.append(
             DenialSummary(
                 requester=requester,
                 action=action,
-                count=len(records),
+                count=len(contexts),
                 sample_reason=reasons[0] if reasons else "(no reason recorded)",
             )
         )

@@ -1,5 +1,9 @@
 """The policy enforcement point."""
 
+import gc
+import json
+import weakref
+
 import pytest
 
 from repro.core.builtin_callouts import broken_callout, deny_all, permit_all
@@ -11,6 +15,7 @@ from repro.core.callout import (
 from repro.core.errors import AuthorizationDenied, AuthorizationSystemFailure
 from repro.core.pep import EnforcementPoint, PEPPlacement
 from repro.core.request import AuthorizationRequest
+from repro.gram.audit import export_audit_log
 from repro.rsl.parser import parse_specification
 
 ALICE = "/O=Grid/OU=org/CN=Alice"
@@ -105,15 +110,14 @@ class TestAudit:
         pep.authorize(request_)
         assert len(pep.audit_log) == 1
         record = pep.audit_log[0]
-        assert record.permitted
-        assert record.request is request_
+        assert record.outcome == "permit"
 
     def test_failures_audited_with_message(self, request_):
         pep = make_pep(broken_callout)
         with pytest.raises(AuthorizationSystemFailure):
             pep.authorize(request_)
         record = pep.audit_log[0]
-        assert not record.permitted
+        assert record.outcome == "failure"
         assert record.failure
 
     def test_audit_log_is_bounded(self, request_):
@@ -129,6 +133,34 @@ class TestAudit:
         pep.authorize(request_)
         pep.authorize(request_)
         assert pep.decisions_made == 2
+
+
+class TestAuditRetention:
+    """The audit log keeps what explains a decision, not the request."""
+
+    @pytest.mark.parametrize(
+        "callout, outcome",
+        [(permit_all, "permit"), (deny_all, "deny"), (broken_callout, "failure")],
+    )
+    def test_request_is_freed_and_the_entry_kept(self, tmp_path, callout, outcome):
+        pep = make_pep(callout)
+        request = AuthorizationRequest.start(
+            ALICE, parse_specification("&(executable=x)")
+        )
+        alive = weakref.ref(request)
+        try:
+            pep.authorize(request)
+        except (AuthorizationDenied, AuthorizationSystemFailure):
+            pass
+        before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+        export_audit_log(pep, str(before))
+        del request
+        gc.collect()
+        assert alive() is None
+        export_audit_log(pep, str(after))
+        assert after.read_text() == before.read_text()
+        (line,) = before.read_text().splitlines()
+        assert json.loads(line)["outcome"] == outcome
 
 
 class TestPlacement:

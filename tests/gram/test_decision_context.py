@@ -152,7 +152,8 @@ class TestDuration:
         assert context.duration == stages["pep"]
         assert context.to_dict()["duration"] == stages["pep"]
         (record,) = service.pep.audit_log
-        assert AuditEntry.from_record(record).duration == stages["pep"]
+        assert record is context
+        assert AuditEntry.from_context(record).duration == stages["pep"]
 
     def test_failed_decision_duration_is_its_pep_stage(self, service, bo):
         inject(service.registry, GRAM_AUTHZ_CALLOUT, ExceptionFault())
@@ -175,8 +176,8 @@ class TestGatekeeperPlacement:
         assert response.decision_context.placement == "job-manager"
         gk_records = service.gatekeeper_pep.audit_log
         assert gk_records
-        assert gk_records[-1].context.placement == "gatekeeper"
-        assert gk_records[-1].context.stages
+        assert gk_records[-1].placement == "gatekeeper"
+        assert gk_records[-1].stages
 
     def test_gatekeeper_denial_carries_gatekeeper_context(self):
         service = build_service(pep_in_gatekeeper=True)
@@ -217,6 +218,18 @@ class TestWireTransparency:
         again = GramResponse.from_wire(response.to_wire())
         assert again.decision_context.capability == response.decision_context.capability
 
+    def test_outcome_survives_the_wire(self, service, bo):
+        permitted = bo.submit(BO_START)
+        denied = bo.submit("&(executable=evil)(jobtag=NFC)(count=1)")
+        inject(service.registry, GRAM_AUTHZ_CALLOUT, ExceptionFault())
+        failed = bo.submit(BO_START)
+        for response, outcome in (
+            (permitted, "permit"), (denied, "deny"), (failed, "failure")
+        ):
+            assert response.decision_context.outcome == outcome
+            again = GramResponse.from_wire(response.to_wire())
+            assert again.decision_context.outcome == outcome
+
     def test_wire_form_without_context_is_unchanged(self):
         service = GramService(ServiceConfig(mode=AuthorizationMode.LEGACY))
         bo = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
@@ -242,6 +255,6 @@ class TestServiceDecisionCache:
         bo.status(submitted.contact)
         assert len(service.pep.audit_log) >= 2
         jsonl = "\n".join(
-            record.context.to_json() for record in service.pep.audit_log
+            record.to_json() for record in service.pep.audit_log
         )
         assert '"start"' in jsonl and '"information"' in jsonl

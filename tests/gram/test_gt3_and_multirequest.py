@@ -6,6 +6,7 @@ from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
+from repro.rsl import parser
 
 VISITOR = "/O=Grid/OU=visitors/CN=Vera"
 POLICY = """
@@ -16,7 +17,7 @@ POLICY = """
 """
 
 
-def build(gt3=True, enforcement="static"):
+def build(gt3=True, enforcement="static", **config):
     service = GramService(
         ServiceConfig(
             policies=(parse_policy(POLICY, name="vo"),),
@@ -24,6 +25,7 @@ def build(gt3=True, enforcement="static"):
             gt3_account_setup=gt3,
             enforcement=enforcement,
             record_trace=True,
+            **config,
         )
     )
     credential = service.ca.issue(VISITOR, now=0.0)
@@ -86,6 +88,42 @@ class TestGT3AccountSetup:
         response = client.submit("&(count=2)")  # no executable
         assert response.code is GramErrorCode.BAD_RSL
         assert service.gatekeeper.active_job_managers == 0
+
+
+class TestOneParsePerSubmit:
+    """The Gatekeeper's PEP (step 2b), GT3 account set-up (step 3b) and
+    the JMI share one parse of the submitted RSL."""
+
+    JOB = "&(executable=sim)(count=2)(maxcputime=100)(runtime=10)"
+
+    def test_rsl_parsed_once_with_every_step_on(self, monkeypatch):
+        service, client = build(gt3=True, pep_in_gatekeeper=True)
+        parsed = []
+        parse_rsl = parser.parse_rsl
+
+        def counting(text):
+            parsed.append(text)
+            return parse_rsl(text)
+
+        monkeypatch.setattr(parser, "parse_rsl", counting)
+        response = client.submit(self.JOB)
+        assert response.ok
+        assert parsed == [self.JOB]
+        # Every step still saw the description.
+        assert service.gatekeeper_pep.permits == 1
+        assert service.pep.permits == 1
+        limits = service.dynamic_pool.lease_for(VISITOR).account.limits
+        assert limits.max_cpus_per_job == 2
+        assert limits.cpu_quota_seconds == 100.0
+
+    def test_bad_rsl_answered_at_the_gatekeeper_pep_step(self):
+        service, client = build(gt3=True, pep_in_gatekeeper=True)
+        response = client.submit("&(count=2)")  # no executable
+        assert response.code is GramErrorCode.BAD_RSL
+        assert response.contact is None
+        # Step 2b answers before account mapping (3) and set-up (3b).
+        assert service.gatekeeper_pep.decisions_made == 0
+        assert service.dynamic_pool.lease_for(VISITOR) is None
 
 
 class TestMultiRequest:

@@ -96,11 +96,11 @@ class TestAuditTrail:
         assert service.pep.failures == 1
         record = service.pep.audit_log[-1]
         assert record.failure
-        assert not record.permitted
+        assert record.outcome == "failure"
 
     def test_denials_land_in_the_audit_log_with_reasons(self):
         service, alice = build()
         alice.submit("&(executable=rogue)(count=1)")
         record = service.pep.audit_log[-1]
-        assert record.decision is not None
-        assert record.decision.is_deny
+        assert record.outcome == "deny"
+        assert record.reasons

@@ -95,6 +95,7 @@ def run_scenario():
         "latency_report": source_latency_report(telemetry.registry.snapshot()),
         "trace_ids": telemetry.tracer.trace_ids(),
         "registry": telemetry.registry,
+        "service": service,
     }
 
 

@@ -1,13 +1,17 @@
-"""Every telemetry export, byte for byte, against committed golden files.
+"""Every telemetry and audit export, byte for byte, against committed
+golden files.
 
 Six scenarios cover the instrumented paths: the acceptance scenario
 (``tests/obs/test_acceptance.py``), a plain service, the repeat paths
 with a Gatekeeper PEP and a fail-static outage, the repeat paths with
 a timeout/breaker outage, a store-backed service that publishes,
 rejects a bundle and rolls back, and a service that adopts a
-pre-published store.  Each scenario's registry JSONL, span JSONL and
-Prometheus text must equal ``tests/obs/golden/<scenario>.*`` exactly,
-so a change to how telemetry is recorded cannot move what it exports.
+pre-published store.  Each scenario's registry JSONL, span JSONL,
+Prometheus text and audit-log export (``export_audit_log`` of every
+PEP, job manager's first) must equal ``tests/obs/golden/<scenario>.*``
+exactly, so a change to how telemetry or the audit log is recorded
+cannot move what they export.  The audit lines' ``duration`` is wall
+time, so it is zeroed on both sides; nothing else is normalized.
 
 Regenerate the golden files (only when an export is meant to change)
 from the repository root with::
@@ -16,7 +20,9 @@ from the repository root with::
 """
 
 import itertools
+import json
 import os
+import tempfile
 
 import pytest
 
@@ -26,6 +32,7 @@ from repro.core.parser import parse_policy
 from repro.core.resilience import DegradationMode, ResilienceConfig, RetryPolicy
 from repro.core.store import BundleRejected, PolicyBundle, VersionedPolicyStore
 from repro.gram import protocol
+from repro.gram.audit import export_audit_log
 from repro.gram.client import GramClient
 from repro.gram.service import GramService, ServiceConfig
 from repro.testing import ExceptionFault, FaultSchedule, LatencyFault, inject
@@ -41,6 +48,7 @@ EXPORTS = {
     "metrics_jsonl": "metrics.jsonl",
     "spans_jsonl": "spans.jsonl",
     "prometheus": "prom",
+    "audit_jsonl": "audit.jsonl",
 }
 
 #: Mapped in the grid-mapfile and inside the VO's DN prefix, but
@@ -113,12 +121,34 @@ def drive(service, bo, kate, carl, polls=3):
     return nfc, ads, transp
 
 
+def without_wall_time(audit_jsonl):
+    """*audit_jsonl* with every line's wall-clock ``duration`` zeroed."""
+    return "".join(
+        json.dumps({**json.loads(line), "duration": 0.0}, sort_keys=True) + "\n"
+        for line in audit_jsonl.splitlines()
+    )
+
+
+def audit_export(service):
+    """``export_audit_log`` of every PEP of *service*, concatenated."""
+    text = ""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "audit.jsonl")
+        for pep in (service.pep, service.gatekeeper_pep):
+            if pep is not None:
+                export_audit_log(pep, path)
+                with open(path, encoding="utf-8") as handle:
+                    text += handle.read()
+    return without_wall_time(text)
+
+
 def exports(service):
     telemetry = service.telemetry
     return {
         "metrics_jsonl": telemetry.registry.to_jsonl(),
         "spans_jsonl": telemetry.tracer.to_jsonl(),
         "prometheus": telemetry.registry.to_prometheus(),
+        "audit_jsonl": audit_export(service),
     }
 
 
@@ -127,7 +157,7 @@ def exports(service):
 
 def acceptance():
     reset_counters()
-    return {key: run_scenario()[key] for key in EXPORTS}
+    return exports(run_scenario()["service"])
 
 
 def plain_service():
@@ -276,6 +306,8 @@ def test_exports_match_golden(scenario):
     for export in EXPORTS:
         with open(golden_path(scenario, export), encoding="utf-8") as handle:
             expected = handle.read()
+        if export == "audit_jsonl":
+            expected = without_wall_time(expected)
         assert produced[export] == expected, (
             f"{scenario}: {export} differs from "
             f"{os.path.relpath(golden_path(scenario, export))}"
