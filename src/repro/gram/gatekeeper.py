@@ -272,7 +272,14 @@ class Gatekeeper:
         # to terminal inside start (zero walltime budget), in which
         # case the terminal listener has already released it.
         self.admission.note_started(str(identity))
-        response = jmi.start(rsl_text, description)
+        try:
+            response = jmi.start(rsl_text, description)
+        except BaseException:
+            # Unless the job already ran to terminal, whose listener
+            # released the slot, no terminal event will ever release it.
+            if not jmi.finished:
+                self.admission.release(str(identity))
+            raise
         if response.ok:
             if not jmi.finished:
                 self._job_managers[contact.job_id] = jmi

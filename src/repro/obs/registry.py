@@ -80,32 +80,20 @@ class Counter:
 
 
 class Gauge:
-    """One gauge series (updates locked; see :class:`Counter`)."""
+    """One gauge series.
 
-    __slots__ = ("value", "_lock")
+    A gauge is only ever set, and a set replaces the value whole in one
+    attribute store: there is no read-modify-write for another thread
+    to split, so unlike :class:`Counter` it takes no lock.
+    """
+
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        value = float(value)
-        lock = self._lock
-        lock.acquire()
-        self.value = value
-        lock.release()
-
-    def inc(self, amount: float = 1.0) -> None:
-        lock = self._lock
-        lock.acquire()
-        self.value += amount
-        lock.release()
-
-    def dec(self, amount: float = 1.0) -> None:
-        lock = self._lock
-        lock.acquire()
-        self.value -= amount
-        lock.release()
+        self.value = float(value)
 
     def data(self) -> Dict[str, Any]:
         return {"value": self.value}

@@ -41,7 +41,12 @@ from repro.sim.clock import Clock
 
 
 class SpanEvent:
-    """A point-in-time annotation on a span (retry, breaker flip...)."""
+    """A point-in-time annotation on a span (retry, breaker flip...).
+
+    A span keeps its events as ``(name, at, detail)`` tuples, which cost
+    less to make than an object and which the collector stops tracking;
+    :attr:`Span.events` presents them as :class:`SpanEvent` objects.
+    """
 
     __slots__ = ("name", "at", "detail")
 
@@ -60,8 +65,11 @@ class SpanEvent:
         return f"SpanEvent({self.name!r} @{self.at})"
 
 
+#: An event as a span keeps it: ``(name, at, detail)``.
+_EventTuple = Tuple[str, float, str]
+
 #: Shared empties for spans that never get events/attrs (most don't).
-_NO_EVENTS: Tuple[SpanEvent, ...] = ()
+_NO_EVENTS: Tuple[_EventTuple, ...] = ()
 _NO_ATTRS: Dict[str, str] = {}
 
 
@@ -85,7 +93,7 @@ class Span:
         "start",
         "end",
         "status",
-        "events",
+        "_events",
         "attrs",
     )
 
@@ -103,7 +111,7 @@ class Span:
         # Most spans carry no events and some carry no attrs: both are
         # shared empties until first written, to keep allocation (and
         # so GC pressure) per span down on the request hot path.
-        self.events: Any = _NO_EVENTS
+        self._events: Any = _NO_EVENTS
         self.attrs: Dict[str, str] = attrs if attrs is not None else _NO_ATTRS
 
     def __enter__(self) -> "Span":
@@ -172,15 +180,18 @@ class Span:
     def finished(self) -> bool:
         return self.end is not None
 
-    def event(self, name: str, detail: str = "") -> SpanEvent:
+    @property
+    def events(self) -> List[SpanEvent]:
+        """The span's events, oldest first."""
+        return [SpanEvent(*item) for item in self._events]
+
+    def event(self, name: str, detail: str = "") -> None:
         clock = self.tracer.clock
-        evt = SpanEvent(name, clock.now if clock is not None else 0.0, detail)
-        events = self.events
-        if events is _NO_EVENTS:
-            events = []
-            self.events = events
-        events.append(evt)
-        return evt
+        item = (name, clock.now if clock is not None else 0.0, detail)
+        if self._events is _NO_EVENTS:
+            self._events = [item]
+        else:
+            self._events.append(item)
 
     def set_attr(self, name: str, value: Any) -> None:
         if self.attrs is _NO_ATTRS:
@@ -199,7 +210,7 @@ class Span:
         }
         if self.attrs:
             data["attrs"] = dict(sorted(self.attrs.items()))
-        if self.events:
+        if self._events:
             data["events"] = [event.to_dict() for event in self.events]
         return data
 

@@ -53,15 +53,13 @@ class Clock:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        #: Current simulated time.  Read it, never write it: only the
+        #: clock's own methods move time.  A plain attribute, not a
+        #: property, because every span and span event reads it.
+        self.now = float(start)
         self._queue: List[ScheduledEvent] = []
         self._counter = itertools.count()
         self._processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -77,9 +75,9 @@ class Clock:
         self, when: float, callback: Callable[[], Any], name: str = ""
     ) -> ScheduledEvent:
         """Schedule *callback* to run at absolute simulated time *when*."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event at {when} before current time {self._now}"
+                f"cannot schedule event at {when} before current time {self.now}"
             )
         event = ScheduledEvent(
             time=float(when), seq=next(self._counter), callback=callback, name=name
@@ -93,7 +91,7 @@ class Clock:
         """Schedule *callback* to run *delay* time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback, name=name)
+        return self.call_at(self.now + delay, callback, name=name)
 
     def step(self) -> Optional[ScheduledEvent]:
         """Fire the next pending event and advance time to it.
@@ -105,7 +103,7 @@ class Clock:
             event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self.now = event.time
             event.callback()
             self._processed += 1
             return event
@@ -117,9 +115,9 @@ class Clock:
         Time ends exactly at *deadline* even if the queue drains early.
         Returns the number of events fired.
         """
-        if deadline < self._now:
+        if deadline < self.now:
             raise SimulationError(
-                f"deadline {deadline} is before current time {self._now}"
+                f"deadline {deadline} is before current time {self.now}"
             )
         fired = 0
         while self._queue:
@@ -131,7 +129,7 @@ class Clock:
                 break
             self.step()
             fired += 1
-        self._now = deadline
+        self.now = deadline
         return fired
 
     def run(self, max_events: int = 1_000_000) -> int:
@@ -150,4 +148,4 @@ class Clock:
 
     def advance(self, delta: float) -> int:
         """Advance the clock by *delta*, firing due events along the way."""
-        return self.run_until(self._now + delta)
+        return self.run_until(self.now + delta)

@@ -292,6 +292,27 @@ class TestAdmissionControl:
         assert client.cancel(first.contact).ok
         assert client.submit(RSL).ok
 
+    def test_slot_released_when_start_raises(self, monkeypatch):
+        """An exception escaping the JMI's start gives the in-flight
+        slot back before it reaches the caller."""
+        service = build(max_jobs_per_user=1)
+        client = GramClient(service.add_user(OWNER, "owner"), service.gatekeeper)
+        scheduler = service.gatekeeper.scheduler
+        submit = scheduler.submit
+        failures = [RuntimeError("LRM connection lost")]
+
+        def submit_failing_once(job):
+            if failures:
+                raise failures.pop()
+            return submit(job)
+
+        monkeypatch.setattr(scheduler, "submit", submit_failing_once)
+        with pytest.raises(RuntimeError, match="LRM connection lost"):
+            client.submit(RSL)
+        assert service.gatekeeper.admission.in_flight(OWNER) == 0
+        service.run(100.0)
+        assert client.submit(RSL).ok
+
     def test_admission_metrics_exported(self):
         service = build(max_jobs_per_user=1)
         client = GramClient(service.add_user(OWNER, "owner"), service.gatekeeper)

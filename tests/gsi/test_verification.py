@@ -2,6 +2,8 @@
 
 import pytest
 
+import dataclasses
+
 from repro.gsi.credentials import CertificateAuthority, Credential
 from repro.gsi.errors import (
     CertificateExpiredError,
@@ -10,8 +12,9 @@ from repro.gsi.errors import (
     VerificationError,
 )
 from repro.gsi.keys import KeyPair
-from repro.gsi.proxy import delegate
+from repro.gsi.proxy import PATH_LENGTH_EXTENSION, delegate
 from repro.gsi.verification import verify_chain, verify_credential
+from tests.gsi.reference_gsi import sign_proxy
 
 ALICE = "/O=Grid/OU=test/CN=Alice"
 
@@ -134,3 +137,147 @@ class TestFailures:
         )
         with pytest.raises(UntrustedIssuerError):
             verify_credential(frankenstein, [ca], at_time=1.0)
+
+    def test_ca_certificate_appended_to_chain_rejected(self, ca, alice):
+        """The CA's public certificate, appended to a user's own chain,
+        must not make the CA's name the user's Grid identity."""
+        posing = Credential(
+            certificate=alice.certificate,
+            key_pair=alice.key_pair,
+            chain=(ca.certificate,),
+        )
+        with pytest.raises(VerificationError, match="ends at CA certificate"):
+            verify_credential(posing, [ca], at_time=1.0)
+
+    def test_ca_certificate_under_a_proxy_rejected(self, ca):
+        proxy = sign_proxy(Credential(certificate=ca.certificate, key_pair=ca.key_pair))
+        with pytest.raises(VerificationError, match="ends at CA certificate"):
+            verify_credential(proxy, [ca], at_time=1.0)
+
+
+class TestWarmCredential:
+    """A credential verified before is presented again after something
+    changed: what the verifier remembers of it must not decide."""
+
+    @pytest.fixture
+    def warm(self, ca, alice):
+        proxy = delegate(alice, now=0.0, lifetime=100.0)
+        for credential in (alice, proxy):
+            for _ in range(2):
+                verify_credential(credential, [ca], at_time=10.0)
+        return proxy
+
+    def test_expiry(self, ca, alice, warm):
+        with pytest.raises(CertificateExpiredError):
+            verify_credential(warm, [ca], at_time=101.0)
+        with pytest.raises(CertificateExpiredError):
+            verify_credential(alice, [ca], at_time=-1.0)
+
+    def test_revocation(self, ca, alice, warm):
+        ca.revoke(alice.certificate)
+        for credential in (alice, warm):
+            with pytest.raises(VerificationError, match="revoked"):
+                verify_credential(credential, [ca], at_time=10.0)
+
+    def test_anchor_dropped_or_rekeyed(self, ca, alice, warm):
+        rekeyed = CertificateAuthority(str(ca.dn), now=0.0)
+        for credential in (alice, warm):
+            with pytest.raises(SignatureError):
+                verify_credential(credential, [rekeyed], at_time=10.0)
+            with pytest.raises(UntrustedIssuerError):
+                verify_credential(
+                    credential, [CertificateAuthority("/O=Other/CN=CA")], at_time=10.0
+                )
+
+    def test_stolen_certificate_with_a_proven_key_pair(self, ca, alice, warm):
+        stolen = Credential(certificate=alice.certificate, key_pair=warm.key_pair)
+        for _ in range(2):
+            with pytest.raises(SignatureError):
+                verify_credential(stolen, [ca], at_time=10.0)
+
+    def test_presented_proof_always_checked(self, ca, alice, warm):
+        for proof in (
+            KeyPair("eve").sign(b"possession:gatekeeper-challenge"),
+            alice.prove_possession(b"another challenge"),
+        ):
+            with pytest.raises(SignatureError):
+                verify_credential(alice, [ca], at_time=10.0, possession_proof=proof)
+
+    def test_tampered_copy_of_a_verified_certificate(self, ca, alice, warm):
+        longer = dataclasses.replace(alice.certificate, not_after=1e12)
+        forged = Credential(certificate=longer, key_pair=alice.key_pair)
+        for _ in range(2):
+            with pytest.raises(SignatureError):
+                verify_credential(forged, [ca], at_time=10.0)
+
+
+class TestProxyPathLength:
+    """A proxy's path-length constraint bounds the proxies below it in
+    every chain presented, not only in the ones ``delegate`` makes: any
+    proxy's holder can sign a child proxy directly."""
+
+    def test_child_signed_under_exhausted_proxy_rejected(self, ca, alice):
+        limited = delegate(alice, now=0.0, path_length=0)
+        child = sign_proxy(limited)
+        with pytest.raises(
+            VerificationError, match="allows 0 further proxies but 1 follow it"
+        ):
+            verify_credential(child, [ca], at_time=1.0)
+
+    def test_constraint_bounds_every_proxy_below(self, ca, alice):
+        limited = delegate(alice, now=0.0, path_length=1)
+        grandchild = sign_proxy(sign_proxy(limited))
+        with pytest.raises(
+            VerificationError, match="allows 1 further proxies but 2 follow it"
+        ):
+            verify_credential(grandchild, [ca], at_time=1.0)
+
+    def test_chain_within_its_constraints_verifies(self, ca, alice):
+        limited = delegate(alice, now=0.0, path_length=2)
+        leaf = sign_proxy(sign_proxy(limited))
+        result = verify_credential(leaf, [ca], at_time=1.0)
+        assert result.proxy_depth == 3
+        assert str(result.identity) == ALICE
+
+    def test_malformed_constraint_rejected(self, ca, alice):
+        forged = sign_proxy(alice, extensions={PATH_LENGTH_EXTENSION: "two"})
+        with pytest.raises(VerificationError, match="malformed path length"):
+            verify_credential(forged, [ca], at_time=1.0)
+
+
+class TestSameNameAnchors:
+    """Two trusted CAs with one name, as while a root is re-keyed: each
+    CA's credentials verify under its own key and its own revocation
+    list, in either order of the anchors."""
+
+    BOB = "/O=Grid/OU=test/CN=Bob"
+
+    @pytest.fixture
+    def rekeyed(self, ca):
+        return CertificateAuthority(str(ca.dn), now=0.0)
+
+    @pytest.fixture(params=["old-first", "new-first"])
+    def anchors(self, request, ca, rekeyed):
+        return [ca, rekeyed] if request.param == "old-first" else [rekeyed, ca]
+
+    def test_credentials_of_both_verify(self, ca, rekeyed, anchors, alice):
+        bob = rekeyed.issue(self.BOB, now=0.0)
+        assert verify_credential(alice, anchors, at_time=1.0).anchor is ca.dn
+        assert verify_credential(bob, anchors, at_time=1.0).anchor is rekeyed.dn
+        proxy = delegate(alice, now=0.0)
+        assert verify_credential(proxy, anchors, at_time=1.0).anchor is ca.dn
+
+    def test_each_ca_revocation_list_applies(self, ca, rekeyed, anchors, alice):
+        bob = rekeyed.issue(self.BOB, now=0.0)
+        ca.revoke(alice.certificate)
+        with pytest.raises(VerificationError, match="revoked"):
+            verify_credential(alice, anchors, at_time=1.0)
+        assert str(verify_credential(bob, anchors, at_time=1.0).identity) == self.BOB
+        rekeyed.revoke(bob.certificate)
+        with pytest.raises(VerificationError, match="revoked"):
+            verify_credential(bob, anchors, at_time=1.0)
+
+    def test_no_key_of_the_name_verifies(self, ca, rekeyed, alice):
+        other = CertificateAuthority(str(ca.dn), now=0.0)
+        with pytest.raises(SignatureError):
+            verify_credential(alice, [rekeyed, other], at_time=1.0)

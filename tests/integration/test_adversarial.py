@@ -14,6 +14,7 @@ from repro.gram.service import GramService, ServiceConfig
 from repro.gsi.credentials import CertificateAuthority, Credential
 from repro.gsi.keys import KeyPair
 from repro.gsi.proxy import delegate
+from tests.gsi.reference_gsi import sign_proxy
 
 ORG = "/O=Grid/OU=adv"
 ALICE = f"{ORG}/CN=Alice"
@@ -74,6 +75,28 @@ class TestIdentitySpoofing:
         proxy = delegate(stolen, now=service.clock.now)
         impostor = GramClient(proxy, service.gatekeeper)
         response = impostor.submit("&(executable=sim)(count=1)(jobtag=T)")
+        assert response.code is GramErrorCode.AUTHENTICATION_FAILED
+
+    def test_proxy_beyond_its_path_length_fails(self, service, alice):
+        """A path_length=0 proxy's holder signs a child proxy directly."""
+        limited = delegate(alice.credential, now=service.clock.now, path_length=0)
+        child = sign_proxy(limited, now=service.clock.now)
+        response = GramClient(child, service.gatekeeper).submit(
+            "&(executable=sim)(count=1)(jobtag=T)"
+        )
+        assert response.code is GramErrorCode.AUTHENTICATION_FAILED
+
+    def test_ca_certificate_appended_to_chain_fails(self, service, alice):
+        """Alice appends the CA's public certificate to her own chain to
+        be taken for the CA."""
+        posing = Credential(
+            certificate=alice.credential.certificate,
+            key_pair=alice.credential.key_pair,
+            chain=(service.ca.certificate,),
+        )
+        response = GramClient(posing, service.gatekeeper).submit(
+            "&(executable=sim)(count=1)(jobtag=T)"
+        )
         assert response.code is GramErrorCode.AUTHENTICATION_FAILED
 
 
@@ -148,3 +171,68 @@ class TestContactGuessing:
         ghost = JobContact(host="x", job_id="999999")
         response = mallory.cancel(ghost)
         assert response.code is GramErrorCode.NO_SUCH_JOB
+
+
+class TestRepeatedAuthentication:
+    """A credential the service has verified before, re-presented with
+    the decision cache and capability grants on: what authentication
+    remembers of it never outlives a change of time, revocation or
+    trust anchors."""
+
+    JOB = "&(executable=sim)(count=1)(jobtag=T)(runtime=1000)"
+
+    @pytest.fixture
+    def service(self):
+        return GramService(
+            ServiceConfig(
+                policies=(parse_policy(POLICY, name="vo"),),
+                decision_cache=True,
+                capability_grants=True,
+            )
+        )
+
+    def polled(self, client, times=3):
+        job = client.submit(self.JOB)
+        assert job.ok
+        for _ in range(times):
+            assert client.status(job.contact).ok
+        return job
+
+    def test_credential_expiring_between_polls(self, service, alice):
+        short = service.ca.issue(ALICE, now=service.clock.now, lifetime=60.0)
+        client = GramClient(short, service.gatekeeper)
+        job = self.polled(client)
+        service.run(30.0)
+        assert client.status(job.contact).ok
+        service.run(31.0)
+        response = client.status(job.contact)
+        assert response.code is GramErrorCode.AUTHENTICATION_FAILED
+
+    def test_revocation_between_polls(self, service, alice):
+        job = self.polled(alice)
+        service.ca.revoke(alice.credential.certificate)
+        response = alice.status(job.contact)
+        assert response.code is GramErrorCode.AUTHENTICATION_FAILED
+
+    def test_stolen_certificate_after_owner_polls(self, service, alice, mallory):
+        job = self.polled(alice)
+        self.polled(mallory)
+        for keys in (KeyPair("mallory-keys"), mallory.credential.key_pair):
+            stolen = Credential(certificate=alice.credential.certificate, key_pair=keys)
+            thief = GramClient(stolen, service.gatekeeper)
+            for _ in range(2):
+                response = thief.status(job.contact)
+                assert response.code is GramErrorCode.AUTHENTICATION_FAILED
+
+    def test_anchor_replaced_by_rekeyed_ca(self, service, alice):
+        job = self.polled(alice)
+        service.run(1001.0)  # the job completes and is reaped
+        for _ in range(2):
+            assert alice.status(job.contact).ok
+        rekeyed = CertificateAuthority(str(service.ca.dn), now=service.clock.now)
+        service.gatekeeper.trust_anchors = (rekeyed,)
+        response = alice.status(job.contact)
+        assert response.code is GramErrorCode.AUTHENTICATION_FAILED
+        assert alice.submit(self.JOB).code is GramErrorCode.AUTHENTICATION_FAILED
+        reissued = rekeyed.issue(ALICE, now=service.clock.now)
+        assert GramClient(reissued, service.gatekeeper).submit(self.JOB).ok
