@@ -75,6 +75,11 @@ def build(mode, failure_threshold):
     return pep, clock, fault, config
 
 
+def counted(config, series):
+    """One ``resilience_*`` count of the hardened ``vo+local`` source."""
+    return config.registry.value(series, source="vo+local")
+
+
 def start_request():
     return AuthorizationRequest.start(BO, parse_specification(JOB))
 
@@ -130,9 +135,9 @@ class TestBreakerFastFail:
         fault.enabled = True
         request = start_request()
         burst_of_failures(pep, request, 5)  # open the breaker
-        assert config.metrics.fast_fails == 0
+        assert counted(config, "resilience_fast_fails_total") == 0
         benchmark(burst_of_failures, pep, request, 10)
-        assert config.metrics.fast_fails > 0
+        assert counted(config, "resilience_fast_fails_total") > 0
 
 
 class TestFailStaticDegradationBound:
@@ -176,8 +181,8 @@ class TestFailStaticDegradationBound:
             ],
         )
         # Degradation is visible, not silent.
-        assert config.metrics.degraded_static >= REPEATS
-        assert config.metrics.timeouts >= REPEATS
+        assert counted(config, "resilience_degraded_total") >= REPEATS
+        assert counted(config, "resilience_timeouts_total") >= REPEATS
         assert (
             sum(1 for record in pep.audit_log if record.degraded)
             >= REPEATS

@@ -101,7 +101,6 @@ from repro.core.resilience import (
     CircuitBreaker,
     DegradationMode,
     ResilienceConfig,
-    ResilienceMetrics,
     ResilienceMiddleware,
     ResilientCallout,
     RetryPolicy,
@@ -172,7 +171,6 @@ __all__ = [
     "CircuitBreaker",
     "DegradationMode",
     "ResilienceConfig",
-    "ResilienceMetrics",
     "ResilienceMiddleware",
     "ResilientCallout",
     "RetryPolicy",

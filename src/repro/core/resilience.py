@@ -39,10 +39,14 @@ Degradation is explicit and paper-faithful, selected per
 
 Every retry, breaker transition, fast-fail and degraded decision is
 recorded on the active :class:`~repro.core.pipeline.DecisionContext`.
-Retries, failures, fast-fails and degraded decisions are counted in
-:class:`ResilienceMetrics`; breaker transitions are logged once, on
-:attr:`CircuitBreaker.transitions` (and, with a registry, in
-``breaker_transitions_total``).
+Each retry, timeout, failure, fast-fail and fail-static serve is
+counted once, in its ``resilience_*`` series of the
+:class:`~repro.obs.registry.MetricsRegistry` the wrappers, breakers and
+middleware count into; breaker transitions are logged on
+:attr:`CircuitBreaker.transitions` and counted in
+``breaker_transitions_total``.  A fail-closed outcome is the PEP's own
+``failures`` count.  A wrapper keeps no per-call state: each call's
+decision stays on its own stack.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Union,
 )
 
 from repro.core.decision import Decision, Effect
@@ -76,6 +81,7 @@ from repro.core.pipeline import (
     request_key,
 )
 from repro.core.request import AuthorizationRequest
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import event as obs_event
 from repro.sim.clock import Clock
 
@@ -172,7 +178,8 @@ class CircuitBreaker:
 
     Thread-safe: every state read/transition happens under a lock, so
     concurrent enforcement points observe a consistent transition
-    sequence (see :meth:`is_consistent`).
+    sequence (see :meth:`is_consistent`).  Fast-fails, state and
+    transitions are counted in *registry* (a fresh one when None).
     """
 
     def __init__(
@@ -182,7 +189,7 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         reset_timeout: float = 30.0,
         epoch_source: Any = None,
-        registry: Any = None,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
@@ -191,7 +198,7 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
         self.epoch_source = epoch_source
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = threading.RLock()
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
@@ -199,7 +206,6 @@ class CircuitBreaker:
         self._opened_epoch: Any = None
         self._probe_in_flight = False
         self._transitions: List[BreakerTransition] = []
-        self.fast_fails = 0
 
     # -- state ------------------------------------------------------------
 
@@ -251,19 +257,18 @@ class CircuitBreaker:
             f"{self.name}: {transition.from_state.value}"
             f"->{to_state.value} ({reason})",
         )
-        if self.registry is not None:
-            self.registry.set_gauge(
-                "breaker_state",
-                _BREAKER_GAUGE[to_state.value],
-                help="Circuit-breaker state (0 closed, 1 half-open, 2 open)",
-                source=self.name,
-            )
-            self.registry.count(
-                "breaker_transitions_total",
-                help="Circuit-breaker transitions by target state",
-                source=self.name,
-                to=to_state.value,
-            )
+        self.registry.set_gauge(
+            "breaker_state",
+            _BREAKER_GAUGE[to_state.value],
+            help="Circuit-breaker state (0 closed, 1 half-open, 2 open)",
+            source=self.name,
+        )
+        self.registry.count(
+            "breaker_transitions_total",
+            help="Circuit-breaker transitions by target state",
+            source=self.name,
+            to=to_state.value,
+        )
 
     def _poll(self) -> None:
         """Apply time- and epoch-driven transitions out of OPEN."""
@@ -292,7 +297,11 @@ class CircuitBreaker:
             if self._state is BreakerState.HALF_OPEN and not self._probe_in_flight:
                 self._probe_in_flight = True
                 return
-            self.fast_fails += 1
+            self.registry.count(
+                "resilience_fast_fails_total",
+                help="Calls shed by an open breaker",
+                source=self.name,
+            )
             raise BreakerOpen(
                 f"circuit breaker for {self.name!r} is "
                 f"{self._state.value}: failing fast",
@@ -333,43 +342,6 @@ class CircuitBreaker:
         return f"breaker[{self.name}:{self.state.value}]"
 
 
-# -- metrics -----------------------------------------------------------------
-
-
-class ResilienceMetrics:
-    """Counters for the resilience layer, shared across wrapped sources."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.retries = 0
-        self.timeouts = 0
-        self.failures = 0
-        self.fast_fails = 0
-        self.degraded_static = 0
-        self.failed_closed = 0
-
-    def count(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "failures": self.failures,
-                "fast_fails": self.fast_fails,
-                "degraded_static": self.degraded_static,
-                "failed_closed": self.failed_closed,
-            }
-
-    def __str__(self) -> str:
-        return (
-            f"resilience[retries={self.retries} timeouts={self.timeouts} "
-            f"fast_fails={self.fast_fails} degraded={self.degraded_static}]"
-        )
-
-
 # -- the resilient callout wrapper --------------------------------------------
 
 
@@ -381,7 +353,9 @@ class ResilientCallout:
     :class:`~repro.core.callout.CalloutRegistry` unchanged.  Timeouts
     are measured in *simulated* time: a fault harness (or a real
     source model) that advances the clock past ``timeout`` during the
-    call turns the result into a :class:`CalloutTimeout`.
+    call turns the result into a :class:`CalloutTimeout`.  Retries,
+    timeouts and failures are counted in *registry* (a fresh one when
+    None).
     """
 
     def __init__(
@@ -392,8 +366,7 @@ class ResilientCallout:
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        metrics: Optional[ResilienceMetrics] = None,
-        registry: Any = None,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.callout = callout
         self.name = name
@@ -401,18 +374,13 @@ class ResilientCallout:
         self.timeout = timeout
         self.retry = retry
         self.breaker = breaker
-        self.metrics = metrics if metrics is not None else ResilienceMetrics()
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.__name__ = f"resilient:{name}"
 
     @property
     def __wrapped__(self) -> Callable[[AuthorizationRequest], Decision]:
         """The wrapped callout (the ``functools.wraps`` convention)."""
         return self.callout
-
-    def _count(self, name: str, help: str, **labels: str) -> None:
-        if self.registry is not None:
-            self.registry.count(name, help=help, **labels)
 
     def __call__(self, request: AuthorizationRequest) -> Decision:
         context = current_context()
@@ -422,11 +390,12 @@ class ResilientCallout:
         for attempt in range(1, attempts + 1):
             failure = self._gate(context)
             if failure is None:
-                failure = self._attempt(request, attempt, context)
-                if failure is None:
+                outcome = self._attempt(request, attempt, context)
+                if not isinstance(outcome, AuthorizationSystemFailure):
                     if self.breaker is not None:
                         self.breaker.record_success()
-                    return self._last_decision
+                    return outcome
+                failure = outcome
                 if self.breaker is not None:
                     self.breaker.record_failure()
             if isinstance(failure, BreakerOpen):
@@ -434,10 +403,9 @@ class ResilientCallout:
                 # whole point of the breaker is to shed this load.
                 break
             if attempt < attempts:
-                self.metrics.count("retries")
-                self._count(
+                self.registry.count(
                     "resilience_retries_total",
-                    "Callout retry attempts",
+                    help="Callout retry attempts",
                     source=self.name,
                 )
                 delay = next(delays, 0.0)
@@ -468,12 +436,6 @@ class ResilientCallout:
         try:
             self.breaker.before_call()
         except BreakerOpen as exc:
-            self.metrics.count("fast_fails")
-            self._count(
-                "resilience_fast_fails_total",
-                "Calls shed by an open breaker",
-                source=self.name,
-            )
             if context is not None:
                 context.record_stage(
                     f"breaker:{self.name}", 0.0, detail="fast-fail"
@@ -487,48 +449,30 @@ class ResilientCallout:
         request: AuthorizationRequest,
         attempt: int,
         context: Optional[DecisionContext],
-    ) -> Optional[AuthorizationSystemFailure]:
+    ) -> Union[Decision, AuthorizationSystemFailure]:
+        """One call of the source: its decision, or the failure."""
         started_sim = self.clock.now if self.clock is not None else None
         started = time.perf_counter()
         try:
             decision = self.callout(request)
         except AuthorizationSystemFailure as exc:
-            self.metrics.count("failures")
-            if not exc.source:
-                exc.source = self.name
-            self._count(
-                "resilience_failures_total",
-                "Callout failures by kind",
-                source=self.name,
-                failure_kind=exc.kind or "error",
-            )
-            self._record_attempt(context, attempt, started, str(exc))
-            return exc
+            failure, detail = exc, str(exc)
         except Exception as exc:
-            self.metrics.count("failures")
-            self._count(
-                "resilience_failures_total",
-                "Callout failures by kind",
-                source=self.name,
-                failure_kind="error",
+            detail = f"{type(exc).__name__}: {exc}"
+            failure = AuthorizationSystemFailure(
+                f"source {self.name!r} raised {detail}", source=self.name
             )
-            self._record_attempt(
-                context, attempt, started, f"{type(exc).__name__}: {exc}"
-            )
-            return AuthorizationSystemFailure(
-                f"source {self.name!r} raised {type(exc).__name__}: {exc}",
-                source=self.name,
-            )
-        if (
-            self.timeout is not None
-            and started_sim is not None
-            and self.clock.now - started_sim > self.timeout
-        ):
+        else:
+            if (
+                self.timeout is None
+                or started_sim is None
+                or self.clock.now - started_sim <= self.timeout
+            ):
+                return decision
             elapsed = self.clock.now - started_sim
-            self.metrics.count("timeouts")
-            self._count(
+            self.registry.count(
                 "resilience_timeouts_total",
-                "Callout timeouts",
+                help="Callout timeouts",
                 source=self.name,
             )
             self._record_attempt(
@@ -546,8 +490,16 @@ class ResilientCallout:
                 f"(budget {self.timeout:.3f}s)",
                 source=self.name,
             )
-        self._last_decision = decision
-        return None
+        if not failure.source:
+            failure.source = self.name
+        self.registry.count(
+            "resilience_failures_total",
+            help="Callout failures by kind",
+            source=self.name,
+            failure_kind=failure.kind or "error",
+        )
+        self._record_attempt(context, attempt, started, detail)
+        return failure
 
     def _record_attempt(
         self,
@@ -593,7 +545,8 @@ class ResilienceMiddleware:
     the decision was computed under.  Only fail-static records
     PERMIT/DENY decisions in its bounded store; nothing else reads
     it.  Degraded decisions are flagged on
-    ``context.degraded``, recorded as a pipeline stage, and counted.
+    ``context.degraded``, recorded as a pipeline stage, and counted
+    in *registry* (a fresh one when None).
     """
 
     name = "resilience"
@@ -602,14 +555,12 @@ class ResilienceMiddleware:
         self,
         mode: DegradationMode = DegradationMode.FAIL_CLOSED,
         view: Optional[EpochView] = None,
-        metrics: Optional[ResilienceMetrics] = None,
         lkg_limit: int = 4096,
-        registry: Any = None,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.mode = mode
         self.view = view if view is not None else EpochView()
-        self.metrics = metrics if metrics is not None else ResilienceMetrics()
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._lkg = ReplayStore(lkg_limit)
 
     def __call__(
@@ -644,12 +595,11 @@ class ResilienceMiddleware:
                     ),
                 )
             self._lkg.put(key, ReplayEntry(decision, sources, epochs))
-            if self.registry is not None:
-                self.registry.set_gauge(
-                    "resilience_lkg_size",
-                    len(self._lkg),
-                    help="Entries in the last-known-good store",
-                )
+            self.registry.set_gauge(
+                "resilience_lkg_size",
+                len(self._lkg),
+                help="Entries in the last-known-good store",
+            )
         return decision
 
     def _degrade(
@@ -662,13 +612,11 @@ class ResilienceMiddleware:
         if key is not None:
             entry = self._lkg.get(key)
             if entry is not None and entry.epochs == self.view.snapshot():
-                self.metrics.count("degraded_static")
-                if self.registry is not None:
-                    self.registry.count(
-                        "resilience_degraded_total",
-                        help="Decisions served from the last-known-good store",
-                        source=source,
-                    )
+                self.registry.count(
+                    "resilience_degraded_total",
+                    help="Decisions served from the last-known-good store",
+                    source=source,
+                )
                 obs_event(
                     "degraded",
                     f"fail-static: serving last-known-good after "
@@ -693,7 +641,6 @@ class ResilienceMiddleware:
                         )
                     )
                 return entry.decision
-        self.metrics.count("failed_closed")
         context.record_stage(
             "resilience", 0.0, detail=f"fail-closed: {source}"
         )
@@ -715,8 +662,8 @@ class ResilienceConfig:
     """Shared knobs for wrapping many sources identically.
 
     ``wrap`` produces a :class:`ResilientCallout` with its own
-    per-source :class:`CircuitBreaker`, all feeding one shared
-    :class:`ResilienceMetrics`.  ``middleware`` builds the matching
+    per-source :class:`CircuitBreaker`, all counting into one
+    *registry*.  ``middleware`` builds the matching
     :class:`ResilienceMiddleware` for the PEP stack.
     """
 
@@ -726,14 +673,18 @@ class ResilienceConfig:
     failure_threshold: int = 5
     reset_timeout: float = 30.0
     mode: DegradationMode = DegradationMode.FAIL_CLOSED
-    metrics: ResilienceMetrics = field(default_factory=ResilienceMetrics)
     breakers: Dict[str, CircuitBreaker] = field(default_factory=dict)
-    #: Optional :class:`~repro.obs.registry.MetricsRegistry`: when set,
-    #: every wrapper/breaker/middleware built here also emits the
-    #: labeled telemetry families (retry/timeout/failure counters per
-    #: source, breaker-state gauges, fail-static serve counter, LKG
-    #: store size).
-    registry: Any = None
+    #: The registry every wrapper, breaker and middleware built here
+    #: counts into: retry/timeout/failure/fast-fail counters per
+    #: source, breaker-state gauges, the fail-static serve counter and
+    #: the LKG store size.  ``GramService.harden()`` binds the
+    #: service's; a config without one makes its own at first use.
+    registry: Optional[MetricsRegistry] = None
+
+    def _registry(self) -> MetricsRegistry:
+        if self.registry is None:
+            self.registry = MetricsRegistry()
+        return self.registry
 
     def breaker_for(
         self, name: str, epoch_source: Any = None
@@ -746,7 +697,7 @@ class ResilienceConfig:
                 failure_threshold=self.failure_threshold,
                 reset_timeout=self.reset_timeout,
                 epoch_source=epoch_source,
-                registry=self.registry,
+                registry=self._registry(),
             )
             self.breakers[name] = breaker
         return breaker
@@ -764,14 +715,12 @@ class ResilienceConfig:
             timeout=self.timeout,
             retry=self.retry,
             breaker=self.breaker_for(name, epoch_source=epoch_source),
-            metrics=self.metrics,
-            registry=self.registry,
+            registry=self._registry(),
         )
 
     def middleware(self, view: Optional[EpochView] = None) -> ResilienceMiddleware:
         return ResilienceMiddleware(
             mode=self.mode,
             view=view,
-            metrics=self.metrics,
-            registry=self.registry,
+            registry=self._registry(),
         )

@@ -117,7 +117,6 @@ class Gatekeeper:
         self.admission = AdmissionControl(self.lifecycle)
         self._job_managers: Dict[str, JobManagerInstance] = {}
         self.submissions = 0
-        self.authentications_failed = 0
         self.reaped = 0
         #: Optional :class:`repro.core.query.QueryEngine` — the
         #: epoch-guarded reverse authorization index.  When set, a
@@ -176,7 +175,6 @@ class Gatekeeper:
                 credential, self.trust_anchors, at_time=self.clock.now
             )
         except GSIError as exc:
-            self.authentications_failed += 1
             return GramResponse(
                 code=GramErrorCode.AUTHENTICATION_FAILED, message=str(exc)
             )
@@ -227,6 +225,7 @@ class Gatekeeper:
         # first step needing the description parses it and hands it on.
         description: Optional[JobDescription] = None
         if self.gatekeeper_pep is not None:
+            self._trace("gatekeeper", "gatekeeper", "parse RSL")
             error, description = parse_job(rsl_text)
             if error is not None:
                 return error
@@ -246,6 +245,7 @@ class Gatekeeper:
         # 3b. GT3-style account configuration from the job description.
         if self.gt3_account_setup and account.dynamic:
             if description is None:
+                self._trace("gatekeeper", "gatekeeper", "parse RSL")
                 error, description = parse_job(rsl_text)
                 if error is not None:
                     return error
@@ -263,7 +263,7 @@ class Gatekeeper:
             mode=self.mode,
             pep=self.pep,
             enforcement=self.enforcement,
-            trust_anchors=self.trust_anchors,
+            anchors=lambda: self.trust_anchors,
             trace=self.trace,
             owner_credential=credential,
             terminal_listener=self._job_terminal,

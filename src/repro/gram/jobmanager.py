@@ -17,7 +17,7 @@ benchmarks can run the two architectures side by side.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.accounts.enforcement import EnforcementMechanism
 from repro.accounts.local import LocalAccount
@@ -37,7 +37,7 @@ from repro.gram.protocol import (
     TraceRecorder,
 )
 from repro.gram.rsl_utils import JobDescription, JobDescriptionError
-from repro.gsi.credentials import Credential
+from repro.gsi.credentials import CertificateAuthority, Credential
 from repro.gsi.errors import GSIError
 from repro.gsi.names import DistinguishedName
 from repro.gsi.verification import verify_credential
@@ -224,7 +224,7 @@ class JobManagerInstance:
         mode: AuthorizationMode = AuthorizationMode.EXTENDED,
         pep: Optional[EnforcementPoint] = None,
         enforcement: Optional[EnforcementMechanism] = None,
-        trust_anchors=(),
+        anchors: Callable[[], Sequence[CertificateAuthority]] = tuple,
         trace: Optional[TraceRecorder] = None,
         owner_credential: Optional[Credential] = None,
         terminal_listener: Optional[
@@ -242,7 +242,9 @@ class JobManagerInstance:
         self.mode = mode
         self.pep = pep
         self.enforcement = enforcement
-        self.trust_anchors = tuple(trust_anchors)
+        #: Reads the resource's trust anchors at each request — the
+        #: Gatekeeper's, which may be replaced while this job runs.
+        self.anchors = anchors
         self.trace = trace
         self.description: Optional[JobDescription] = None
         self.job: Optional[BatchJob] = None
@@ -287,8 +289,8 @@ class JobManagerInstance:
                 state=self.state(),
                 job_owner=str(self.owner),
             )
-        self._trace("job-manager", "job-manager", "parse RSL")
         if description is None:
+            self._trace("job-manager", "job-manager", "parse RSL")
             error, description = parse_job(rsl_text, self.contact)
             if error is not None:
                 return error
@@ -388,7 +390,7 @@ class JobManagerInstance:
             action,
             pep=self.pep,
             mode=self.mode,
-            trust_anchors=self.trust_anchors,
+            trust_anchors=self.anchors(),
             contact=self.contact,
             owner=self.owner,
             spec=self.description.spec if started else None,

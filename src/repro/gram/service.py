@@ -308,7 +308,8 @@ class GramService:
         A config without a clock or registry is bound to this
         service's: timeouts, retry backoff and breaker resets run on
         the service clock, and the ``resilience_*``/``breaker_*``
-        series land in its registry.
+        series land in its registry (with telemetry off, in the
+        config's own, ``service.resilience.registry``).
 
         Hardening is applied at most once: a second call would stack
         another timeout/retry/breaker layer onto the already-wrapped

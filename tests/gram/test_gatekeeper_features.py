@@ -1,6 +1,8 @@
 """Gatekeeper-specific features: PEP placement, dynamic accounts, traces."""
 
 
+import pytest
+
 from repro.core.parser import parse_policy
 from repro.gram.client import GramClient
 from repro.gram.protocol import GramErrorCode
@@ -108,6 +110,29 @@ class TestTraces:
         assert ("gatekeeper", "job-manager") in edges
         assert ("job-manager", "pep") in edges
         assert ("job-manager", "lrm") in edges
+
+    @pytest.mark.parametrize(
+        "pep_in_gatekeeper, parser",
+        [(False, "job-manager"), (True, "gatekeeper")],
+    )
+    def test_rsl_is_parsed_once_by_its_first_reader(
+        self, pep_in_gatekeeper, parser
+    ):
+        service = GramService(
+            ServiceConfig(
+                policies=(parse_policy(POLICY, name="vo"),),
+                pep_in_gatekeeper=pep_in_gatekeeper,
+                record_trace=True,
+            )
+        )
+        client = GramClient(service.add_user(BO, "boliu"), service.gatekeeper)
+        assert client.submit(GOOD).ok
+        parses = [
+            (event.source, event.target)
+            for event in service.trace
+            if event.event == "parse RSL"
+        ]
+        assert parses == [(parser, parser)]
 
     def test_trace_ordering_gatekeeper_before_jm(self):
         service = GramService(

@@ -56,6 +56,11 @@ class TestGT3AccountSetup:
         client.submit("&(executable=sim)(count=1)(runtime=10)")
         events = [str(e) for e in service.trace]
         assert any("configure dynamic account from request" in e for e in events)
+        # The Gatekeeper parsed the RSL for the set-up; the JMI did not.
+        parses = [
+            (e.source, e.target) for e in service.trace if e.event == "parse RSL"
+        ]
+        assert parses == [("gatekeeper", "gatekeeper")]
 
     def test_gt3_reconfiguration_enforced_by_account(self):
         """Once the trusted service installed the limits, static

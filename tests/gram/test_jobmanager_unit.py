@@ -43,7 +43,7 @@ def make_jmi(parts, ca, mode=AuthorizationMode.EXTENDED):
         clock=clock,
         mode=mode,
         pep=pep,
-        trust_anchors=[ca],
+        anchors=lambda: (ca,),
     )
 
 
@@ -201,7 +201,7 @@ class TestTerminalAccounting:
             mode=AuthorizationMode.EXTENDED,
             pep=pep,
             enforcement=enforcement,
-            trust_anchors=[ca],
+            anchors=lambda: (ca,),
         )
         return jmi, account
 

@@ -229,10 +229,13 @@ class TestRepeatedAuthentication:
         service.run(1001.0)  # the job completes and is reaped
         for _ in range(2):
             assert alice.status(job.contact).ok
+        live = self.polled(alice)
+        assert service.gatekeeper.job_manager(live.contact) is not None
         rekeyed = CertificateAuthority(str(service.ca.dn), now=service.clock.now)
         service.gatekeeper.trust_anchors = (rekeyed,)
-        response = alice.status(job.contact)
-        assert response.code is GramErrorCode.AUTHENTICATION_FAILED
+        for contact in (job.contact, live.contact):
+            response = alice.status(contact)
+            assert response.code is GramErrorCode.AUTHENTICATION_FAILED
         assert alice.submit(self.JOB).code is GramErrorCode.AUTHENTICATION_FAILED
         reissued = rekeyed.issue(ALICE, now=service.clock.now)
         assert GramClient(reissued, service.gatekeeper).submit(self.JOB).ok

@@ -8,7 +8,7 @@ built so that every configured layer does its job at least once: a
 cache hit, a capability hit, a system failure and, when failing
 static, a degraded answer.  The registry must then tell the same
 story as the PEPs' counters, the layers' own hit counters, the audit
-logs and the resilience metrics.
+logs and the resilience layer's ``resilience_degraded_total``.
 """
 
 import pytest
@@ -126,4 +126,6 @@ def test_registry_agrees_with_the_peps(cache, capabilities, mode):
         service.capability.hits if capabilities else 0
     )
     assert series_total(registry, "authz_degraded_total") == degraded
-    assert degraded == service.resilience.metrics.degraded_static
+    assert degraded == series_total(
+        service.resilience.registry, "resilience_degraded_total"
+    )

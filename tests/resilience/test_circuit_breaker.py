@@ -9,10 +9,10 @@ from repro.core.resilience import (
     BreakerOpen,
     BreakerState,
     CircuitBreaker,
-    ResilienceMetrics,
     ResilientCallout,
     RetryPolicy,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.rsl.parser import parse_specification
 from repro.sim.clock import Clock
 
@@ -60,7 +60,7 @@ class TestStateMachine:
             breaker.before_call()
         assert excinfo.value.source == "s"
         assert excinfo.value.kind == "breaker-open"
-        assert breaker.fast_fails == 1
+        assert breaker.registry.value("resilience_fast_fails_total", source="s") == 1
 
     def test_reset_timeout_moves_to_half_open(self):
         clock = Clock()
@@ -175,12 +175,13 @@ class TestBreakerInsideResilientCallout:
     def test_threshold_failures_open_then_fast_fail(self):
         clock = Clock()
         source = _AlwaysFails()
-        metrics = ResilienceMetrics()
+        registry = MetricsRegistry()
         breaker = CircuitBreaker(
-            "cas", clock=clock, failure_threshold=3, reset_timeout=60.0
+            "cas", clock=clock, failure_threshold=3, reset_timeout=60.0,
+            registry=registry,
         )
         wrapped = ResilientCallout(
-            source, name="cas", clock=clock, breaker=breaker, metrics=metrics
+            source, name="cas", clock=clock, breaker=breaker, registry=registry
         )
         for _ in range(3):
             with pytest.raises(AuthorizationSystemFailure):
@@ -189,18 +190,17 @@ class TestBreakerInsideResilientCallout:
         with pytest.raises(BreakerOpen):
             wrapped(REQUEST)
         assert source.calls == 3  # fast-fail: the source was not touched
-        assert metrics.fast_fails == 1
+        # Counted once, though breaker and wrapper share the registry.
+        assert registry.value("resilience_fast_fails_total", source="cas") == 1
         assert [t.to_state for t in breaker.transitions] == [BreakerState.OPEN]
 
     def test_open_breaker_short_circuits_the_retry_loop(self):
         clock = Clock()
         source = _AlwaysFails()
-        metrics = ResilienceMetrics()
         wrapped = ResilientCallout(
             source, name="cas", clock=clock,
             retry=RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0),
             breaker=CircuitBreaker("cas", clock=clock, failure_threshold=1),
-            metrics=metrics,
         )
         with pytest.raises(BreakerOpen):
             wrapped(REQUEST)
@@ -252,13 +252,10 @@ class TestBreakerInsideResilientCallout:
                 raise ConnectionError("down")
             return Decision.permit(reason="back", source="cas")
 
-        metrics = ResilienceMetrics()
         breaker = CircuitBreaker(
             "cas", clock=clock, failure_threshold=2, reset_timeout=10.0
         )
-        wrapped = ResilientCallout(
-            flaky, name="cas", clock=clock, breaker=breaker, metrics=metrics
-        )
+        wrapped = ResilientCallout(flaky, name="cas", clock=clock, breaker=breaker)
         for _ in range(2):
             with pytest.raises(AuthorizationSystemFailure):
                 wrapped(REQUEST)

@@ -2,24 +2,39 @@
 
 A policy source flapping while N threads authorize through the same
 EnforcementPoint must produce no deadlock, a consistent breaker
-transition log, correctly-summing metrics and a bounded audit log.
+transition log, correctly-summing counters and a bounded audit log.
 Faults here are exception-based only — the simulated clock is
 single-threaded by design, so latency faults stay out of this test.
+
+Calls that share one resilient wrapper must each get their own
+decision: a granted subject is never denied and an ungranted one never
+permitted because another call finished in between.
 """
 
+import sys
 import threading
+
+import pytest
 
 from repro.core.builtin_callouts import permit_all
 from repro.core.callout import GRAM_AUTHZ_CALLOUT, default_registry
+from repro.core.decision import Decision
 from repro.core.errors import AuthorizationSystemFailure
+from repro.core.parser import parse_policy
 from repro.core.pep import EnforcementPoint
 from repro.core.pipeline import EpochView
 from repro.core.request import AuthorizationRequest
-from repro.core.resilience import DegradationMode, ResilienceConfig
+from repro.core.resilience import (
+    CircuitBreaker,
+    DegradationMode,
+    ResilienceConfig,
+    ResilientCallout,
+)
+from repro.gram.service import GramService, ServiceConfig
 from repro.rsl.parser import parse_specification
 from repro.testing import ExceptionFault, FlapFault, inject
 
-from tests.conftest import BO
+from tests.conftest import BO, KATE
 
 THREADS = 8
 CALLS_PER_THREAD = 60
@@ -52,6 +67,10 @@ def build():
         audit_limit=AUDIT_LIMIT,
     )
     return pep, config, fault, epochs
+
+
+def fast_fails(config):
+    return config.registry.value("resilience_fast_fails_total", source="flappy")
 
 
 class TestConcurrencySmoke:
@@ -102,7 +121,7 @@ class TestConcurrencySmoke:
 
         # The fault saw every underlying (non-fast-failed) invocation.
         assert fault.calls <= total
-        assert fault.calls == total - config.metrics.fast_fails
+        assert fault.calls == total - fast_fails(config)
 
     def test_metrics_counters_are_race_free(self):
         pep, config, fault, _ = build()
@@ -124,10 +143,105 @@ class TestConcurrencySmoke:
             thread.join(timeout=60.0)
         assert not any(thread.is_alive() for thread in threads)
 
-        snapshot = config.metrics.snapshot()
+        registry = config.registry
         # Failures observed by the wrapper equal the fault activations
         # (every activation raised; none were lost to races).
-        assert snapshot["failures"] == fault.activations
-        assert snapshot["fast_fails"] == sum(
-            breaker.fast_fails for breaker in config.breakers.values()
+        assert registry.value(
+            "resilience_failures_total", source="flappy", failure_kind="error"
+        ) == fault.activations
+        # Every call either reached the source or was shed and counted.
+        assert fast_fails(config) == 6 * 40 - fault.calls
+
+
+# -- decision isolation ---------------------------------------------------
+
+SPEC = parse_specification("&(executable=sim)(count=1)")
+GRANTED = AuthorizationRequest.start(BO, SPEC)
+UNGRANTED = AuthorizationRequest.start(KATE, SPEC)
+VO_POLICY = f"""
+{BO}:
+    &(action=start)(executable=sim)
+"""
+HAMMER_THREADS = 4
+HAMMER_CALLS = 5000
+
+
+def by_subject(request):
+    """Permits BO, denies everyone else."""
+    if str(request.requester) == BO:
+        return Decision.permit(reason="granted", source="vo")
+    return Decision.deny(reasons=("no grant",), source="vo")
+
+
+class _Interleaving(CircuitBreaker):
+    """Before recording a call's success, sends one more request
+    through the same wrapper, as a second thread scheduled at that
+    moment would."""
+
+    def __init__(self, interloper):
+        super().__init__("vo")
+        self.interloper = interloper
+        self.wrapper = None
+        self.answers = []
+
+    def record_success(self):
+        request, self.interloper = self.interloper, None
+        if request is not None:
+            self.answers.append(self.wrapper(request))
+        super().record_success()
+
+
+class TestDecisionIsolation:
+    @pytest.mark.parametrize(
+        "first, second", [(GRANTED, UNGRANTED), (UNGRANTED, GRANTED)]
+    )
+    def test_interleaved_call_does_not_replace_the_first_decision(
+        self, first, second
+    ):
+        breaker = _Interleaving(second)
+        wrapper = ResilientCallout(by_subject, name="vo", breaker=breaker)
+        breaker.wrapper = wrapper
+        assert wrapper(first).is_permit is (first is GRANTED)
+        (answer,) = breaker.answers
+        assert answer.is_permit is (second is GRANTED)
+
+    def test_hardened_service_pep_gives_no_wrong_answer_under_contention(self):
+        service = GramService(
+            ServiceConfig(policies=(parse_policy(VO_POLICY, name="vo"),))
         )
+        service.harden()
+        wrong = [0] * HAMMER_THREADS
+        answered = [0] * HAMMER_THREADS
+        errors = []
+
+        def worker(slot):
+            granted = slot % 2 == 0
+            request = GRANTED if granted else UNGRANTED
+            try:
+                for _ in range(HAMMER_CALLS):
+                    if service.pep.decide(request).is_permit is not granted:
+                        wrong[slot] += 1
+                    answered[slot] += 1
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(HAMMER_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        # Switch threads as often as the interpreter allows, so calls
+        # interleave inside the wrapper.
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads), "deadlock"
+        assert not errors, errors
+        assert answered == [HAMMER_CALLS] * HAMMER_THREADS
+        assert wrong == [0] * HAMMER_THREADS

@@ -184,7 +184,9 @@ class TestFailureMatrix:
         response = scenario.client.submit(GOOD)
         assert response.ok
         assert fault.activations >= 1
-        assert resilience.metrics.retries >= 1
+        assert resilience.registry.value(
+            "resilience_retries_total", source=scenario.label
+        ) >= 1
 
     @pytest.mark.parametrize("source_name", SOURCES)
     def test_denial_and_system_failure_stay_distinct(self, source_name):
@@ -229,6 +231,12 @@ class TestBreakerThroughTheProtocol:
         assert scenario.client.submit(GOOD).ok
 
 
+def served_static(resilience, scenario):
+    return resilience.registry.value(
+        "resilience_degraded_total", source=scenario.label
+    )
+
+
 class TestFailStaticAcrossEpochs:
     def test_fail_static_never_serves_across_an_epoch_bump(self):
         scenario = build_scenario("policy-store")
@@ -245,13 +253,13 @@ class TestFailStaticAcrossEpochs:
         assert degraded.ok
         assert degraded.decision_context is not None
         assert degraded.decision_context.degraded == "fail-static"
-        assert resilience.metrics.degraded_static == 1
+        assert served_static(resilience, scenario) == 1
 
         # Revoked and reissued: a new epoch, same grant.
         scenario.epoch_source.publish(PolicyBundle.from_texts({"vo": REISSUED_TEXT}))
         after_bump = scenario.client.submit(GOOD)
         assert after_bump.code is GramErrorCode.AUTHORIZATION_SYSTEM_FAILURE
-        assert resilience.metrics.degraded_static == 1  # not served again
+        assert served_static(resilience, scenario) == 1  # not served again
 
 
 class TestHardenBindsTheService:
@@ -266,3 +274,39 @@ class TestHardenBindsTheService:
         assert response.failure_kind == "timeout"
         assert response.failure_source == scenario.label
         assert resilience.clock is service.clock
+
+    @pytest.mark.parametrize("telemetry", [True, False])
+    def test_each_event_is_counted_once_in_the_configs_registry(self, telemetry):
+        service = GramService(
+            ServiceConfig(
+                policies=(parse_policy(POLICY_TEXT, name="vo"),),
+                telemetry=telemetry,
+            )
+        )
+        client = GramClient(service.add_user(ALICE, "alice"), service.gatekeeper)
+        inject(service.registry, GRAM_AUTHZ_CALLOUT, LatencyFault(service.clock, latency=5.0))
+        resilience = service.harden(
+            ResilienceConfig(
+                timeout=1.0,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+                failure_threshold=2,
+            )
+        )
+        # Two attempts time out (one retry between them) and open the
+        # breaker; the next submit is shed without a call.
+        for kind in ("timeout", "breaker-open"):
+            assert client.submit(GOOD).failure_kind == kind
+        assert service.pep.failures == 2
+        registry = resilience.registry
+        if telemetry:
+            assert registry is service.telemetry.registry
+        totals = {
+            family.name: sum(series.value for _, series in family.series())
+            for family in registry.families()
+            if family.name.startswith("resilience_")
+        }
+        assert totals == {
+            "resilience_timeouts_total": 2,
+            "resilience_retries_total": 1,
+            "resilience_fast_fails_total": 1,
+        }

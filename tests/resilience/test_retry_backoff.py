@@ -13,7 +13,6 @@ from repro.core.pipeline import DecisionContext, activate
 from repro.core.request import AuthorizationRequest
 from repro.core.resilience import (
     CalloutTimeout,
-    ResilienceMetrics,
     ResilientCallout,
     RetryPolicy,
 )
@@ -89,17 +88,18 @@ class TestResilientCalloutRetry:
     def test_transient_failure_is_retried_to_success(self):
         clock = Clock()
         flaky = _Flaky(failures=2)
-        metrics = ResilienceMetrics()
         wrapped = ResilientCallout(
             flaky, name="flaky", clock=clock,
             retry=RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0),
-            metrics=metrics,
         )
         decision = wrapped(REQUEST)
         assert decision.is_permit
         assert flaky.calls == 3
-        assert metrics.retries == 2
-        assert metrics.failures == 2
+        registry = wrapped.registry
+        assert registry.value("resilience_retries_total", source="flaky") == 2
+        assert registry.value(
+            "resilience_failures_total", source="flaky", failure_kind="error"
+        ) == 2
         # Backoff advanced the simulated clock: 1.0 + 2.0.
         assert clock.now == pytest.approx(3.0)
 
@@ -151,16 +151,16 @@ class _Slow:
 class TestSimulatedTimeouts:
     def test_call_exceeding_budget_becomes_timeout(self):
         clock = Clock()
-        metrics = ResilienceMetrics()
         wrapped = ResilientCallout(
-            _Slow(clock, latency=5.0), name="akenti", clock=clock,
-            timeout=1.0, metrics=metrics,
+            _Slow(clock, latency=5.0), name="akenti", clock=clock, timeout=1.0,
         )
         with pytest.raises(CalloutTimeout) as excinfo:
             wrapped(REQUEST)
         assert excinfo.value.source == "akenti"
         assert excinfo.value.kind == "timeout"
-        assert metrics.timeouts == 1
+        assert wrapped.registry.value(
+            "resilience_timeouts_total", source="akenti"
+        ) == 1
 
     def test_call_within_budget_passes(self):
         clock = Clock()
@@ -171,13 +171,12 @@ class TestSimulatedTimeouts:
 
     def test_timeouts_are_retried_like_any_failure(self):
         clock = Clock()
-        metrics = ResilienceMetrics()
         wrapped = ResilientCallout(
             _Slow(clock, latency=5.0), name="slow", clock=clock, timeout=1.0,
             retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
-            metrics=metrics,
         )
         with pytest.raises(CalloutTimeout):
             wrapped(REQUEST)
-        assert metrics.timeouts == 3
-        assert metrics.retries == 2
+        registry = wrapped.registry
+        assert registry.value("resilience_timeouts_total", source="slow") == 3
+        assert registry.value("resilience_retries_total", source="slow") == 2
