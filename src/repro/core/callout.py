@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import time
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
-from repro.core.pipeline import DecisionContext, current_context
+from repro.core.pipeline import DecisionContext, StageRecord, current_context
 from repro.core.request import AuthorizationRequest
 from repro.obs.spans import span as obs_span
 
@@ -100,7 +100,10 @@ class CalloutRegistry:
     """
 
     def __init__(self) -> None:
-        self._callouts: Dict[str, List[Tuple[str, AuthorizationCallout]]] = {}
+        #: Per type, the configured ``(label, callout, stage)`` triples
+        #: in order; *stage* (``callout:<label>``) names the callout's
+        #: stage and span, once, when it is configured.
+        self._callouts: Dict[str, List[Tuple[str, AuthorizationCallout, str]]] = {}
         self._types: Dict[str, CalloutType] = {}
         self.invocations = 0
         #: Bumped once by every call that changes which callouts are
@@ -144,7 +147,7 @@ class CalloutRegistry:
             version = self._chain_version
             found: Dict[int, Any] = {}
             for chain in self._callouts.values():
-                for _, callout in chain:
+                for _, callout, _ in chain:
                     source = callout_epoch_source(callout)
                     if source is not None:
                         found.setdefault(id(source), source)
@@ -183,8 +186,9 @@ class CalloutRegistry:
     ) -> None:
         if not callable(callout):
             raise TypeError(f"callout for {type_name!r} must be callable")
+        label = label or getattr(callout, "__name__", "callout")
         self._callouts.setdefault(type_name, []).append(
-            (label or getattr(callout, "__name__", "callout"), callout)
+            (label, callout, f"callout:{label}")
         )
         self._chain_version += 1
 
@@ -263,7 +267,7 @@ class CalloutRegistry:
             chain = self._callouts.get(type_name)
             if not chain:
                 continue
-            for index, (existing_label, _) in enumerate(chain):
+            for index, (existing_label, _, _) in enumerate(chain):
                 if existing_label == label:
                     del chain[index]
                     break
@@ -293,10 +297,10 @@ class CalloutRegistry:
         if not chain:
             return 0
         wrapped = 0
-        for index, (existing_label, callout) in enumerate(chain):
+        for index, (existing_label, callout, stage) in enumerate(chain):
             if label is not None and existing_label != label:
                 continue
-            chain[index] = (existing_label, wrapper(existing_label, callout))
+            chain[index] = (existing_label, wrapper(existing_label, callout), stage)
             wrapped += 1
         self._chain_version += 1
         return wrapped
@@ -329,11 +333,11 @@ class CalloutRegistry:
             return False
         return any(
             callout_epoch_source(callout) is source
-            for _, callout in self._callouts.get(type_name, ())
+            for _, callout, _ in self._callouts.get(type_name, ())
         )
 
     def callout_labels(self, type_name: str) -> Tuple[str, ...]:
-        return tuple(label for label, _ in self._callouts.get(type_name, []))
+        return tuple(label for label, _, _ in self._callouts.get(type_name, []))
 
     # -- invocation --------------------------------------------------------
 
@@ -363,10 +367,10 @@ class CalloutRegistry:
         if context is None:
             context = current_context()
         self.invocations += 1
-        for label, callout in chain:
-            started = time.perf_counter()
+        for label, callout, stage in chain:
+            started = perf_counter()
             try:
-                with obs_span(f"callout:{label}"):
+                with obs_span(stage):
                     decision = callout(request)
             except AuthorizationSystemFailure as exc:
                 if not exc.source:
@@ -375,26 +379,20 @@ class CalloutRegistry:
                     exc.source = label
                 if context is not None:
                     context.record_stage(
-                        f"callout:{label}",
-                        time.perf_counter() - started,
-                        detail="system-failure",
+                        stage, perf_counter() - started, detail="system-failure"
                     )
                 raise
             except Exception as exc:
                 if context is not None:
                     context.record_stage(
-                        f"callout:{label}",
-                        time.perf_counter() - started,
-                        detail="system-failure",
+                        stage, perf_counter() - started, detail="system-failure"
                     )
                 raise AuthorizationSystemFailure(
                     f"callout {label!r} raised {type(exc).__name__}: {exc}",
                     source=label,
                 )
             if context is not None:
-                context.record_stage(
-                    f"callout:{label}", time.perf_counter() - started
-                )
+                context.stages.append(StageRecord(stage, perf_counter() - started))
             if not isinstance(decision, Decision):
                 raise AuthorizationSystemFailure(
                     f"callout {label!r} returned {type(decision).__name__}, "

@@ -29,14 +29,13 @@ plain denial (§5.2's error distinction).
 from __future__ import annotations
 
 import enum
+from time import perf_counter
 from typing import List, Sequence, Tuple
-
-import time
 
 from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.evaluator import PolicyEvaluator
-from repro.core.pipeline import current_context, epoch_of
+from repro.core.pipeline import StageRecord, current_context, epoch_of
 from repro.core.request import AuthorizationRequest
 from repro.obs.spans import span as obs_span
 
@@ -58,6 +57,11 @@ class CombinedEvaluator:
             raise ValueError("need at least one policy source")
         self.evaluators = list(evaluators)
         self.algorithm = algorithm
+        #: Each source with its stage and span name, named once here.
+        self._stages = tuple(
+            (evaluator, f"source:{evaluator.source}")
+            for evaluator in self.evaluators
+        )
 
     @property
     def sources(self) -> Tuple[str, ...]:
@@ -74,7 +78,7 @@ class CombinedEvaluator:
     @property
     def policy_epoch(self) -> Tuple:
         """Combined epoch over all sources (for the decision cache)."""
-        return tuple([epoch_of(e) for e in self.evaluators])
+        return tuple(map(epoch_of, self.evaluators))
 
     def evaluate(self, request: AuthorizationRequest) -> Decision:
         """Combined decision over all sources.
@@ -88,11 +92,11 @@ class CombinedEvaluator:
         """
         context = current_context()
         decisions = []
-        for evaluator in self.evaluators:
-            started = time.perf_counter()
+        for evaluator, stage in self._stages:
+            started = perf_counter()
             recorded_before = len(context.sources) if context is not None else 0
             try:
-                with obs_span(f"source:{evaluator.source}"):
+                with obs_span(stage):
                     decision = evaluator.evaluate(request)
             except Exception as exc:  # a broken PDP must fail closed
                 decision = Decision.indeterminate(
@@ -100,10 +104,7 @@ class CombinedEvaluator:
                     source=evaluator.source,
                 )
             if context is not None:
-                context.record_stage(
-                    f"source:{evaluator.source}",
-                    time.perf_counter() - started,
-                )
+                context.stages.append(StageRecord(stage, perf_counter() - started))
                 if len(context.sources) == recorded_before:
                     context.add_source(
                         evaluator.source,
@@ -115,16 +116,22 @@ class CombinedEvaluator:
 
     def combine(self, decisions: Sequence[Decision]) -> Decision:
         """Apply the combination algorithm to per-source decisions."""
-        indeterminate = [d for d in decisions if d.effect is Effect.INDETERMINATE]
+        permits, denies, abstains, indeterminate = [], [], [], []
+        for decision in decisions:
+            effect = decision.effect
+            if effect is Effect.PERMIT:
+                permits.append(decision)
+            elif effect is Effect.DENY:
+                denies.append(decision)
+            elif effect is Effect.NOT_APPLICABLE:
+                abstains.append(decision)
+            else:
+                indeterminate.append(decision)
         if indeterminate:
             raise AuthorizationSystemFailure(
                 "; ".join(r for d in indeterminate for r in d.reasons),
                 source=self._collect_sources(indeterminate),
             )
-
-        denies = [d for d in decisions if d.effect is Effect.DENY]
-        permits = [d for d in decisions if d.effect is Effect.PERMIT]
-        abstains = [d for d in decisions if d.effect is Effect.NOT_APPLICABLE]
 
         if denies:
             return Decision.deny(
@@ -169,4 +176,4 @@ class CombinedEvaluator:
 
     @staticmethod
     def _collect_sources(decisions: Sequence[Decision]) -> str:
-        return "+".join(d.source for d in decisions if d.source)
+        return "+".join([d.source for d in decisions if d.source])

@@ -67,6 +67,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.attributes import ACTION, JOBOWNER, NULL, SELF
 from repro.core.matching import (
+    SATISFIED,
     LoweredRelation,
     MatchContext,
     RelationOutcome,
@@ -80,7 +81,7 @@ from repro.core.model import (
     StatementKind,
 )
 from repro.core.request import AuthorizationRequest
-from repro.rsl.ast import Concatenation, Relop, Value, VariableReference
+from repro.rsl.ast import Concatenation, Relop, Specification, Value, VariableReference
 
 #: Default bound on the per-requester statement-slice memo.
 DEFAULT_MEMO_CAP = 4096
@@ -93,6 +94,10 @@ _CACHE_ATTR = "_compiled_policy_cache"
 #: under on the (frozen, slot-less) :class:`PolicyStatement`, so a
 #: statement that several policies share is compiled once.
 _STATEMENT_ATTR = "_compiled_statement_cache"
+
+#: Attribute a job description's own request values are cached under
+#: on the (frozen) :class:`Specification` (see :func:`evaluation_view`).
+_VIEW_ATTR = "_request_values_cache"
 
 #: Attribute the per-assertion summary is cached under on the
 #: :class:`PolicyAssertion` instance — shared assertions are lowered
@@ -128,7 +133,7 @@ class CompiledAssertion:
             outcome = match_lowered_relation(relation, values, context)
             if not outcome.satisfied:
                 return outcome
-        return RelationOutcome.ok()
+        return SATISFIED
 
     def guard_matches(
         self, values: Dict[str, Tuple[str, ...]], context: MatchContext
@@ -146,7 +151,7 @@ class CompiledAssertion:
             outcome = match_lowered_relation(relation, values, context)
             if not outcome.satisfied:
                 return outcome
-        return RelationOutcome.ok()
+        return SATISFIED
 
 
 def _indexable_action_keys(
@@ -429,40 +434,55 @@ class CompiledPolicy:
         return len(self.statements)
 
 
+def _description_values(spec: Specification) -> Dict[str, Tuple[str, ...]]:
+    """The job description's part of the evaluation view, kept on it.
+
+    A description is frozen and shared by every question about its job
+    (start, then each status, cancel and ``information``), so it is
+    scanned once.  ``action`` and ``jobowner`` are left out: each
+    request computes its own.  Never hand this map to a caller.
+    """
+    cached = spec.__dict__.get(_VIEW_ATTR)
+    if cached is None:
+        collected: Dict[str, List[str]] = {}
+        for relation in spec.relations:
+            if relation.op is not Relop.EQ:
+                continue
+            attribute = relation.attribute
+            if attribute == ACTION or attribute == JOBOWNER:
+                continue
+            for value in relation.values:
+                if isinstance(value, (VariableReference, Concatenation)):
+                    continue
+                text = str(value)
+                if text and text != NULL:
+                    collected.setdefault(attribute, []).append(text)
+        cached = {attribute: tuple(texts) for attribute, texts in collected.items()}
+        object.__setattr__(spec, _VIEW_ATTR, cached)
+    return cached
+
+
 def evaluation_view(request: AuthorizationRequest) -> Dict[str, Tuple[str, ...]]:
     """The request-value view of the evaluation specification, directly.
 
     Produces exactly
     ``request_value_view(request.evaluation_specification())`` without
-    materialising the intermediate :class:`Specification` — the
-    ``without`` / ``merged_with`` / ``Relation.make`` dance rebuilt
-    three tuples and re-parsed two values on every request.  The
+    materialising the intermediate :class:`Specification`.  The
     computed ``action`` / ``jobowner`` attributes replace any the
     client wrote into its RSL (the anti-spoofing rule), matching
     ``evaluation_specification`` clause for clause: only relations
     whose attribute is *exactly* the lowered form are replaced, and
     the NULL/empty-value filter applies to every contributed text.
+    Each call copies the description's kept part and adds the two
+    computed attributes, so a caller may change what it gets.
     """
-    collected: Dict[str, List[str]] = {}
-    for relation in request.job_description.relations:
-        if relation.op is not Relop.EQ:
-            continue
-        attribute = relation.attribute
-        if attribute == ACTION or attribute == JOBOWNER:
-            continue
-        for value in relation.values:
-            if isinstance(value, (VariableReference, Concatenation)):
-                continue
-            text = str(value)
-            if text and text != NULL:
-                collected.setdefault(attribute, []).append(text)
-    view = {attribute: tuple(texts) for attribute, texts in collected.items()}
-    for attribute, text in (
-        (ACTION, str(request.action)),
-        (JOBOWNER, str(request.owner)),
-    ):
-        if text and text != NULL:
-            view[attribute] = (text,)
+    view = dict(_description_values(request.job_description))
+    action = request.action._value_
+    if action and action != NULL:
+        view[ACTION] = (action,)
+    owner = str(request.owner)
+    if owner and owner != NULL:
+        view[JOBOWNER] = (owner,)
     return view
 
 

@@ -55,11 +55,13 @@ from repro.rsl.ast import (
 )
 
 
-@dataclass(frozen=True)
 class MatchContext:
-    """Evaluation-time bindings for special values."""
+    """Evaluation-time bindings for special values (one per evaluation)."""
 
-    requester: Optional[DistinguishedName] = None
+    __slots__ = ("requester",)
+
+    def __init__(self, requester: Optional[DistinguishedName] = None) -> None:
+        self.requester = requester
 
     def resolve(self, attribute: str, value_text: str) -> str:
         """Resolve ``self`` to the requester identity."""
@@ -76,12 +78,13 @@ class RelationOutcome:
     reason: str = ""
 
     @classmethod
-    def ok(cls) -> "RelationOutcome":
-        return cls(satisfied=True)
-
-    @classmethod
     def fail(cls, reason: str) -> "RelationOutcome":
         return cls(satisfied=False, reason=reason)
+
+
+#: The one satisfied outcome: it carries no reason, so every satisfied
+#: relation and assertion shares it.
+SATISFIED = RelationOutcome(satisfied=True)
 
 
 def _texts_equal(attribute: str, left: str, right: str) -> bool:
@@ -154,7 +157,7 @@ def _match_eq(attribute, asserted, present) -> RelationOutcome:
                 f"request must not contain {attribute!r} "
                 f"(found {', '.join(present)})"
             )
-        return RelationOutcome.ok()
+        return SATISFIED
     if not present:
         return RelationOutcome.fail(
             f"request must contain {attribute!r} with value in "
@@ -166,7 +169,7 @@ def _match_eq(attribute, asserted, present) -> RelationOutcome:
                 f"{attribute!r} value {value!r} not among permitted "
                 f"{{{', '.join(asserted)}}}"
             )
-    return RelationOutcome.ok()
+    return SATISFIED
 
 
 def _match_neq(attribute, asserted, present) -> RelationOutcome:
@@ -176,14 +179,14 @@ def _match_neq(attribute, asserted, present) -> RelationOutcome:
             return RelationOutcome.fail(
                 f"request must contain a non-empty {attribute!r}"
             )
-        return RelationOutcome.ok()
+        return SATISFIED
     for value in present:
         for forbidden in asserted:
             if _texts_equal(attribute, value, forbidden):
                 return RelationOutcome.fail(
                     f"{attribute!r} must not take value {forbidden!r}"
                 )
-    return RelationOutcome.ok()
+    return SATISFIED
 
 
 def _match_ordering(op: Relop, attribute, asserted, present) -> RelationOutcome:
@@ -221,7 +224,7 @@ def _match_ordering_bound(
                 f"{attribute!r} value {value} violates bound "
                 f"{op.value} {bound_text}"
             )
-    return RelationOutcome.ok()
+    return SATISFIED
 
 
 _COMPARISONS = {
@@ -242,7 +245,7 @@ def match_assertion(
         outcome = match_relation(relation, request_spec, context)
         if not outcome.satisfied:
             return outcome
-    return RelationOutcome.ok()
+    return SATISFIED
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +398,13 @@ def match_lowered_relation(
         return lowered.static_failure
     present = values.get(lowered.lookup, _NO_VALUES)
     if lowered.needs_self:
+        requester = context.requester
+        if (
+            requester is not None
+            and lowered.op is Relop.EQ
+            and len(lowered.asserted) == 1
+        ):
+            return _match_self(lowered, present, str(requester))
         # ``self`` resolves per request: fall back to the generic
         # helpers with the freshly resolved value list.
         asserted = [
@@ -414,6 +424,31 @@ def match_lowered_relation(
     )
 
 
+def _match_self(
+    lowered: LoweredRelation, present: Tuple[str, ...], identity: str
+) -> RelationOutcome:
+    """:func:`_match_eq` of ``(attr = self)``, *identity* resolved.
+
+    A rendered DN holds ``=`` in every component (or is empty), so it
+    never parses as a number and :func:`_texts_equal` could only take
+    its textual branch: the comparison is made directly.
+    """
+    attribute = lowered.attribute
+    if not present:
+        return RelationOutcome.fail(
+            f"request must contain {attribute!r} with value in {{{identity}}}"
+        )
+    fold = lowered.case_insensitive
+    wanted = identity.lower() if fold else identity
+    for value in present:
+        if (value.lower() if fold else value) != wanted:
+            return RelationOutcome.fail(
+                f"{attribute!r} value {value!r} not among permitted "
+                f"{{{identity}}}"
+            )
+    return SATISFIED
+
+
 def _match_eq_lowered(
     lowered: LoweredRelation, present: Tuple[str, ...]
 ) -> RelationOutcome:
@@ -426,7 +461,7 @@ def _match_eq_lowered(
                 f"request must not contain {attribute!r} "
                 f"(found {', '.join(present)})"
             )
-        return RelationOutcome.ok()
+        return SATISFIED
     if not present:
         return RelationOutcome.fail(
             f"request must contain {attribute!r} with value in "
@@ -444,7 +479,7 @@ def _match_eq_lowered(
                     f"{attribute!r} value {value!r} not among permitted "
                     f"{{{lowered.joined}}}"
                 )
-        return RelationOutcome.ok()
+        return SATISFIED
     for value in present:
         left_num = _try_number(value)
         matched = False
@@ -467,7 +502,7 @@ def _match_eq_lowered(
                 f"{attribute!r} value {value!r} not among permitted "
                 f"{{{lowered.joined}}}"
             )
-    return RelationOutcome.ok()
+    return SATISFIED
 
 
 def _match_neq_lowered(
@@ -481,7 +516,7 @@ def _match_neq_lowered(
             return RelationOutcome.fail(
                 f"request must contain a non-empty {attribute!r}"
             )
-        return RelationOutcome.ok()
+        return SATISFIED
     for value in present:
         left_num = _try_number(value)
         for forbidden, forbidden_num, forbidden_folded in zip(
@@ -497,4 +532,4 @@ def _match_neq_lowered(
                 return RelationOutcome.fail(
                     f"{attribute!r} must not take value {forbidden!r}"
                 )
-    return RelationOutcome.ok()
+    return SATISFIED

@@ -142,16 +142,28 @@ class DecisionContext:
     def from_request(
         cls, request: AuthorizationRequest, placement: str = ""
     ) -> "DecisionContext":
+        # The key renders requester, action, jobtag and owner once for
+        # the context and every repeat path; a request with no key
+        # (delegated policy) renders its own.
+        key = request_key(request)
+        if key is None:
+            key = (
+                str(request.requester),
+                request.action._value_,
+                request.jobtag,
+                str(request.owner),
+            )
+        # Positional: request_id, requester, action, correlation_id,
+        # jobtag, jobowner, job_id, placement.
         return cls(
             f"dec-{next(_decision_counter):d}",
-            str(request.requester),
-            # ``_value_`` is the member's value (what ``str`` of an
-            # Action renders) without the ``value`` property's cost.
-            request.action._value_,
-            jobtag=request.jobtag or "",
-            jobowner=str(request.owner),
-            job_id=request.job_id,
-            placement=placement,
+            key[0],
+            key[1],
+            "",
+            key[2] or "",
+            key[3],
+            request.job_id,
+            placement,
         )
 
     # -- recording ---------------------------------------------------------
@@ -458,13 +470,14 @@ class EpochView:
 
     def __init__(self, members: Sequence[Tuple[str, Any]] = ()) -> None:
         self._members: List[Tuple[str, Any]] = list(members)
+        self._sources = tuple(source for _, source in self._members)
         # (raw epochs, snapshot) as one tuple, so a reader never pairs
         # one call's raw epochs with another call's snapshot.
         self._memo: Tuple[Any, EpochSnapshot] = (None, ())
 
     def snapshot(self) -> EpochSnapshot:
         """The members' current ``(name, repr(epoch))`` pairs."""
-        raw = tuple([epoch_of(source) for _, source in self._members])
+        raw = tuple(map(epoch_of, self._sources))
         memo_raw, snapshot = self._memo
         if raw != memo_raw:
             snapshot = tuple(

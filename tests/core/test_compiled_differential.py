@@ -9,11 +9,24 @@ edge semantics (``self``, ``NULL``, unresolved variables, numeric and
 non-equality action guards) with hand-crafted policies.
 """
 
+import random
+
 import pytest
 
+from repro.core.attributes import Action
+from repro.core.compiled import evaluation_view
 from repro.core.evaluator import PolicyEvaluator
+from repro.core.matching import request_value_view
 from repro.core.parser import parse_policy
 from repro.core.request import AuthorizationRequest
+from repro.rsl.ast import (
+    Concatenation,
+    Relation,
+    Relop,
+    Specification,
+    Value,
+    VariableReference,
+)
 from repro.rsl.parser import parse_specification
 from repro.workloads.generator import (
     DEFAULT_ORG_PREFIX,
@@ -307,6 +320,112 @@ class TestEdgeSemantics:
             f"{BO}: {assertions}",
             [start(BO, "&(executable=other)")],
         )
+
+
+#: ``self`` on every path of the matcher: alone on a case-sensitive
+#: and a case-insensitive attribute, beside another value, negated, and
+#: in a requirement, next to spoofable, NULL, variable and ordering
+#: relations.
+SHARED_POLICY = f"""
+&{ORG}:
+    (action = start)(jobtag != NULL)
+    (action = suspend)(jobowner = self)
+{ORG}:
+    &(action = start)(executable = test1 test2)(count < 4)
+    &(action = cancel)(jobowner = self)
+    &(action = information)(jobowner = self)
+    &(action = information)(jobtag = NFC)(queue = NULL)
+    &(action = signal)(jobtag = self)
+    &(action = suspend)(jobowner = self "{KATE}")
+    &(action = resume)(jobowner != self)(count >= 1)
+{BO}:
+    &(action = cancel)(directory = $(HOME))
+    &(executable = test2)(count = 4)
+"""
+
+OUTSIDER = "/O=Elsewhere/OU=other.org/CN=Stranger"
+
+_VALUE_POOL = (
+    lambda rng: Value.of(rng.choice(["test1", "test2", "rogue"])),
+    lambda rng: Value.of(rng.choice(["NFC", "nfc", "ADS"])),
+    lambda rng: Value.of(rng.choice(["4", "4.0", "1", "99"])),
+    lambda rng: Value.of("NULL"),
+    lambda rng: Value.of(""),
+    lambda rng: Value.of(rng.choice([BO, KATE, OUTSIDER, BO.lower()])),
+    lambda rng: Value.of(rng.choice(["start", "cancel", "START"])),
+    lambda rng: VariableReference("HOME"),
+    lambda rng: Concatenation((VariableReference("HOME"), Value.of("/out"))),
+)
+
+_ATTRIBUTES = (
+    "executable",
+    "directory",
+    "jobtag",
+    "count",
+    "queue",
+    "action",  # spoofed: the request computes its own
+    "jobowner",  # spoofed likewise
+    "ACTION",  # not exactly the lowered form: a plain attribute
+)
+
+
+def _random_description(rng):
+    """A description with every kind of relation a view must sort out."""
+    relations = []
+    for _ in range(rng.randint(1, 7)):
+        # Repeated attributes are likely: eight names, up to seven draws.
+        attribute = rng.choice(_ATTRIBUTES)
+        op = rng.choice((Relop.EQ, Relop.EQ, Relop.EQ, Relop.NEQ, Relop.LT))
+        values = tuple(
+            rng.choice(_VALUE_POOL)(rng) for _ in range(rng.randint(1, 3))
+        )
+        relations.append(Relation(attribute, op, values))
+    return Specification(tuple(relations))
+
+
+class TestSharedDescriptions:
+    """Descriptions shared by many questions, as a job's is shared by
+    its start and every later status, cancel and information: the part
+    of the view kept on a description must never carry one question's
+    computed attributes into another, nor leak to a caller."""
+
+    @pytest.mark.parametrize("seed", [5, 29, 173])
+    def test_every_question_on_a_shared_description(self, seed):
+        rng = random.Random(seed)
+        policy = parse_policy(SHARED_POLICY, name="shared")
+        compiled = PolicyEvaluator(policy)
+        interpreted = PolicyEvaluator(policy, compiled=False)
+        requests = []
+        for _ in range(40):
+            spec = _random_description(rng)
+            for requester in (BO, KATE, OUTSIDER):
+                requests.append(AuthorizationRequest.start(requester, spec))
+                for action in Action:
+                    if action is Action.START:
+                        continue
+                    for owner in (BO, KATE):
+                        requests.append(
+                            AuthorizationRequest.manage(
+                                requester, action, spec, jobowner=owner
+                            )
+                        )
+        # A different question builds each description's kept part.
+        rng.shuffle(requests)
+        permits = 0
+        for request in requests:
+            view = evaluation_view(request)
+            assert view == request_value_view(
+                request.evaluation_specification()
+            ), request
+            a = observed(compiled.evaluate(request))
+            assert a == observed(interpreted.evaluate(request)), request
+            permits += a[0].value == "permit"
+            # Whatever a caller does to its view reaches no later one.
+            view.clear()
+            view["executable"] = ("rogue",)
+            view["queue"] = ("reserved",)
+        assert len(requests) == 40 * 3 * 11
+        assert 0 < permits < len(requests)
 
 
 class TestMemoDoesNotChangeDecisions:
