@@ -19,9 +19,9 @@ questions cost O(the subject's statements), not O(total policy size):
 * :class:`QueryEngine` — the *epoch-guarded* production wrapper over
   one or more live :class:`~repro.core.evaluator.PolicyEvaluator`
   sources.  Every answer first compares the watched policy epochs and
-  atomically rebuilds the indexes on any change, so a stale index
-  never serves a decision — the same fail-closed discipline as
-  capability grants.
+  atomically rebuilds the index of every source whose epoch moved, so
+  a stale index never serves a decision — the same fail-closed
+  discipline as capability grants.
 
 **Deny-safety.**  The engine's :meth:`QueryEngine.check_request` /
 :meth:`QueryEngine.check_action` answer a *pre-decision*: either
@@ -51,10 +51,10 @@ import time
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.combination import CombinationAlgorithm
-from repro.core.compiled import _AssertionSummary, _summarise, evaluation_view
+from repro.core.compiled import _summarise, evaluation_view
 from repro.core.matching import MatchContext, match_lowered_relation
 from repro.core.model import (
     Policy,
@@ -71,7 +71,7 @@ from repro.rsl.ast import Specification
 #: indexable — they are reachable for every action.
 ANY_ACTION = "<any>"
 
-#: Default bound on the per-identity profile memo of a QueryIndex.
+#: Default bound on the per-identity memo of a QueryIndex.
 DEFAULT_PROFILE_CAP = 4096
 
 
@@ -120,17 +120,25 @@ class SubjectPermission:
         )
 
 
-@dataclass(frozen=True)
-class _StatementView:
-    """One applicable statement with its assertion summaries."""
+class _Reach(NamedTuple):
+    """One identity's memo entry: what it can reach in one policy."""
 
-    statement: PolicyStatement
-    order: int
-    summaries: Tuple[_AssertionSummary, ...]
+    #: Orders of the applicable grant statements, ascending.
+    grants: Tuple[int, ...]
+    #: Orders of the applicable requirement statements, ascending.
+    requirements: Tuple[int, ...]
+    #: Lowered action values reachable through some grant assertion.
+    grant_actions: frozenset
+    #: Whether any grant assertion is reachable for *every* action.
+    has_catchall: bool
 
-    @property
-    def kind(self) -> StatementKind:
-        return self.statement.kind
+    def classify(self, action: str) -> Reachability:
+        """What forward evaluation could do for this subject × action."""
+        if not self.grants and not self.requirements:
+            return Reachability.NOT_APPLICABLE
+        if self.has_catchall or action.lower() in self.grant_actions:
+            return Reachability.REACHABLE
+        return Reachability.DENIED
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ class SubjectProfile:
     """Everything the index knows about one subject identity."""
 
     identity: str
-    grants: Tuple[_StatementView, ...]
-    requirements: Tuple[_StatementView, ...]
+    grants: Tuple[PolicyStatement, ...]
+    requirements: Tuple[PolicyStatement, ...]
     #: Lowered action values reachable through some grant assertion.
     grant_actions: frozenset
     #: Whether any grant assertion is reachable for *every* action.
@@ -149,14 +157,6 @@ class SubjectProfile:
     @property
     def statement_count(self) -> int:
         return len(self.grants) + len(self.requirements)
-
-    def classify(self, action: str) -> Reachability:
-        """What forward evaluation could do for this subject × action."""
-        if not self.grants and not self.requirements:
-            return Reachability.NOT_APPLICABLE
-        if self.has_catchall or action.lower() in self.grant_actions:
-            return Reachability.REACHABLE
-        return Reachability.DENIED
 
 
 @dataclass(frozen=True)
@@ -185,18 +185,28 @@ class QueryStats:
 class QueryIndex:
     """The reverse index of one immutable :class:`Policy`.
 
-    Subject lookup mirrors :class:`~repro.core.compiled.CompiledPolicy`
-    exactly — exact-DN hash map plus a sorted prefix array probed once
-    per distinct prefix length — so selecting a subject's statements is
-    O(distinct prefix lengths + hits).  Per-assertion summaries (action
-    keys, lowered relations) are cached on the assertion instances,
-    so policies that share assertion objects across many statements
-    (large generated stores) summarise each distinct assertion once.
+    Construction builds only the subject lookup, which mirrors
+    :class:`~repro.core.compiled.CompiledPolicy` exactly — exact-DN
+    hash map plus a sorted prefix array probed once per distinct
+    prefix length — so selecting a subject's statements is
+    O(distinct prefix lengths + hits).  Per-assertion summaries
+    (action keys, lowered relations) are cached on the assertion
+    instances, so policies that share assertion objects across many
+    statements (large generated stores) summarise each distinct
+    assertion once.
 
-    Thread-safe: the only mutable state is the bounded LRU profile
-    memo, guarded by a lock.  An index is tied to the exact ``Policy``
-    it was built from and can never go stale; liveness against policy
-    *replacement* is the :class:`QueryEngine`'s job.
+    One bounded LRU memo per identity holds what a pre-decision
+    reads: the applicable statement orders and the reachability they
+    give (applicable, grant action keys, catch-all).
+    :meth:`classify` and :meth:`grant_reachable` read only that entry;
+    :meth:`profile` and the queries over it build provenance from the
+    entry on demand.  The per-action subject buckets, which only
+    :meth:`subjects_for` reads, are built on the first per-job query.
+
+    Thread-safe: the memo and the lazy buckets are guarded by a lock.
+    An index is tied to the exact ``Policy`` it was built from and can
+    never go stale; liveness against policy *replacement* is the
+    :class:`QueryEngine`'s job.
     """
 
     def __init__(
@@ -211,25 +221,10 @@ class QueryIndex:
 
         exact: Dict[str, List[int]] = {}
         prefix_map: Dict[str, List[int]] = {}
-        actions_exact: Dict[str, set] = {}
-        actions_prefix: Dict[str, set] = {}
-        catchall_exact: set = set()
-        catchall_prefix: set = set()
         for order, statement in enumerate(policy.statements):
             subject = statement.subject
             target = exact if subject.exact else prefix_map
             target.setdefault(subject.pattern, []).append(order)
-            if statement.kind is not StatementKind.GRANT:
-                continue
-            by_action = actions_exact if subject.exact else actions_prefix
-            catchall = catchall_exact if subject.exact else catchall_prefix
-            for assertion in statement.assertions:
-                summary = _summarise(assertion)
-                if summary.action_keys is None:
-                    catchall.add(subject.pattern)
-                else:
-                    for key in summary.action_keys:
-                        by_action.setdefault(key, set()).add(subject.pattern)
 
         self._exact: Dict[str, Tuple[int, ...]] = {
             pattern: tuple(orders) for pattern, orders in exact.items()
@@ -241,18 +236,11 @@ class QueryIndex:
         self._prefix_lengths: Tuple[int, ...] = tuple(
             sorted({len(pattern) for pattern in self._prefixes})
         )
-        self._actions_exact = {
-            key: tuple(sorted(subjects))
-            for key, subjects in actions_exact.items()
-        }
-        self._actions_prefix = {
-            key: tuple(sorted(subjects))
-            for key, subjects in actions_prefix.items()
-        }
-        self._catchall_exact = tuple(sorted(catchall_exact))
-        self._catchall_prefix = tuple(sorted(catchall_prefix))
+        #: ``(exact by action, prefix by action, exact catch-all,
+        #: prefix catch-all)``, built by the first per-job query.
+        self._buckets: Optional[Tuple] = None
 
-        self._profiles: "OrderedDict[str, SubjectProfile]" = OrderedDict()
+        self._memo: "OrderedDict[str, _Reach]" = OrderedDict()
         self._profile_cap = profile_cap
         self._lock = threading.Lock()
         self.profile_hits = 0
@@ -267,24 +255,23 @@ class QueryIndex:
 
     # -- per-subject queries -------------------------------------------------
 
-    def profile(self, identity: Union[str, DistinguishedName]) -> SubjectProfile:
-        """The subject's reachable-permission profile, memoized."""
-        key = str(identity)
+    def _reach(self, identity: str) -> _Reach:
+        """The identity's memo entry, built on a miss."""
         with self._lock:
-            cached = self._profiles.get(key)
+            cached = self._memo.get(identity)
             if cached is not None:
-                self._profiles.move_to_end(key)
+                self._memo.move_to_end(identity)
                 self.profile_hits += 1
                 return cached
-        built = self._build_profile(key)
+        built = self._build_reach(identity)
         with self._lock:
             self.profile_misses += 1
-            self._profiles[key] = built
-            if len(self._profiles) > self._profile_cap:
-                self._profiles.popitem(last=False)
+            self._memo[identity] = built
+            if len(self._memo) > self._profile_cap:
+                self._memo.popitem(last=False)
         return built
 
-    def _build_profile(self, identity: str) -> SubjectProfile:
+    def _build_reach(self, identity: str) -> _Reach:
         orders: List[int] = list(self._exact.get(identity, ()))
         prefixes = self._prefixes
         for length in self._prefix_lengths:
@@ -296,49 +283,65 @@ class QueryIndex:
                 orders.extend(self._prefix_orders[index])
         orders.sort()
 
-        grants: List[_StatementView] = []
-        requirements: List[_StatementView] = []
+        statements = self.policy.statements
+        grants: List[int] = []
+        requirements: List[int] = []
         grant_actions: set = set()
         has_catchall = False
-        permissions: List[SubjectPermission] = []
         for order in orders:
-            statement = self.policy.statements[order]
-            view = _StatementView(
-                statement=statement,
-                order=order,
-                summaries=tuple(
-                    _summarise(a) for a in statement.assertions
-                ),
-            )
+            statement = statements[order]
             if statement.kind is not StatementKind.GRANT:
-                requirements.append(view)
+                requirements.append(order)
                 continue
-            grants.append(view)
-            for summary in view.summaries:
-                if summary.action_keys is None:
+            grants.append(order)
+            for assertion in statement.assertions:
+                keys = _summarise(assertion).action_keys
+                if keys is None:
                     has_catchall = True
-                    actions: Tuple[str, ...] = (ANY_ACTION,)
                 else:
-                    grant_actions.update(summary.action_keys)
-                    actions = summary.action_keys
-                body = summary.assertion.body()
-                for action in actions:
-                    permissions.append(
-                        SubjectPermission(
-                            action=action,
-                            constraints=body,
-                            granted_by=str(statement.subject),
-                            source=self.source,
-                            statement_order=order,
-                            assertion=summary.assertion,
-                        )
-                    )
-        return SubjectProfile(
-            identity=identity,
+                    grant_actions.update(keys)
+        return _Reach(
             grants=tuple(grants),
             requirements=tuple(requirements),
             grant_actions=frozenset(grant_actions),
             has_catchall=has_catchall,
+        )
+
+    def profile(self, identity: Union[str, DistinguishedName]) -> SubjectProfile:
+        """The subject's reachable-permission profile.
+
+        Built from the memoized entry on every call: provenance is
+        only paid for by the callers that read it.
+        """
+        key = str(identity)
+        reach = self._reach(key)
+        statements = self.policy.statements
+        permissions: List[SubjectPermission] = []
+        for order in reach.grants:
+            statement = statements[order]
+            granted_by = str(statement.subject)
+            for assertion in statement.assertions:
+                keys = _summarise(assertion).action_keys
+                body = assertion.body()
+                for action in (ANY_ACTION,) if keys is None else keys:
+                    permissions.append(
+                        SubjectPermission(
+                            action=action,
+                            constraints=body,
+                            granted_by=granted_by,
+                            source=self.source,
+                            statement_order=order,
+                            assertion=assertion,
+                        )
+                    )
+        return SubjectProfile(
+            identity=key,
+            grants=tuple(statements[order] for order in reach.grants),
+            requirements=tuple(
+                statements[order] for order in reach.requirements
+            ),
+            grant_actions=reach.grant_actions,
+            has_catchall=reach.has_catchall,
             permissions=tuple(permissions),
         )
 
@@ -352,15 +355,13 @@ class QueryIndex:
         self, identity: Union[str, DistinguishedName]
     ) -> Tuple[PolicyStatement, ...]:
         """The requirement statements that constrain *identity*."""
-        return tuple(
-            view.statement for view in self.profile(identity).requirements
-        )
+        return self.profile(identity).requirements
 
     def classify(
         self, identity: Union[str, DistinguishedName], action: str
     ) -> Reachability:
         """Static subject × action classification (no job description)."""
-        return self.profile(identity).classify(action)
+        return self._reach(str(identity)).classify(action)
 
     def grant_reachable(self, request: AuthorizationRequest) -> bool:
         """Deep check: could any grant assertion match *request*?
@@ -370,14 +371,16 @@ class QueryIndex:
         ``False`` means forward evaluation provably cannot PERMIT
         under this policy (requirements can only deny further).
         """
-        profile = self.profile(str(request.requester))
-        if not profile.grants:
+        reach = self._reach(str(request.requester))
+        if not reach.grants:
             return False
         action_key = str(request.action)
         values = evaluation_view(request)
         context = MatchContext(requester=request.requester)
-        for view in profile.grants:
-            for summary in view.summaries:
+        statements = self.policy.statements
+        for order in reach.grants:
+            for assertion in statements[order].assertions:
+                summary = _summarise(assertion)
                 keys = summary.action_keys
                 if keys is not None and action_key not in keys:
                     continue
@@ -397,14 +400,38 @@ class QueryIndex:
 
         Returns ``(exact identities, prefix groups)``, each the union
         of the action's bucket and the catch-all bucket — the inverse
-        of :meth:`classify`, straight off the build-time index.
+        of :meth:`classify`.
         """
+        by_action_exact, by_action_prefix, catchall_exact, catchall_prefix = (
+            self._subject_buckets()
+        )
         key = action.lower()
-        exact = set(self._actions_exact.get(key, ()))
-        exact.update(self._catchall_exact)
-        groups = set(self._actions_prefix.get(key, ()))
-        groups.update(self._catchall_prefix)
+        exact = set(by_action_exact.get(key, ()))
+        exact.update(catchall_exact)
+        groups = set(by_action_prefix.get(key, ()))
+        groups.update(catchall_prefix)
         return tuple(sorted(exact)), tuple(sorted(groups))
+
+    def _subject_buckets(self) -> Tuple:
+        """The per-action subject buckets, built once under the lock."""
+        with self._lock:
+            if self._buckets is None:
+                by_action: Tuple[Dict[str, set], Dict[str, set]] = ({}, {})
+                catchall: Tuple[set, set] = (set(), set())
+                for statement in self.policy.statements:
+                    if statement.kind is not StatementKind.GRANT:
+                        continue
+                    side = 0 if statement.subject.exact else 1
+                    pattern = statement.subject.pattern
+                    for assertion in statement.assertions:
+                        keys = _summarise(assertion).action_keys
+                        if keys is None:
+                            catchall[side].add(pattern)
+                            continue
+                        for key in keys:
+                            by_action[side].setdefault(key, set()).add(pattern)
+                self._buckets = by_action + catchall
+            return self._buckets
 
     def permitted_subjects(
         self,
@@ -459,7 +486,7 @@ class QueryIndex:
 
     @property
     def profile_memo_size(self) -> int:
-        return len(self._profiles)
+        return len(self._memo)
 
     def __len__(self) -> int:
         return len(self.policy.statements)
@@ -515,11 +542,21 @@ class QueryEngine:
     """Epoch-guarded reverse index over live policy sources.
 
     Wraps the :class:`~repro.core.evaluator.PolicyEvaluator` members
-    of a combined evaluator.  Every answer calls
-    :meth:`ensure_fresh` first: the watched epoch tuple is compared
-    and, on any change, every index is rebuilt before the answer is
-    produced — a policy bump atomically invalidates the reverse index,
-    so a stale index never serves a decision.
+    of a combined evaluator, one :class:`QueryIndex` each.  Every
+    answer calls :meth:`ensure_fresh` first: each evaluator's epoch is
+    compared with the one its index was built at, and every index
+    whose evaluator's epoch moved is rebuilt before the answer is
+    produced — a policy bump atomically invalidates that source's
+    reverse index, so a stale index never serves a decision.  A source
+    the bump left alone keeps its index and the identities memoized
+    in it: a policy-store publish that keeps a source's text keeps
+    its evaluator's ``Policy`` and epoch, so only the sources whose
+    text changed are rebuilt.
+
+    A pre-decision (:meth:`check_action`, :meth:`check_request`) reads
+    each index's per-identity reachability entry and nothing else;
+    :meth:`explain` builds the permissions, with provenance, from the
+    same entries on demand.
     """
 
     def __init__(
@@ -537,7 +574,10 @@ class QueryEngine:
         #: by :meth:`from_combined`.
         self.combined = None
         self.consumer = consumer
-        self._indexes: Optional[Tuple[QueryIndex, ...]] = None
+        #: One index per evaluator; ``None`` until the first answer.
+        self._indexes: Tuple[Optional[QueryIndex], ...] = (
+            (None,) * len(self.evaluators)
+        )
         self._built_epoch: Optional[Tuple] = None
         self._lock = threading.Lock()
         self.rebuilds = 0
@@ -562,14 +602,21 @@ class QueryEngine:
         return self._epoch()
 
     def ensure_fresh(self) -> Tuple[QueryIndex, ...]:
-        """The live indexes, rebuilt if any watched epoch moved."""
+        """The live indexes, each rebuilt if its evaluator's epoch moved."""
         epoch = self._epoch()
         with self._lock:
-            if self._indexes is not None and self._built_epoch == epoch:
+            if self._built_epoch == epoch:
                 return self._indexes
             self._indexes = tuple(
-                QueryIndex(evaluator.policy, source=evaluator.source)
-                for evaluator in self.evaluators
+                index
+                if index is not None and then == now
+                else QueryIndex(evaluator.policy, source=evaluator.source)
+                for evaluator, index, then, now in zip(
+                    self.evaluators,
+                    self._indexes,
+                    self._built_epoch or epoch,
+                    epoch,
+                )
             )
             self._built_epoch = epoch
             self.rebuilds += 1
@@ -593,8 +640,8 @@ class QueryEngine:
         """Static pre-decision for subject × action (no job description).
 
         The cheap form — no RSL parse — used by the gatekeeper's
-        admission fast-deny: after one profile memoization it is a
-        set-membership test per source.
+        admission fast-deny: after one reachability memoization it is
+        a set-membership test per source.
         """
         indexes = self.ensure_fresh()
         self._count_check()
@@ -721,8 +768,7 @@ class QueryEngine:
             applicable += profile.statement_count
             permissions.extend(profile.permissions)
             requirements.extend(
-                (index.source, view.statement)
-                for view in profile.requirements
+                (index.source, statement) for statement in profile.requirements
             )
         return SubjectExplanation(
             identity=identity_text,

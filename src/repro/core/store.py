@@ -27,7 +27,11 @@ This module adds the missing control plane:
   reference flip — the first decision at the new epoch never pays
   compilation.  A publish parses and compiles only the statements
   whose text the active snapshot lacks; every other statement is the
-  active snapshot's own object, compiled form included.
+  active snapshot's own object, compiled form included.  A source
+  whose name and exact text equal the active snapshot's is not parsed
+  at all: it keeps the active ``Policy`` object, so a subscriber that
+  already serves that object leaves it, its epoch and everything
+  memoized on it in place.
 * :class:`PolicyWatcher` — the hot-reload path: polls file
   mtimes/digests under the **sim clock** and publishes the diff.  The
   rejection guarantees above apply unchanged — a half-written or
@@ -46,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -168,22 +173,46 @@ class PolicyBundle:
         self,
         reuse: Optional[Mapping[str, StatementMap]] = None,
         record: Optional[Dict[str, StatementMap]] = None,
+        active: Optional["PolicySnapshot"] = None,
     ) -> Tuple[Policy, ...]:
         """Parse every source (raises :class:`PolicyParseError`).
 
         *reuse* and *record* hold, per source name, the ``reuse`` and
         ``record`` maps that :func:`parse_policy` takes for that source.
+        A source whose name and exact text equal one of the *active*
+        snapshot's is not parsed: it keeps that snapshot's ``Policy``
+        object, and its *reuse* map is recorded as is.  A name that
+        either bundle repeats keeps nothing.
         """
         reuse = reuse or {}
-        return tuple(
-            parse_policy(
-                text,
-                name=name,
-                reuse=reuse.get(name),
-                record=None if record is None else record.setdefault(name, {}),
+        kept: Dict[str, Tuple[str, Policy]] = {}
+        if active is not None:
+            names = Counter(self.source_names)
+            active_names = Counter(active.bundle.source_names)
+            kept = {
+                name: (text, policy)
+                for (name, text), policy in zip(
+                    active.bundle.sources, active.policies
+                )
+                if names[name] == active_names[name] == 1
+            }
+        policies = []
+        for name, text in self.sources:
+            prior = kept.get(name)
+            if prior is not None and prior[0] == text:
+                policies.append(prior[1])
+                if record is not None:
+                    record[name] = reuse.get(name, {})
+                continue
+            policies.append(
+                parse_policy(
+                    text,
+                    name=name,
+                    reuse=reuse.get(name),
+                    record=None if record is None else record.setdefault(name, {}),
+                )
             )
-            for name, text in self.sources
-        )
+        return tuple(policies)
 
 
 @dataclass(frozen=True)
@@ -238,8 +267,9 @@ class VersionedPolicyStore:
             Callable[[PolicyBundle, Tuple[Policy, ...]], None]
         ] = []
         #: The active snapshot's statements, per source name.  A
-        #: publish parses and compiles only statements not in here;
-        #: only a committed publish replaces it.
+        #: publish parses and compiles only statements not in here; a
+        #: kept source keeps its map.  Only a committed publish
+        #: replaces it.
         self._statements: Dict[str, StatementMap] = {}
         self.published_total = 0
         self.noop_publishes = 0
@@ -332,7 +362,10 @@ class VersionedPolicyStore:
         stays active — callers keep serving the old epoch — and the
         rejection is counted and raised as :class:`BundleRejected`.
         Identical content (digest match) short-circuits to the active
-        snapshot without bumping the epoch.
+        snapshot without bumping the epoch.  Otherwise each source
+        whose name and text are unchanged keeps its active ``Policy``
+        (see :meth:`PolicyBundle.parse`); the epoch still moves, and
+        so do the evaluator epochs of the sources that changed.
         """
         active = self.active()
         if active is not None and bundle.digest == active.digest:
@@ -342,13 +375,13 @@ class VersionedPolicyStore:
             self._reject(REJECT_EMPTY, "bundle has no policy sources")
         statements: Dict[str, StatementMap] = {}
         try:
-            policies = bundle.parse(self._statements, statements)
+            policies = bundle.parse(self._statements, statements, active)
         except PolicyParseError as exc:
             self._reject(REJECT_PARSE, str(exc))
         # Pre-compile into the engine cache now, so the subscriber-side
         # swap is a reference flip and the first decision at the new
-        # epoch pays no compilation.  Statements kept from the active
-        # snapshot bring their compiled form with them.
+        # epoch pays no compilation.  Statements and sources kept from
+        # the active snapshot bring their compiled form with them.
         for policy in policies:
             compiled_for(policy)
         for validator in self._validators:
@@ -465,7 +498,9 @@ class VersionedPolicyStore:
                     epoch=int(record["epoch"]),
                     digest=bundle.digest,
                     bundle=bundle,
-                    policies=bundle.parse(self._statements, statements),
+                    policies=bundle.parse(
+                        self._statements, statements, self.active()
+                    ),
                     published_at=float(record.get("published_at", 0.0)),
                     parent=str(record.get("parent", "")),
                     origin=str(record.get("origin", "api")),

@@ -392,15 +392,21 @@ class GramService:
     def apply_policy_snapshot(self, snapshot: PolicySnapshot) -> int:
         """Atomically swap *snapshot*'s policies into the live engines.
 
-        Each member evaluator whose policy content changed is swapped
+        Each member evaluator whose policy object changed is swapped
         via :meth:`~repro.core.evaluator.PolicyEvaluator.replace_policy`
         (a reference flip — publish already compiled), bumping its
-        epoch.  The epoch view (through the callout registry) and the
-        query engine both watch those epochs, so every consumer
-        observes the swap as one consistent epoch step: requests
-        before it decide (and hit capability grants) entirely under
-        the old epoch, requests after it entirely under the new one.
-        Returns the number of sources swapped.
+        epoch.  The store hands back the active ``Policy`` object for
+        every source whose text the publish left byte-identical, so
+        that source is not swapped: its epoch, its compiled memo and
+        its reverse index survive, and its epoch in a decision's
+        provenance moves only when its text changes.  The epoch view
+        (through the callout registry) and the query engine both watch
+        the member epochs, so every consumer observes the swap as one
+        consistent epoch step: requests before it decide (and hit
+        capability grants) entirely under the old epoch, requests
+        after it entirely under the new one.  The query engine
+        rebuilds only the swapped sources' indexes.  Returns the
+        number of sources swapped.
         """
         if self.combined_evaluator is None:
             return 0

@@ -23,7 +23,16 @@ and as grants or requirements.  After every step the suite checks:
     while no object is ever shared between two source names;
 (e) with ``repro.core.parser.parse_specification`` counted, a publish
     parses exactly the assertions of the distinct statement texts that
-    the previous active snapshot lacks for that source.
+    the previous active snapshot lacks for that source;
+(f) a source whose text is byte-identical to the previous active
+    snapshot's keeps the same ``Policy`` object, its evaluator keeps its
+    epoch and the ``QueryEngine`` keeps its index object, while a source
+    whose text changed (a restyle included) gets a new ``Policy``, a
+    moved epoch and a new index.
+
+A publish re-renders only the sources its step changed (and, on a
+restyle, the one source it restyles); every other source keeps the
+text of the active snapshot byte for byte.
 """
 
 import random
@@ -251,6 +260,9 @@ class PublishSequence:
         #: by ``id``; ``alive`` keeps the objects so ids stay unique.
         self.owner: Dict[int, str] = {}
         self.alive: List[object] = []
+        #: Per source, what the live consumers served after the last
+        #: step: the evaluator's policy and epoch and the engine's index.
+        self.served: Dict[str, Tuple[object, int, object]] = {}
         self.store = self._open()
 
     # -- the store and its consumers ---------------------------------------
@@ -276,16 +288,28 @@ class PublishSequence:
         if not self.live:
             self._serve(snapshot)
             return
+        # Like ``GramService.apply_policy_snapshot``: a policy object
+        # the evaluator already serves is not swapped.
         for policy in snapshot.policies:
-            self.live[policy.name].replace_policy(policy)
+            evaluator = self.live[policy.name]
+            if policy is not evaluator.policy:
+                evaluator.replace_policy(policy)
 
     # -- steps ---------------------------------------------------------------
 
-    def publish(self, model: Model, rejected: str = "") -> None:
-        bundle = PolicyBundle.from_texts(
-            {name: render(model[name], self.rng) for name in SOURCES}
-        )
+    def publish(
+        self, model: Model, rejected: str = "", restyle: str = ""
+    ) -> None:
         previous = self.store.active()
+        texts = dict(previous.bundle.sources) if previous is not None else {}
+        bundle = PolicyBundle.from_texts(
+            {
+                name: texts[name]
+                if name != restyle and model[name] == self.model.get(name)
+                else render(model[name], self.rng)
+                for name in SOURCES
+            }
+        )
         self.counter.calls = 0
         try:
             snapshot = self.store.publish(bundle)
@@ -298,6 +322,9 @@ class PublishSequence:
         self.committed(previous, snapshot, model)
 
     def committed(self, previous, snapshot, model: Model) -> None:
+        if previous is not None:
+            self.check_kept(previous, snapshot)
+            self.check_served(previous, snapshot)
         if snapshot is previous:
             # Identical content: the digest short-circuit parses nothing.
             assert self.counter.calls == 0
@@ -342,6 +369,7 @@ class PublishSequence:
         assert self.counter.calls == expected, "(e) on replay"
         for older, newer in zip(replayed, replayed[1:]):
             self.check_reuse(older, newer)
+            self.check_kept(older, newer)
         for snapshot in replayed:
             self.check_owners(snapshot)
         self.check_answers(self.store.active())
@@ -382,6 +410,10 @@ class PublishSequence:
                 assertions = list(old.assertions)
                 assertions[rng.randrange(len(assertions))] = random_assertion(rng)
                 statements[index] = Statement(old.subject, False, tuple(assertions))
+        elif kind == "restyle":
+            # Only comments, blank lines and line breaks change.
+            self.publish(model, restyle=name)
+            return
         elif kind in ("parse_error", "veto"):
             # New statements land before the bad one, so they parse
             # before the bundle fails; the retry must parse them again.
@@ -423,6 +455,39 @@ class PublishSequence:
                     assert statement is old_statements[text], "(d)"
                     assert compiled is old_compiled[text], "(d)"
 
+    def check_kept(self, previous, snapshot) -> None:
+        """(f): a byte-identical source keeps its ``Policy``; a changed
+        one gets a new one."""
+        before = dict(zip(previous.bundle.sources, previous.policies))
+        named = {name: policy for (name, _), policy in before.items()}
+        for source, policy in zip(snapshot.bundle.sources, snapshot.policies):
+            if source in before:
+                assert policy is before[source], ("(f) kept", source[0])
+            else:
+                assert policy is not named[source[0]], ("(f) new", source[0])
+
+    def check_served(self, previous, snapshot) -> None:
+        """(f): only a source whose text changed moves its evaluator's
+        epoch, and the engine rebuilds exactly the indexes whose
+        evaluator epoch moved, counting one rebuild for the call."""
+        rebuilds = self.engine.rebuilds
+        indexes = self.engine.ensure_fresh()
+        old_texts = dict(previous.bundle.sources)
+        moved = False
+        for (name, text), index in zip(snapshot.bundle.sources, indexes):
+            evaluator = self.live[name]
+            policy, epoch, old_index = self.served[name]
+            if text == old_texts[name]:
+                assert evaluator.policy is policy, ("(f) policy", name)
+                assert evaluator.policy_epoch == epoch, ("(f) epoch", name)
+                assert index is old_index, ("(f) index kept", name)
+            else:
+                moved = True
+                assert evaluator.policy_epoch == epoch + 1, ("(f) epoch", name)
+                assert index is not old_index, ("(f) index rebuilt", name)
+                assert index.policy is evaluator.policy, ("(f) index", name)
+        assert self.engine.rebuilds == rebuilds + moved, "(f) rebuilds"
+
     def check_owners(self, snapshot) -> None:
         """(d): no statement or compiled form spans two source names."""
         for policy in snapshot.policies:
@@ -460,6 +525,10 @@ class PublishSequence:
             assert self.engine.check_request(request) == (
                 engine.check_request(request)
             ), "(c)"
+        self.served = {
+            name: (self.live[name].policy, self.live[name].policy_epoch, index)
+            for name, index in zip(SOURCES, self.engine.ensure_fresh())
+        }
 
 
 @pytest.mark.parametrize("seed", [1601, 1602, 1603])

@@ -93,6 +93,43 @@ class TestPublish:
         assert second.epoch == 2
         assert second.parent == bundle().digest
 
+    def test_unchanged_source_keeps_its_policy(self):
+        store = VersionedPolicyStore()
+        first = store.publish(
+            PolicyBundle.from_texts({"vo": VO_TEXT, "local": VO_TEXT})
+        )
+        second = store.publish(
+            PolicyBundle.from_texts({"vo": VO_TEXT_V2, "local": VO_TEXT})
+        )
+        assert second.policies[0] is not first.policies[0]
+        assert second.policies[1] is first.policies[1]
+        # A restyle is a changed text: a new Policy, equal to the old.
+        third = store.publish(
+            PolicyBundle.from_texts({"vo": VO_TEXT_V2, "local": VO_TEXT + "\n#"})
+        )
+        assert third.policies[0] is second.policies[0]
+        assert third.policies[1] is not second.policies[1]
+        assert third.policies[1] == second.policies[1]
+
+    def test_repeated_source_name_keeps_nothing(self):
+        store = VersionedPolicyStore()
+        first = store.publish(
+            PolicyBundle(sources=(("vo", VO_TEXT), ("local", VO_TEXT)))
+        )
+        second = store.publish(
+            PolicyBundle(
+                sources=(("vo", VO_TEXT), ("vo", VO_TEXT_V2), ("local", VO_TEXT))
+            )
+        )
+        assert second.policies[0] is not first.policies[0]
+        assert second.policies[2] is first.policies[1]
+        # Repeated in the active bundle: still nothing kept for "vo".
+        third = store.publish(
+            PolicyBundle(sources=(("vo", VO_TEXT), ("local", VO_TEXT)))
+        )
+        assert third.policies[0] is not second.policies[0]
+        assert third.policies[1] is first.policies[1]
+
     def test_parse_failure_rejects_atomically(self):
         store = VersionedPolicyStore()
         active = store.publish(bundle())

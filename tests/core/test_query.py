@@ -1,5 +1,8 @@
 """Unit tests for the reverse authorization index (repro.core.query)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.combination import CombinationAlgorithm, CombinedEvaluator
@@ -96,6 +99,54 @@ class TestProfiles:
         assert index.profile_hits == 1
         index.profile(ALICE)  # rebuilt
         assert index.profile_misses == 4
+
+    def test_shared_index_under_threads(self, policy):
+        # One index, a memo small enough to evict, and buckets built by
+        # whichever thread asks first: every answer matches a serial
+        # index and every memo read is counted once.
+        identities = (ALICE, BOB, CAROL, STRANGER, ALICE + "son")
+        actions = ("start", "cancel", "information", "signal")
+        serial = QueryIndex(policy)
+        expected = {
+            (who, action): serial.classify(who, action)
+            for who in identities
+            for action in actions
+        }
+        subjects = {action: serial.subjects_for(action) for action in actions}
+        shared = QueryIndex(policy, profile_cap=3)
+        rounds, workers = 200, 6
+        wrong, errors = [0] * workers, []
+
+        def worker(slot):
+            try:
+                for turn in range(rounds):
+                    who = identities[(slot + turn) % len(identities)]
+                    action = actions[turn % len(actions)]
+                    if shared.classify(who, action) is not expected[who, action]:
+                        wrong[slot] += 1
+                    if shared.subjects_for(action) != subjects[action]:
+                        wrong[slot] += 1
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "deadlock"
+        assert not errors, errors
+        assert wrong == [0] * workers
+        assert shared.profile_hits + shared.profile_misses == rounds * workers
+        assert shared.profile_memo_size <= 3
 
 
 class TestClassification:

@@ -9,13 +9,16 @@ through to the full pipeline unchanged.
 """
 
 from repro.core.parser import parse_policy
+from repro.core.store import PolicyBundle, VersionedPolicyStore
 from repro.gram.client import GramClient
 from repro.gram.protocol import GramErrorCode
 from repro.gram.service import GramService, ServiceConfig
 
 ORG = "/O=Grid/OU=query.example.org"
 ALICE = f"{ORG}/CN=Alice"
+BOB = f"{ORG}/CN=Bob"
 CAROL = f"{ORG}/CN=Carol"
+ERIN = f"{ORG}/CN=Erin"
 MALLORY = f"{ORG}/CN=Mallory"
 
 POLICY = f"""
@@ -28,6 +31,19 @@ POLICY = f"""
 
 RSL = "&(executable=sim)(count=1)(runtime=10)"
 ROGUE = "&(executable=rogue)(count=1)(runtime=10)"
+
+LOCAL = f"""
+{ORG}*:
+    &(action=start)(count<8)
+    &(action=cancel)(jobowner=self)
+"""
+
+
+def vo_granting(*members):
+    return "".join(
+        f"{member}:\n    &(action=start)(executable=sim)(count<4)\n"
+        for member in members
+    )
 
 
 def build_service(**overrides):
@@ -136,3 +152,66 @@ class TestEpochGuard:
             registry.value("query_index_rebuilds_total", consumer="gatekeeper")
             == first + 1
         )
+
+    def test_publish_keeps_the_unchanged_source(self):
+        # Each publish changes only the VO source: Bob is withdrawn and
+        # Erin granted, then Erin withdrawn and Bob restored.  ``local``
+        # stays byte-identical, so its policy, epoch and reverse index
+        # survive while every answer matches a service built fresh.
+        members = (ALICE, BOB, ERIN, MALLORY)
+        switches = dict(
+            query_fast_deny=True, decision_cache=True, capability_grants=True
+        )
+
+        def start(vo):
+            store = VersionedPolicyStore()
+            store.publish(PolicyBundle.from_texts({"vo": vo, "local": LOCAL}))
+            service = GramService(ServiceConfig(policy_store=store, **switches))
+            clients = {
+                member: client_for(service, member, f"user{index}")
+                for index, member in enumerate(members)
+            }
+            return store, service, clients
+
+        def answers(clients):
+            seen = []
+            for member, client in clients.items():
+                for rsl in (RSL, ROGUE):
+                    response = client.submit(rsl)
+                    seen.append(
+                        (
+                            member,
+                            rsl,
+                            response.code,
+                            response.reasons,
+                            "fast deny" in response.message,
+                        )
+                    )
+                    if response.ok:
+                        seen.append(
+                            (member, client.cancel(response.contact).code)
+                        )
+            return seen
+
+        store, service, clients = start(vo_granting(ALICE, BOB))
+        answers(clients)
+        local = service.combined_evaluator.evaluators[1]
+        assert local.source == "local"
+        for withdrawn, restored in ((BOB, ERIN), (ERIN, BOB)):
+            policy, epoch = local.policy, local.policy_epoch
+            index = service.query_engine.ensure_fresh()[1]
+            vo = vo_granting(ALICE, restored)
+            store.publish(PolicyBundle.from_texts({"vo": vo, "local": LOCAL}))
+            assert local.policy is policy
+            assert local.policy_epoch == epoch
+            assert service.query_engine.ensure_fresh()[1] is index
+
+            denied = clients[withdrawn].submit(RSL)
+            assert denied.code is GramErrorCode.AUTHORIZATION_DENIED
+            assert "fast deny" in denied.message
+            admitted = clients[restored].submit(RSL)
+            assert admitted.ok
+            clients[restored].cancel(admitted.contact)
+
+            _, _, fresh = start(vo)
+            assert answers(clients) == answers(fresh)

@@ -331,6 +331,8 @@ def test_scenarios_reach_the_paths_they_name():
     assert "obs_traces_dropped_total 9" in plain_service()["prometheus"]
     adopted = adopted_store()["prometheus"]
     assert "policy_store_epoch 2" in adopted
+    # Only ``local`` changed text; ``vo`` keeps its policy object.
+    assert "policy_swap_total 1" in adopted.splitlines()
 
 
 def write_goldens():
