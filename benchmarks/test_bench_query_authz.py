@@ -9,6 +9,9 @@ Two claims, both emitted into ``BENCH_query_authz.json``:
   queries against a 1,000-user policy, while the forward full scan
   (:func:`repro.core.analysis.capabilities`, which walks every
   statement) blows up by orders of magnitude over the same range.
+  Every store's index is built before any probe, and the stores'
+  probe rounds alternate, so a slow stretch of a shared host lands on
+  every store alike; each store's cost is the median over its rounds.
 
 * **Churn payoff**: a :class:`~repro.vo.federation.VOBroker` with the
   reverse-index prefilter places the *same* jobs as a naive broker
@@ -24,6 +27,7 @@ million statements reference it.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.core.analysis import capabilities
@@ -53,7 +57,8 @@ MIN_SCAN_BLOWUP = 50.0
 
 SIZES = (1_000, 100_000, 1_000_000)
 PROBES = 1_000
-ROUNDS = 7
+#: Probe rounds per store, taken in turn across the stores.
+ROUNDS = 31
 
 
 # -- scaling: flat reverse queries vs linear full scan -----------------------
@@ -85,21 +90,16 @@ def build_store(users: int) -> Policy:
     return Policy.make(statements, name=f"store-{users}")
 
 
-def _measure_store(users: int) -> dict:
-    policy = build_store(users)
-    # profile_cap=0 disables the memo: every probe pays the full
-    # cold per-subject cost, which is what must stay flat.
-    index = QueryIndex(policy, source="big", profile_cap=0)
+def _probe_round(index: QueryIndex, users: int, round_: int) -> float:
+    """Seconds per cold ``profile`` over one round of PROBES subjects."""
+    started = time.perf_counter()
+    for i in range(PROBES):
+        index.profile(_subject((i * 997 + round_) % users))
+    return (time.perf_counter() - started) / PROBES
 
-    best_query = float("inf")
-    for round_ in range(ROUNDS):
-        started = time.perf_counter()
-        for i in range(PROBES):
-            index.profile(_subject((i * 997 + round_) % users))
-        best_query = min(
-            best_query, (time.perf_counter() - started) / PROBES
-        )
 
+def _full_scan_seconds(policy: Policy, users: int) -> float:
+    """Best seconds per forward full-scan query over three rounds."""
     # The forward comparator walks every statement per query, so a
     # handful of probes is plenty (and all 1M statements get walked).
     scan_probes = max(2, min(50, 50_000 // users))
@@ -111,19 +111,39 @@ def _measure_store(users: int) -> dict:
         best_scan = min(
             best_scan, (time.perf_counter() - started) / scan_probes
         )
+    return best_scan
 
-    return {
-        "users": users,
-        "index_build_seconds": index.stats.build_seconds,
-        "query_us": best_query * 1e6,
-        "full_scan_us": best_scan * 1e6,
-    }
+
+def _measure_stores() -> list:
+    """One row per store of SIZES, probed in alternating rounds."""
+    policies = {}
+    indexes = {}
+    for users in SIZES:
+        # Smallest first, so no index build pays for collecting a
+        # larger store.  profile_cap=0 disables the memo: every probe
+        # pays the full cold per-subject cost, which is what must stay
+        # flat.
+        policies[users] = build_store(users)
+        indexes[users] = QueryIndex(policies[users], source="big", profile_cap=0)
+    rounds = {users: [] for users in SIZES}
+    for round_ in range(ROUNDS):
+        # Forward, then backward: no store always goes first.
+        order = SIZES if round_ % 2 == 0 else SIZES[::-1]
+        for users in order:
+            rounds[users].append(_probe_round(indexes[users], users, round_))
+    return [
+        {
+            "users": users,
+            "index_build_seconds": indexes[users].stats.build_seconds,
+            "query_us": statistics.median(rounds[users]) * 1e6,
+            "full_scan_us": _full_scan_seconds(policies[users], users) * 1e6,
+        }
+        for users in SIZES
+    ]
 
 
 def test_reverse_query_cost_is_flat_in_store_size():
-    rows = []
-    for users in SIZES:
-        rows.append(_measure_store(users))
+    rows = _measure_stores()
     base = rows[0]
     top = rows[-1]
     query_ratio = top["query_us"] / base["query_us"]

@@ -30,9 +30,13 @@ class Effect(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decision:
-    """The result of evaluating one request against one policy."""
+    """The result of evaluating one request against one policy.
+
+    Every fresh evaluation builds several, so :meth:`__init__` stores
+    all fields in one step; the record is still a frozen dataclass.
+    """
 
     effect: Effect
     reasons: Tuple[str, ...] = ()
@@ -45,6 +49,17 @@ class Decision:
     context: Optional["DecisionContext"] = field(
         default=None, compare=False, repr=False
     )
+
+    def __init__(
+        self,
+        effect: Effect,
+        reasons: Tuple[str, ...] = (),
+        source: str = "",
+        context: Optional["DecisionContext"] = None,
+    ) -> None:
+        self.__dict__.update(
+            effect=effect, reasons=reasons, source=source, context=context
+        )
 
     @classmethod
     def permit(cls, reason: str = "", source: str = "") -> "Decision":

@@ -29,7 +29,26 @@ def _dn(value: Union[str, DistinguishedName]) -> DistinguishedName:
     return DistinguishedName.parse(value)
 
 
-@dataclass(frozen=True)
+#: Set on a job description: its jobtag, as ``first_value`` reads it.
+_JOBTAG_ATTR = "_jobtag"
+_UNSCANNED = object()
+
+
+def description_jobtag(spec: Specification) -> Optional[str]:
+    """``spec.first_value(JOBTAG)``, found once and kept on *spec*.
+
+    A description is frozen and shared by every request about its job
+    (the start, then each status, cancel and ``information``), so it
+    is scanned once, as its hash and evaluation view are.
+    """
+    jobtag = spec.__dict__.get(_JOBTAG_ATTR, _UNSCANNED)
+    if jobtag is _UNSCANNED:
+        jobtag = spec.first_value(JOBTAG)
+        object.__setattr__(spec, _JOBTAG_ATTR, jobtag)
+    return jobtag
+
+
+@dataclass(frozen=True, init=False)
 class AuthorizationRequest:
     """One authorization question: may *requester* do *action*?
 
@@ -38,6 +57,9 @@ class AuthorizationRequest:
     the description of the (already running) target job.  ``jobowner``
     is ``None`` for start requests (the requester will be the owner)
     and the initiator's identity for management requests.
+
+    Every decision builds one, so :meth:`__init__` stores all fields in
+    one step; the record is still a frozen dataclass.
     """
 
     requester: DistinguishedName
@@ -51,6 +73,24 @@ class AuthorizationRequest:
     #: proxies) read their policy from here.  Excluded from equality
     #: so requests still compare by what is being asked.
     credential: Optional["Credential"] = field(default=None, compare=False)
+
+    def __init__(
+        self,
+        requester: DistinguishedName,
+        action: Action,
+        job_description: Specification,
+        jobowner: Optional[DistinguishedName] = None,
+        job_id: str = "",
+        credential: Optional["Credential"] = None,
+    ) -> None:
+        self.__dict__.update(
+            requester=requester,
+            action=action,
+            job_description=job_description,
+            jobowner=jobowner,
+            job_id=job_id,
+            credential=credential,
+        )
 
     @classmethod
     def start(
@@ -106,13 +146,7 @@ class AuthorizationRequest:
 
     @property
     def jobtag(self) -> Optional[str]:
-        # Read on every decision (context, cache keys, capability
-        # scope); the request is frozen, so parse the RSL once.
-        if "_jobtag_cache" not in self.__dict__:
-            object.__setattr__(
-                self, "_jobtag_cache", self.job_description.first_value(JOBTAG)
-            )
-        return self.__dict__["_jobtag_cache"]
+        return description_jobtag(self.job_description)
 
     def evaluation_specification(self) -> Specification:
         """Job description plus the computed ``action``/``jobowner``.

@@ -6,11 +6,15 @@ to process other identities than that of the client (specifically,
 allowing it to recognize the identity of the job originator)" — the
 client therefore tracks, per job contact, who owns the job, and does
 not pre-filter management requests to self-owned jobs the way the GT2
-client effectively did.
+client effectively did.  It keeps the last :data:`KNOWN_JOBS_LIMIT`
+(1,024) jobs it learned about from a response; past that it forgets
+the least recently learned one, and the next response naming a
+forgotten job teaches it again.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -24,6 +28,10 @@ from repro.gsi.credentials import Credential
 #: clamping to a tiny positive window keeps the suppression machinery
 #: engaged instead of silently disabling it at the boundary.
 MIN_RETRY_AFTER = 1e-3
+
+#: How many jobs a client remembers: a long-lived client, such as a
+#: monitor polling a VO's jobs, would otherwise learn jobs without end.
+KNOWN_JOBS_LIMIT = 1024
 
 
 @dataclass
@@ -39,7 +47,8 @@ class GramClient:
     def __init__(self, credential: Credential, gatekeeper: Gatekeeper) -> None:
         self.credential = credential
         self.gatekeeper = gatekeeper
-        self._jobs: Dict[str, _KnownJob] = {}
+        #: Known jobs by contact id, least recently learned first.
+        self._jobs: "OrderedDict[str, _KnownJob]" = OrderedDict()
         #: Sim-clock time before which submits are locally suppressed
         #: because the service said ``RESOURCE_BUSY`` with a
         #: ``retry_after`` hint.  Honouring the hint client-side keeps
@@ -134,14 +143,18 @@ class GramClient:
         if response.contact is None:
             return
         key = response.contact.job_id
-        known = self._jobs.get(key)
+        jobs = self._jobs
+        known = jobs.get(key)
         if known is None:
-            self._jobs[key] = _KnownJob(
+            jobs[key] = _KnownJob(
                 contact=response.contact,
                 owner=response.job_owner,
                 last_state=response.state,
             )
+            if len(jobs) > KNOWN_JOBS_LIMIT:
+                jobs.popitem(last=False)
         else:
+            jobs.move_to_end(key)
             if response.job_owner:
                 known.owner = response.job_owner
             if response.state is not None:
@@ -161,5 +174,10 @@ class GramClient:
         return owner is not None and owner == self.identity
 
     def known_jobs(self) -> Dict[str, str]:
-        """contact id -> owner identity for every job seen."""
+        """contact id -> owner identity of the jobs this client knows.
+
+        These are the last :data:`KNOWN_JOBS_LIMIT` jobs it learned
+        about from a response, least recently learned first; an older
+        one is forgotten until a response names it again.
+        """
         return {key: job.owner for key, job in self._jobs.items()}

@@ -100,9 +100,15 @@ class JobContact:
         return self.url
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GramResponse:
-    """What the client gets back from any GRAM operation."""
+    """What the client gets back from any GRAM operation.
+
+    Every GRAM operation builds one, so :meth:`__init__` stores all
+    fields in one step instead of the dataclass's one frozen
+    ``__setattr__`` per field; the record is still frozen and compares,
+    hashes and prints as a plain frozen dataclass.
+    """
 
     code: GramErrorCode
     message: str = ""
@@ -133,6 +139,32 @@ class GramResponse:
     decision_context: Optional[DecisionContext] = field(
         default=None, compare=False, repr=False
     )
+
+    def __init__(
+        self,
+        code: GramErrorCode,
+        message: str = "",
+        reasons: Tuple[str, ...] = (),
+        contact: Optional[JobContact] = None,
+        state: Optional[GramJobState] = None,
+        job_owner: str = "",
+        failure_source: str = "",
+        failure_kind: str = "",
+        retry_after: Optional[float] = None,
+        decision_context: Optional[DecisionContext] = None,
+    ) -> None:
+        self.__dict__.update(
+            code=code,
+            message=message,
+            reasons=reasons,
+            contact=contact,
+            state=state,
+            job_owner=job_owner,
+            failure_source=failure_source,
+            failure_kind=failure_kind,
+            retry_after=retry_after,
+            decision_context=decision_context,
+        )
 
     @property
     def ok(self) -> bool:

@@ -70,15 +70,35 @@ _SIGNER_ATTR = "_verified_signer"
 _HOLDER_ATTR = "_proven_holder"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerificationResult:
-    """Outcome of a successful chain verification."""
+    """Outcome of a successful chain verification.
+
+    Every authenticated request builds one, so :meth:`__init__` stores
+    all fields in one step; the record is still a frozen dataclass.
+    """
 
     identity: DistinguishedName
     subject: DistinguishedName
     chain_length: int
     proxy_depth: int
     anchor: DistinguishedName
+
+    def __init__(
+        self,
+        identity: DistinguishedName,
+        subject: DistinguishedName,
+        chain_length: int,
+        proxy_depth: int,
+        anchor: DistinguishedName,
+    ) -> None:
+        self.__dict__.update(
+            identity=identity,
+            subject=subject,
+            chain_length=chain_length,
+            proxy_depth=proxy_depth,
+            anchor=anchor,
+        )
 
     def __str__(self) -> str:
         return f"verified {self.subject} as {self.identity} (anchor {self.anchor})"

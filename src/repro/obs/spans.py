@@ -105,7 +105,7 @@ class Span:
     ) -> None:
         self.tracer = tracer
         self.name = name
-        self.start = 0.0
+        # ``start`` is stamped by ``__enter__``.
         self.end: Optional[float] = None
         self.status = "ok"
         # Most spans carry no events and some carry no attrs: both are
@@ -119,8 +119,13 @@ class Span:
         trace = _current_trace.get()
         if trace is None or trace.tracer is not tracer:
             # A root: a trace of another tracer stays where it is and
-            # resumes when this one finishes.
-            trace = _Trace(tracer, f"req-{next(tracer._trace_counter):06d}", self)
+            # resumes when this one finishes.  The trace state is
+            # filled here rather than by a Python ``__init__``.
+            trace = _new_trace(_Trace)
+            trace.tracer = tracer
+            trace.trace_id = "req-%06d" % next(tracer._trace_counter)
+            trace.spans = [self]
+            trace.current = self
             trace.token = _current_trace.set(trace)
             self.span_id = 1
             self.parent_id = None
@@ -155,15 +160,19 @@ class Span:
         else:
             _current_trace.reset(trace.token)
             spans = tuple(trace.spans)
-            with tracer._lock:
-                traces = tracer._traces
-                traces.append((trace.trace_id, spans))
-                evicted = len(traces) > tracer.limit
-                if evicted:
-                    traces.popleft()
-                    tracer.dropped += 1
-            if evicted and tracer.registry is not None:
-                tracer._dropped_series().inc()
+            # acquire/release beats the ``with`` protocol, and nothing
+            # between them can raise.
+            lock = tracer._lock
+            lock.acquire()
+            traces = tracer._traces
+            traces.append((trace.trace_id, spans))
+            evicted = len(traces) > tracer.limit
+            if evicted:
+                traces.popleft()
+                tracer.dropped += 1
+            lock.release()
+            if evicted:
+                tracer._count_dropped()
             for callback in tracer.on_trace:
                 callback(spans)
         callbacks = tracer.on_finish
@@ -229,20 +238,19 @@ class _Trace:
 
     The context variable holds this object from the root's enter to
     its exit.  Retained traces keep only their spans; nothing refers
-    back here once the root finished.
+    back here once the root finished.  The root's ``__enter__`` fills
+    every slot:
+
+    * ``tracer`` and ``trace_id``, the correlation ID;
+    * ``spans``: every span opened so far, in id order (the root first);
+    * ``current``: the innermost open span, the parent of the next one;
+    * ``token``: restores the context variable when the root finishes.
     """
 
     __slots__ = ("tracer", "trace_id", "spans", "current", "token")
 
-    def __init__(self, tracer: "Tracer", trace_id: str, root: Span) -> None:
-        self.tracer = tracer
-        self.trace_id = trace_id
-        #: Every span opened so far, in id order (the root first).
-        self.spans: List[Span] = [root]
-        #: The innermost open span: the parent of the next one.
-        self.current = root
-        #: Restores the context variable when the root finishes.
-        self.token: Any = None
+
+_new_trace = object.__new__
 
 
 _current_trace: ContextVar[Optional[_Trace]] = ContextVar(
@@ -285,10 +293,20 @@ def span(name: str, **attrs: Any):
 
 
 def event(name: str, detail: str = "") -> None:
-    """Attach an event to the current span; no-op when tracing is off."""
+    """Attach an event to the current span; no-op when tracing is off.
+
+    What :meth:`Span.event` does, without the method call.
+    """
     trace = _current_trace.get()
     if trace is not None:
-        trace.current.event(name, detail)
+        current = trace.current
+        clock = trace.tracer.clock
+        item = (name, clock.now if clock is not None else 0.0, detail)
+        events = current._events
+        if events is _NO_EVENTS:
+            current._events = [item]
+        else:
+            events.append(item)
 
 
 class Tracer:
@@ -308,8 +326,8 @@ class Tracer:
     ) -> None:
         self.clock = clock
         self.limit = limit
-        self.registry = registry
         self.dropped = 0
+        self.registry = registry
         self.on_finish: List[Callable[[Span], None]] = []
         self.on_trace: List[Callable[[Tuple[Span, ...]], None]] = []
         self._traces: Deque[Tuple[str, Tuple[Span, ...]]] = deque()
@@ -317,9 +335,30 @@ class Tracer:
         # correlation IDs need no lock.
         self._trace_counter = itertools.count(1)
         self._lock = threading.Lock()
-        #: ``(registry, series)`` of ``obs_traces_dropped_total``,
-        #: bound at the first eviction.
-        self._dropped: Tuple[Any, Any] = (None, None)
+
+    @property
+    def registry(self) -> Any:
+        """Where evictions are counted, as ``obs_traces_dropped_total``."""
+        return self._registry
+
+    @registry.setter
+    def registry(self, registry: Any) -> None:
+        self._registry = registry
+        # Called on every eviction: binds the series at the first one
+        # (so the family exists only once a trace was dropped), then
+        # is the series' own ``inc``.
+        self._count_dropped: Callable[[], None] = self._bind_dropped
+
+    def _bind_dropped(self) -> None:
+        registry = self._registry
+        if registry is None:
+            return
+        count = registry.counter(
+            "obs_traces_dropped_total",
+            help="Finished traces evicted by retention",
+        ).labels().inc
+        self._count_dropped = count
+        count()
 
     def now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0
@@ -329,17 +368,6 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a span: child of the active one, else a new root."""
         return Span(self, name, attrs or None)
-
-    def _dropped_series(self) -> Any:
-        registry, series = self._dropped
-        if registry is not self.registry:
-            registry = self.registry
-            series = registry.counter(
-                "obs_traces_dropped_total",
-                help="Finished traces evicted by retention",
-            ).labels()
-            self._dropped = (registry, series)
-        return series
 
     # -- views --------------------------------------------------------------
 

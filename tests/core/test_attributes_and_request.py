@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.attributes import ACTION, JOBOWNER, Action
+from repro.core.attributes import ACTION, JOBOWNER, JOBTAG, Action
+from repro.core.pipeline import DecisionContext, request_key
 from repro.core.request import AuthorizationRequest
 from repro.gsi.names import DistinguishedName
+from repro.rsl.ast import Specification
 from repro.rsl.parser import parse_specification
 
 ALICE = "/O=Grid/OU=org/CN=Alice"
@@ -130,3 +132,59 @@ class TestManagementRequests:
         text = str(request)
         assert "cancel" in text
         assert "42" in text
+
+
+#: ``(description, its jobtag)``: what ``first_value(JOBTAG)`` reads.
+JOBTAG_DESCRIPTIONS = [
+    pytest.param("&(executable=x)(count=1)", None, id="no-jobtag"),
+    pytest.param("&(jobtag=NFC)(executable=x)(jobtag=ADS)", "NFC", id="two-eq-jobtags"),
+    pytest.param("&(executable=x)(jobtag!=NFC)", None, id="not-equal-jobtag"),
+    pytest.param("&(jobtag!=ADS)(jobtag=NFC)", "NFC", id="not-equal-then-eq"),
+    pytest.param("&(executable=x)(JOBTAG=NFC)", "NFC", id="upper-case-attribute"),
+]
+
+
+def _fresh(text: str) -> Specification:
+    """A description object no earlier request has read."""
+    return Specification(relations=parse_specification(text).relations)
+
+
+@pytest.mark.parametrize("text, jobtag", JOBTAG_DESCRIPTIONS)
+class TestJobtagKeptOnTheDescription:
+    def test_jobtag_is_the_first_eq_value(self, text, jobtag):
+        spec = _fresh(text)
+        request = AuthorizationRequest.start(ALICE, spec)
+        assert spec.first_value(JOBTAG) == jobtag
+        assert request.jobtag == jobtag
+        manage = AuthorizationRequest.manage(BOB, "cancel", spec, jobowner=ALICE)
+        assert manage.jobtag == jobtag
+
+    def test_one_scan_serves_every_request_on_the_job(self, text, jobtag, monkeypatch):
+        spec = _fresh(text)
+        scans = []
+        first_value = Specification.first_value
+
+        def counting(self, attribute):
+            scans.append(attribute)
+            return first_value(self, attribute)
+
+        monkeypatch.setattr(Specification, "first_value", counting)
+        requests = [AuthorizationRequest.start(ALICE, spec, job_id="7")] + [
+            AuthorizationRequest.manage(who, action, spec, jobowner=ALICE, job_id="7")
+            for who in (ALICE, BOB)
+            for action in ("information", "cancel", "signal")
+        ]
+        for request in requests:
+            request_key(request)
+            assert DecisionContext.from_request(request).jobtag == (jobtag or "")
+            assert request.jobtag == jobtag
+        assert scans == [JOBTAG]
+
+    def test_request_key_is_unchanged(self, text, jobtag):
+        spec = _fresh(text)
+        request = AuthorizationRequest.manage(
+            BOB, "information", spec, jobowner=ALICE, job_id="7"
+        )
+        assert request_key(request) == (BOB, "information", jobtag, ALICE, spec)
+        start = AuthorizationRequest.start(ALICE, spec)
+        assert request_key(start) == (ALICE, "start", jobtag, ALICE, spec)
