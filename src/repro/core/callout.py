@@ -39,7 +39,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
-from repro.core.pipeline import DecisionContext, StageRecord, current_context
+from repro.core.pipeline import (
+    DecisionContext,
+    PushedEpoch,
+    StageRecord,
+    current_context,
+    pushes,
+)
 from repro.core.request import AuthorizationRequest
 from repro.obs.spans import span as obs_span
 
@@ -99,6 +105,9 @@ class CalloutRegistry:
     how the prototype chains the plain-file PEP with Akenti).
     """
 
+    configuration_epoch = PushedEpoch()
+    _chain_version = PushedEpoch()
+
     def __init__(self) -> None:
         #: Per type, the configured ``(label, callout, stage)`` triples
         #: in order; *stage* (``callout:<label>``) names the callout's
@@ -142,6 +151,24 @@ class CalloutRegistry:
         :func:`callout_epoch_source`).  With no such callout configured
         it is just :attr:`configuration_epoch`.
         """
+        sources = self._sources()
+        if not sources:
+            return self.configuration_epoch
+        return (
+            self.configuration_epoch,
+            *[source.policy_epoch for source in sources],
+        )
+
+    def epoch_pushed(self) -> bool:
+        """Every configured callout's epoch source pushes.
+
+        Both counters of the registry are pushed, so a change of chain
+        moves the epoch generation and a view asks again.
+        """
+        return all(map(pushes, self._sources()))
+
+    def _sources(self) -> Tuple[Any, ...]:
+        """The configured callouts' epoch sources, each once."""
         version, sources = self._epoch_sources
         if version != self._chain_version:
             version = self._chain_version
@@ -153,12 +180,7 @@ class CalloutRegistry:
                         found.setdefault(id(source), source)
             sources = tuple(found.values())
             self._epoch_sources = (version, sources)
-        if not sources:
-            return self.configuration_epoch
-        return (
-            self.configuration_epoch,
-            *[source.policy_epoch for source in sources],
-        )
+        return sources
 
     # -- declaration ------------------------------------------------------
 

@@ -35,7 +35,7 @@ from typing import List, Sequence, Tuple
 from repro.core.decision import Decision, Effect
 from repro.core.errors import AuthorizationSystemFailure
 from repro.core.evaluator import PolicyEvaluator
-from repro.core.pipeline import StageRecord, current_context, epoch_of
+from repro.core.pipeline import StageRecord, current_context, epoch_of, pushes
 from repro.core.request import AuthorizationRequest
 from repro.obs.spans import span as obs_span
 
@@ -79,6 +79,10 @@ class CombinedEvaluator:
     def policy_epoch(self) -> Tuple:
         """Combined epoch over all sources (for the decision cache)."""
         return tuple(map(epoch_of, self.evaluators))
+
+    def epoch_pushed(self) -> bool:
+        """Every source pushes (see :func:`~repro.core.pipeline.pushes`)."""
+        return all(map(pushes, self.evaluators))
 
     def evaluate(self, request: AuthorizationRequest) -> Decision:
         """Combined decision over all sources.

@@ -19,6 +19,7 @@ from typing import List, Tuple
 from repro.core.decision import Decision
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.model import Policy, PolicyStatement
+from repro.core.pipeline import PushedEpoch, current_context
 from repro.core.request import AuthorizationRequest
 from repro.sim.clock import Clock
 
@@ -58,6 +59,8 @@ class DynamicPolicy:
     #: Bound on the per-active-signature snapshot cache; distinct
     #: overlapping-window combinations rarely exceed a handful.
     SNAPSHOT_CACHE_CAP = 64
+
+    policy_epoch = PushedEpoch()
 
     def __init__(self, base: Policy) -> None:
         self.base = base
@@ -109,7 +112,11 @@ class DynamicPolicy:
 
 
 class DynamicEvaluator:
-    """Evaluates against the policy in force at the clock's *now*."""
+    """Evaluates against the policy in force at the clock's *now*.
+
+    Its epoch is computed from the clock, so an
+    :class:`~repro.core.pipeline.EpochView` pulls it on every snapshot.
+    """
 
     def __init__(
         self, dynamic: DynamicPolicy, clock: Clock, source: str = ""
@@ -117,6 +124,9 @@ class DynamicEvaluator:
         self.dynamic = dynamic
         self.clock = clock
         self.source = source or dynamic.base.name or "dynamic"
+        #: One engine for every snapshot: a request stores no epoch,
+        #: so deciding one moves no epoch generation.
+        self._engine = PolicyEvaluator(dynamic.base, source=self.source)
 
     @property
     def policy_epoch(self) -> Tuple:
@@ -138,6 +148,10 @@ class DynamicEvaluator:
 
     def evaluate(self, request: AuthorizationRequest) -> Decision:
         policy = self.dynamic.snapshot(self.clock.now)
-        evaluator = PolicyEvaluator(policy, source=self.source)
-        evaluator.policy_epoch = self.policy_epoch
-        return evaluator.evaluate(request)
+        decision = self._engine.evaluate_policy(policy, request)
+        context = current_context()
+        if context is not None:
+            context.add_source(
+                self.source, decision.effect, epoch=self.policy_epoch
+            )
+        return decision

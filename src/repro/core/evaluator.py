@@ -38,6 +38,7 @@ from repro.core.compiled import compiled_for, evaluation_view, is_compiled
 from repro.core.decision import Decision
 from repro.core.matching import MatchContext, match_assertion
 from repro.core.model import Policy, PolicyStatement
+from repro.core.pipeline import PushedEpoch
 from repro.core.pipeline import current_context as _current_context
 from repro.core.request import AuthorizationRequest
 
@@ -61,6 +62,8 @@ class PolicyEvaluator:
     ``policy_compile_*`` / ``policy_index_*`` metric families (see
     ``docs/performance.md``).
     """
+
+    policy_epoch = PushedEpoch()
 
     def __init__(
         self,
@@ -177,7 +180,12 @@ class PolicyEvaluator:
 
     def evaluate(self, request: AuthorizationRequest) -> Decision:
         """Decide *request* under this policy alone."""
-        decision = self._evaluate(request)
+        self.evaluations += 1
+        compiled = self.compiled
+        if compiled is not None:
+            decision = self._evaluate_compiled(request, compiled)
+        else:
+            decision = self._evaluate_interpreted(request, self.policy)
         context = _current_context()
         if context is not None:
             context.add_source(
@@ -185,17 +193,29 @@ class PolicyEvaluator:
             )
         return decision
 
-    def _evaluate(self, request: AuthorizationRequest) -> Decision:
+    def evaluate_policy(
+        self, policy: Policy, request: AuthorizationRequest
+    ) -> Decision:
+        """Decide *request* under *policy*, which the caller chose for it.
+
+        For a source whose policy changes with no mutation: a time
+        window's snapshot, a policy carried in the credential.  This
+        evaluator's engine and source name decide; its own policy and
+        epoch stay as they are, and the caller records provenance
+        under its own epoch.
+        """
         self.evaluations += 1
-        if self.compiled is not None:
-            return self._evaluate_compiled(request)
-        return self._evaluate_interpreted(request)
+        if self.use_compiled:
+            return self._evaluate_compiled(request, compiled_for(policy))
+        return self._evaluate_interpreted(request, policy)
 
     # -- compiled engine ---------------------------------------------------
 
-    def _evaluate_compiled(self, request: AuthorizationRequest) -> Decision:
+    def _evaluate_compiled(
+        self, request: AuthorizationRequest, compiled
+    ) -> Decision:
         identity = str(request.requester)
-        (grants, requirements), from_memo = self.compiled.slices_for(identity)
+        (grants, requirements), from_memo = compiled.slices_for(identity)
         if self._m_lookup_memo is not None:
             (self._m_lookup_memo if from_memo else self._m_lookup_index).inc()
             self._m_candidates.inc(len(grants) + len(requirements))
@@ -259,11 +279,13 @@ class PolicyEvaluator:
 
     # -- interpreted engine (the differential reference) -------------------
 
-    def _evaluate_interpreted(self, request: AuthorizationRequest) -> Decision:
+    def _evaluate_interpreted(
+        self, request: AuthorizationRequest, policy: Policy
+    ) -> Decision:
         request_spec = request.evaluation_specification()
         context = MatchContext(requester=request.requester)
 
-        requirements = self.policy.requirements_for(request.requester)
+        requirements = policy.requirements_for(request.requester)
         for statement in requirements:
             violation = self._check_requirement(statement, request_spec, context)
             if violation is not None:
@@ -272,7 +294,7 @@ class PolicyEvaluator:
                     source=self.source,
                 )
 
-        grants = self.policy.grants_for(request.requester)
+        grants = policy.grants_for(request.requester)
         if not grants and not requirements:
             return Decision.not_applicable(
                 reason=f"no statement applies to {request.requester}",

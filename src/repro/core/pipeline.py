@@ -453,6 +453,74 @@ def epoch_of(source: Any) -> Any:
     return epoch
 
 
+# -- the epoch generation: one read says nothing moved -------------------------
+
+#: Fresh generation values; one ``next`` on it is one atomic step.
+_generations = itertools.count(1)
+#: The process-wide epoch generation.  It takes a fresh value after
+#: every store of a :class:`PushedEpoch`, and never an earlier one.
+_generation = 0
+
+
+def epoch_generation() -> int:
+    """The current epoch generation; moves after every pushed store."""
+    return _generation
+
+
+class PushedEpoch:
+    """A stored epoch whose every store moves the epoch generation.
+
+    A set-only data descriptor, declared on the class
+    (``policy_epoch = PushedEpoch()``): a read is a plain instance
+    read, since there is no ``__get__``; a store writes the value and
+    *then* takes a fresh generation, so no mutator can forget the move.
+
+    Storing before the move is what keeps a reader safe.  A reader
+    reads the generation before it pulls any epoch, so what it pulls
+    is at least as new as that generation.  A store it missed is
+    followed by a move to a value it has never read.  Writers that
+    race can move the generation out of order, but every value is
+    fresh, so it never returns to one a reader holds.
+    """
+
+    __slots__ = ("name",)
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __set__(self, instance: Any, value: Any) -> None:
+        global _generation
+        state = instance.__dict__
+        if self.name not in state:
+            # The first store gives the instance a dict of its own.
+            # CPython's first ``__dict__`` read makes one that shares
+            # its keys with the class, and reads of *every* attribute
+            # of such an instance are about twice as slow.
+            instance.__dict__ = state = dict(state)
+        state[self.name] = value
+        _generation = next(_generations)
+
+
+def pushes(source: Any) -> bool:
+    """True when every move of *source*'s epoch moves the generation.
+
+    The class that defines ``policy_epoch`` decides.  It pushes when
+    ``policy_epoch`` is a :class:`PushedEpoch`, or when the class also
+    defines ``epoch_pushed(self)``.  A composite defines
+    ``epoch_pushed`` and answers true only while every part pushes.
+    Anything else is pulled on every snapshot: a clock-computed epoch,
+    a zero-argument callable, a proxy that forwards attributes.
+    """
+    for kind in type(source).__mro__:
+        attributes = kind.__dict__
+        if "policy_epoch" in attributes:
+            if isinstance(attributes["policy_epoch"], PushedEpoch):
+                return True
+            check = attributes.get("epoch_pushed")
+            return check is not None and check(source)
+    return False
+
+
 #: An :class:`EpochView` snapshot: ``(member name, repr(epoch))`` pairs.
 EpochSnapshot = Tuple[Tuple[str, str], ...]
 
@@ -466,26 +534,59 @@ class EpochView:
     less than another.  The snapshot renders each epoch with ``repr``
     and is rebuilt only when a raw member epoch moved; the view is an
     epoch source itself.
+
+    When every member :func:`pushes`, a snapshot is one read: the memo
+    stands while the epoch generation has not moved.  Otherwise the
+    view reads the generation, then pulls every member.
     """
 
     def __init__(self, members: Sequence[Tuple[str, Any]] = ()) -> None:
         self._members: List[Tuple[str, Any]] = list(members)
         self._sources = tuple(source for _, source in self._members)
-        # (raw epochs, snapshot) as one tuple, so a reader never pairs
-        # one call's raw epochs with another call's snapshot.
-        self._memo: Tuple[Any, EpochSnapshot] = (None, ())
+        # (generation, raw epochs, snapshot) as one tuple, so a reader
+        # never pairs one pull's raw epochs with another's snapshot.
+        # The generation is the one read before the pull, and only
+        # when every member pushed; otherwise None, so it never stands.
+        self._memo: Tuple[Any, Any, EpochSnapshot] = (None, None, ())
+        # (generation, every member pushes): members join or leave a
+        # composite only through a store, so this stands as long as
+        # the generation it was found at.
+        self._pushed: Tuple[Any, bool] = (None, False)
 
     def snapshot(self) -> EpochSnapshot:
         """The members' current ``(name, repr(epoch))`` pairs."""
+        memo = self._memo
+        if memo[0] is _generation:
+            return memo[2]
+        return self._pull()[2]
+
+    def epochs(self) -> Tuple[Any, ...]:
+        """The members' current raw epochs, in member order."""
+        memo = self._memo
+        if memo[0] is _generation:
+            return memo[1]
+        return self._pull()[1]
+
+    def _pull(self) -> Tuple[Any, Any, EpochSnapshot]:
+        generation = _generation
+        found_at, pushed = self._pushed
+        if found_at is not generation:
+            pushed = self.epoch_pushed()
+            self._pushed = (generation, pushed)
         raw = tuple(map(epoch_of, self._sources))
-        memo_raw, snapshot = self._memo
+        _, memo_raw, snapshot = self._memo
         if raw != memo_raw:
             snapshot = tuple(
                 (name, repr(epoch))
                 for (name, _), epoch in zip(self._members, raw)
             )
-            self._memo = (raw, snapshot)
-        return snapshot
+        memo = (generation if pushed else None, raw, snapshot)
+        self._memo = memo
+        return memo
+
+    def epoch_pushed(self) -> bool:
+        """Every member :func:`pushes`."""
+        return all(map(pushes, self._sources))
 
     @property
     def policy_epoch(self) -> EpochSnapshot:
@@ -529,10 +630,15 @@ class ReplayStore:
 
     def put(self, key: Any, entry: ReplayEntry) -> None:
         with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            entries = self._entries
+            size = len(entries)
+            # A new key lands at the end in this one operation; only a
+            # replaced one keeps its old place and must move.
+            entries[key] = entry
+            if len(entries) == size:
+                entries.move_to_end(key)
+            elif size >= self.maxsize:
+                entries.popitem(last=False)
                 self.evictions += 1
 
     def discard(self, key: Any) -> None:
@@ -624,16 +730,14 @@ class EpochCounter:
     mutator; the decision cache reads :attr:`policy_epoch`.
     """
 
+    policy_epoch = PushedEpoch()
+
     def __init__(self) -> None:
-        self._epoch = 0
+        self.policy_epoch = 0
 
     def bump(self) -> int:
-        self._epoch += 1
-        return self._epoch
-
-    @property
-    def policy_epoch(self) -> int:
-        return self._epoch
+        self.policy_epoch += 1
+        return self.policy_epoch
 
     def __int__(self) -> int:
-        return self._epoch
+        return self.policy_epoch

@@ -62,7 +62,7 @@ from repro.core.model import (
     PolicyStatement,
     StatementKind,
 )
-from repro.core.pipeline import epoch_of
+from repro.core.pipeline import EpochView
 from repro.core.request import AuthorizationRequest
 from repro.gsi.names import DistinguishedName
 from repro.rsl.ast import Specification
@@ -551,7 +551,10 @@ class QueryEngine:
     the bump left alone keeps its index and the identities memoized
     in it: a policy-store publish that keeps a source's text keeps
     its evaluator's ``Policy`` and epoch, so only the sources whose
-    text changed are rebuilt.
+    text changed are rebuilt.  The evaluators' epochs are read through
+    an :class:`~repro.core.pipeline.EpochView`: while the epoch
+    generation has not moved and every evaluator pushes, that is one
+    read.
 
     A pre-decision (:meth:`check_action`, :meth:`check_request`) reads
     each index's per-identity reachability entry and nothing else;
@@ -569,6 +572,7 @@ class QueryEngine:
         if not evaluators:
             raise ValueError("need at least one policy source")
         self.evaluators = list(evaluators)
+        self._view = EpochView((e.source, e) for e in self.evaluators)
         self.algorithm = algorithm
         #: The combined evaluator these members belong to, when built
         #: by :meth:`from_combined`.
@@ -594,16 +598,13 @@ class QueryEngine:
         engine.combined = combined
         return engine
 
-    def _epoch(self) -> Tuple:
-        return tuple(epoch_of(e) for e in self.evaluators)
-
     @property
     def watched_epoch(self) -> Tuple:
-        return self._epoch()
+        return self._view.epochs()
 
     def ensure_fresh(self) -> Tuple[QueryIndex, ...]:
         """The live indexes, each rebuilt if its evaluator's epoch moved."""
-        epoch = self._epoch()
+        epoch = self._view.epochs()
         with self._lock:
             if self._built_epoch == epoch:
                 return self._indexes

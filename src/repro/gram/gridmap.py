@@ -20,6 +20,7 @@ import shlex
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
+from repro.core.pipeline import PushedEpoch
 from repro.gsi.names import DistinguishedName
 
 
@@ -44,6 +45,8 @@ class GridMapEntry:
 
 class GridMapFile:
     """An in-memory grid-mapfile with GT2 lookup semantics."""
+
+    policy_epoch = PushedEpoch()
 
     def __init__(self) -> None:
         self._entries: Dict[str, GridMapEntry] = {}

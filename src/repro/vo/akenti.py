@@ -32,6 +32,7 @@ from repro.core.attributes import ACTION
 from repro.core.decision import Decision
 from repro.core.matching import MatchContext, match_assertion
 from repro.core.model import Policy, StatementKind, Subject
+from repro.core.pipeline import PushedEpoch
 from repro.core.request import AuthorizationRequest
 from repro.gsi.keys import KeyPair, PublicKey, Signature
 from repro.gsi.names import DistinguishedName
@@ -161,6 +162,8 @@ def _uc_payload(stakeholder, resource, kind, subject, constraint, attrs, serial)
 
 class AkentiEngine:
     """Pull-model decision engine over signed certificates."""
+
+    policy_epoch = PushedEpoch()
 
     def __init__(self, resource: str, source: str = "akenti") -> None:
         self.resource = resource

@@ -35,6 +35,7 @@ from repro.core.errors import PolicyParseError
 from repro.core.evaluator import PolicyEvaluator
 from repro.core.model import Policy, PolicyStatement
 from repro.core.parser import parse_policy
+from repro.core.pipeline import PushedEpoch, current_context
 from repro.core.request import AuthorizationRequest
 from repro.gsi.credentials import Credential
 from repro.gsi.keys import PublicKey, Signature
@@ -214,14 +215,19 @@ def extract_cas_policy(credential: Credential) -> Optional[SignedPolicy]:
 class CASPolicySource:
     """Resource-side PDP that reads VO policy out of the credential.
 
-    The evaluator is constructed per request because the policy
-    arrives with the request; ``cas_public_key`` pins which community
-    server the resource trusts.
+    The policy arrives with the request, so one engine decides each
+    request under the policy it carries; ``cas_public_key`` pins which
+    community server the resource trusts.
     """
+
+    policy_epoch = PushedEpoch()
 
     def __init__(self, cas_public_key: PublicKey, source: str = "cas") -> None:
         self.cas_public_key = cas_public_key
         self.source = source
+        #: Decides the carried policy; a request stores no epoch, so
+        #: deciding one moves no epoch generation.
+        self._engine = PolicyEvaluator(Policy.empty(source), source=source)
         #: Cache/breaker invalidation hook: the policy itself travels
         #: with each request, so the only resource-side "policy" is
         #: which community key is trusted.
@@ -284,8 +290,13 @@ class CASPolicySource:
                 reasons=(f"CAS policy for {signed.subject} grants nothing",),
                 source=self.source,
             )
-        evaluator = PolicyEvaluator(policy, source=self.source)
-        return evaluator.evaluate(request)
+        decision = self._engine.evaluate_policy(policy, request)
+        context = current_context()
+        if context is not None:
+            context.add_source(
+                self.source, decision.effect, epoch=self.policy_epoch
+            )
+        return decision
 
 
 def cas_callout(cas_public_key: PublicKey, clock, source: str = "cas", resilience=None):

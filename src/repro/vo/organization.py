@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple, Union
 
+from repro.core.pipeline import PushedEpoch
 from repro.gsi.names import DistinguishedName
 
 
@@ -42,6 +43,8 @@ class VOMember:
 
 class VirtualOrganization:
     """A VO: a named community with members, groups and roles."""
+
+    policy_epoch = PushedEpoch()
 
     def __init__(self, name: str) -> None:
         if not name.strip():

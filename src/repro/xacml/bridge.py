@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 from repro.core.attributes import ACTION, JOBOWNER, NULL, SELF
 from repro.core.decision import Decision
 from repro.core.model import Policy, PolicyStatement, StatementKind
+from repro.core.pipeline import PushedEpoch
 from repro.core.request import AuthorizationRequest
 from repro.rsl.ast import (
     Relation,
@@ -181,6 +182,8 @@ def xacml_from_policy(policy: Policy, policy_id: str = "") -> XACMLPolicy:
 
 class XACMLEvaluator:
     """Adapter giving an XACML policy the native PDP interface."""
+
+    policy_epoch = PushedEpoch()
 
     def __init__(self, policy: XACMLPolicy, source: str = "") -> None:
         self.policy = policy

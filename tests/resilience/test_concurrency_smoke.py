@@ -9,10 +9,15 @@ single-threaded by design, so latency faults stay out of this test.
 Calls that share one resilient wrapper must each get their own
 decision: a granted subject is never denied and an ungranted one never
 permitted because another call finished in between.
+
+A policy that flips under readers must never be outlived: once a
+``replace_policy`` has returned, no decision cache entry or capability
+grant made under the old policy answers again.
 """
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -245,3 +250,112 @@ class TestDecisionIsolation:
         assert not errors, errors
         assert answered == [HAMMER_CALLS] * HAMMER_THREADS
         assert wrong == [0] * HAMMER_THREADS
+
+
+# -- policy flips under the repeat paths ------------------------------------
+
+#: The two versions the writer flips between: the first grants BO's
+#: request, the second grants BO something else.
+FLIP_POLICIES = (
+    parse_policy(VO_POLICY, name="vo"),
+    parse_policy(
+        f"""
+{BO}:
+    &(action=start)(executable=other)
+""",
+        name="vo",
+    ),
+)
+FLIP_READERS = 8
+#: The writer flips at least this often, and until the readers have
+#: decided at least FLIP_DECISIONS requests (or FLIP_SECONDS passed).
+MIN_FLIPS = 100
+FLIP_DECISIONS = 20_000
+FLIP_SECONDS = 30.0
+
+
+class TestPolicyFlipHammer:
+    def test_no_decision_outlives_a_completed_flip(self):
+        """Readers decide one request while a writer flips its policy.
+
+        The writer brackets every flip with a version counter that is
+        odd while the flip is in progress (a seqlock).  A decision that
+        read the same even version before and after ran wholly under
+        one policy, so it must equal a fresh evaluation under it; with
+        the decision cache and capability grants on, a hit that
+        survived a completed flip would not.
+        """
+        service = GramService(
+            ServiceConfig(
+                policies=(FLIP_POLICIES[0],),
+                decision_cache=True,
+                capability_grants=True,
+            )
+        )
+        evaluator = service.combined_evaluator.evaluators[0]
+        expected = []
+        for policy in FLIP_POLICIES:
+            evaluator.replace_policy(policy)
+            expected.append(service.combined_evaluator.evaluate(GRANTED).effect)
+        assert expected[0] is not expected[1]
+        evaluator.replace_policy(FLIP_POLICIES[0])
+
+        version = [0]
+        done = threading.Event()
+        decided = [0] * FLIP_READERS
+        checked = [[0, 0] for _ in range(FLIP_READERS)]
+        mismatches = [0] * FLIP_READERS
+        errors = []
+
+        def writer():
+            deadline = time.monotonic() + FLIP_SECONDS
+            flip = 0
+            try:
+                while flip < MIN_FLIPS or (
+                    sum(decided) < FLIP_DECISIONS and time.monotonic() < deadline
+                ):
+                    flip += 1
+                    version[0] += 1
+                    evaluator.replace_policy(FLIP_POLICIES[flip % 2])
+                    version[0] += 1
+                    time.sleep(0.0005)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(slot):
+            try:
+                while not done.is_set():
+                    before = version[0]
+                    effect = service.pep.decide(GRANTED).effect
+                    decided[slot] += 1
+                    if before % 2 or version[0] != before:
+                        continue
+                    in_force = (before // 2) % 2
+                    checked[slot][in_force] += 1
+                    if effect is not expected[in_force]:
+                        mismatches[slot] += 1
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(slot,))
+            for slot in range(FLIP_READERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads), "deadlock"
+        assert not errors, errors
+        assert mismatches == [0] * FLIP_READERS
+        # Both versions were decided, and mostly from the repeat paths.
+        assert all(sum(slot[version] for slot in checked) for version in (0, 1))
+        assert service.capability.hits + service.pep.cache.hits > 0
